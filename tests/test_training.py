@@ -1,0 +1,160 @@
+"""Characterization tests of the training entry points at micro scale.
+
+The pinned numbers were recorded before ``training.py`` was reduced to one
+bundle-surgery path and one run path. They hold to the benchmark's
+tolerance, 1e-12 + 1e-8 * |ref|, and any change to the loss trajectory
+shows up here.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from divcontrol import training
+from divcontrol.checkpoint import load_checkpoint
+from divcontrol.config import resolved_text
+from divcontrol.runio import read_metrics
+from divcontrol.verify import micro_config
+
+STEPS = 105        # past the step-100 checkpoint, so first and last 100 differ
+ADAPT_STEPS = 20
+
+REF = {
+    "diversion_last_l_total": 1.231702318963048,
+    "diversion_mean_l_total": 1.6510215878358396,
+    "adapt_last_l_total": 1.4175782981640108,
+    "adapt_mean_l_total": 1.2969080683743779,
+    "scratch_last_l_total": 2.790669743123352,
+    "scratch_mean_l_total": 2.747041247253612,
+    "route_active_set": (0, 1),
+    "route_g": [0.26654310572831064, 0.2549300697788221, 0.0, 0.0],
+    "ablation": {
+        "neither": {"first_100_mean_l_diff": 1.6255784578379544,
+                    "final_100_mean_l_diff": 1.5474272067344037,
+                    "eval_l_diff": 0.9234005535960759,
+                    "eval_aligned_cosine": 0.07139174238691728,
+                    "eval_ssim": 0.017118669387331358,
+                    "eval_encoder_sim": 0.032989545438062734},
+        "diversion_only": {"first_100_mean_l_diff": 1.7190323322374652,
+                           "final_100_mean_l_diff": 1.6441446655307188,
+                           "eval_l_diff": 1.0143744549870761,
+                           "eval_aligned_cosine": 0.22455331181746818,
+                           "eval_ssim": 0.019632349352141008,
+                           "eval_encoder_sim": 0.05211890832385115},
+        "both": {"first_100_mean_l_diff": 1.69792570051538,
+                 "final_100_mean_l_diff": 1.6225510098068676,
+                 "eval_l_diff": 0.9868061814743354,
+                 "eval_aligned_cosine": 0.6280115798869158,
+                 "eval_ssim": 0.016670695973442118,
+                 "eval_encoder_sim": 0.053080808449712816},
+    },
+    "sweep_final_100_mean_l_diff": 1.6301206477019596,
+    "sweep_eval_aligned_cosine": 0.6457196852071366,
+}
+
+
+def micro(**kw):
+    return micro_config(0).replace(
+        steps=STEPS, eval_samples=4, adapt_steps=ADAPT_STEPS, adapt_images=4,
+        adapt_n_tailor=2, adapt_top_k=1, **kw)
+
+
+def assert_pinned(value, ref):
+    assert abs(value - ref) <= 1e-12 + 1e-8 * abs(ref), (value, ref)
+
+
+def column(run_dir, name):
+    header, rows = read_metrics(run_dir)
+    return [row[header.index(name)] for row in rows]
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Run the three training entry points and keep the bundle each trained."""
+    root = tmp_path_factory.mktemp("runs")
+    trained = {}
+    train_steps = training.train_steps
+
+    def spy(bundle, bank, out_dir, **kw):
+        trained[os.path.basename(out_dir)] = bundle
+        return train_steps(bundle, bank, out_dir, **kw)
+
+    cfg = micro()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "train_steps", spy)
+        ckpt = {"diversion": training.train_diversion(cfg, root / "diversion")}
+        ckpt["adapt"] = training.adapt_few_shot(
+            cfg.replace(mode="adapt_frozen"), ckpt["diversion"], root / "adapt")
+        ckpt["scratch"] = training.train_scratch(cfg.replace(mode="scratch"),
+                                                 root / "scratch")
+    return root, ckpt, trained
+
+
+def test_train_diversion_trajectory_and_run_files(runs):
+    root, ckpt, _ = runs
+    l_total = column(root / "diversion", "l_total")
+    assert len(l_total) == STEPS
+    assert_pinned(l_total[-1], REF["diversion_last_l_total"])
+    assert_pinned(float(np.mean(l_total)), REF["diversion_mean_l_total"])
+    assert (root / "diversion" / "resolved-config.txt").read_text() == resolved_text(micro())
+    assert load_checkpoint(ckpt["diversion"]).step == STEPS
+
+
+@pytest.mark.parametrize("name, mode", [("adapt", "adapt_frozen"),
+                                        ("scratch", "scratch")])
+def test_adaptation_runs_trajectory_and_run_files(runs, name, mode):
+    root, ckpt, _ = runs
+    l_total = column(root / name, "l_total")
+    assert len(l_total) == ADAPT_STEPS
+    assert_pinned(l_total[-1], REF[f"{name}_last_l_total"])
+    assert_pinned(float(np.mean(l_total)), REF[f"{name}_mean_l_total"])
+    # the run directory keeps the configuration as given, steps included
+    assert (root / name / "resolved-config.txt").read_text() == \
+        resolved_text(micro(mode=mode))
+    assert load_checkpoint(ckpt[name]).step == ADAPT_STEPS
+
+
+@pytest.mark.parametrize("name", ["diversion", "adapt", "scratch"])
+def test_restore_bundle_matches_trained_bundle(runs, name):
+    _, ckpt, trained = runs
+    ref, bundle = trained[name], training.restore_bundle(ckpt[name])
+    assert bundle.cfg == ref.cfg
+    assert [s.condition_id for s in bundle.specs] == [s.condition_id for s in ref.specs]
+    assert list(bundle.params()) == list(ref.params())
+    for key, t in ref.params().items():
+        restored = bundle.params()[key]
+        assert np.array_equal(restored.data, t.data), key
+        assert restored.requires_grad == t.requires_grad, key
+    assert bundle.trainable_names == ref.trainable_names
+    assert np.array_equal(bundle.gate.balance_bias, ref.gate.balance_bias)
+    assert np.array_equal(bundle.gate.usage_count, ref.gate.usage_count)
+    assert np.array_equal(bundle.gate.batch_count, ref.gate.batch_count)
+
+
+def test_zero_shot_route_pinned(runs):
+    _, ckpt, _ = runs
+    coeffs = training.zero_shot_route(ckpt["diversion"], "sobel edge outline")
+    assert coeffs.active_set == REF["route_active_set"]
+    for value, ref in zip(coeffs.g.data, REF["route_g"], strict=True):
+        assert_pinned(float(value), ref)
+    again = training.zero_shot_route(training.restore_bundle(ckpt["diversion"]),
+                                     "sobel edge outline")
+    assert np.array_equal(again.g.data, coeffs.g.data)
+
+
+def test_run_ablation_pinned(tmp_path):
+    report = training.run_ablation(micro(), tmp_path, eval_samples=4)
+    assert set(report["arms"]) == set(REF["ablation"])
+    for arm, ref in REF["ablation"].items():
+        assert report["arms"][arm]["n_samples"] == 4
+        for key, value in ref.items():
+            assert_pinned(report["arms"][arm][key], value)
+
+
+def test_sweep_repa_one_cell_pinned(tmp_path):
+    report = training.sweep_repa(micro(), [1], [0.1], tmp_path)
+    assert report["argmin_cell"] == "depth=1,lambda=0.1"
+    cell = report["cells"]["depth=1,lambda=0.1"]
+    assert_pinned(cell["final_100_mean_l_diff"], REF["sweep_final_100_mean_l_diff"])
+    assert_pinned(cell["eval_aligned_cosine"], REF["sweep_eval_aligned_cosine"])
