@@ -1,4 +1,4 @@
-"""Synthetic images, condition transforms, dataset stream, and metrics.
+"""Synthetic images, condition transforms, training batches, and metrics.
 
 Images are 16x16 grayscale in [-1, 1]: one to three anti-aliased
 primitives (disk, rectangle, line) over a shaded linear-gradient
@@ -13,8 +13,6 @@ the README) rather than claiming equivalence.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,12 +161,6 @@ def generate_image(seed: int, index: int, size: int = IMAGE_SIZE,
     return render_components(seed, index, size, image_stream)[0]
 
 
-def generate_shapes(n: int, seed: int, size: int = IMAGE_SIZE) -> list:
-    if n < 1:
-        raise ContractError("n must be >= 1")
-    return [generate_image(seed, i, size) for i in range(n)]
-
-
 # ----------------------------------------------------------------------
 # transforms
 # ----------------------------------------------------------------------
@@ -277,15 +269,8 @@ def apply_condition(image: np.ndarray, spec: ConditionSpec) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# dataset bank and iteration
+# dataset bank and batches
 # ----------------------------------------------------------------------
-
-@dataclass
-class SampleRecord:
-    x: np.ndarray
-    x_cond: np.ndarray
-    condition_id: str
-
 
 @dataclass
 class Batch:
@@ -320,14 +305,12 @@ class DatasetBank:
                 [apply_condition(img, spec) for img in self.images])
         return self._cond_cache[cond_idx]
 
-    def record(self, image_idx: int, cond_idx: int) -> SampleRecord:
-        spec = self.specs[cond_idx]
-        return SampleRecord(self.images[image_idx],
-                            self.condition_images(cond_idx)[image_idx],
-                            spec.condition_id)
-
 
 def _build_batch(bank: DatasetBank, batch_size: int, seed: int, b: int) -> Batch:
+    """Batch ``b``: images and conditions drawn uniformly per item.
+
+    It depends only on (seed, b), so any batch of a run can be regenerated.
+    """
     gen = stream(seed, "batch", b)
     image_idx = gen.integers(0, bank.size, batch_size)
     cond_idx = gen.integers(0, len(bank.specs), batch_size)
@@ -337,36 +320,6 @@ def _build_batch(bank: DatasetBank, batch_size: int, seed: int, b: int) -> Batch
     return Batch(index=b, image_idx=image_idx, cond_idx=cond_idx, x=x,
                  x_cond=x_cond,
                  condition_ids=[bank.specs[int(c)].condition_id for c in cond_idx])
-
-
-def dataset_iter(bank: DatasetBank, batch_size: int, seed: int,
-                 start: int = 0, stop: int | None = None):
-    """Stream of batches, condition drawn uniformly per item.
-
-    Batch ``b`` depends only on (seed, b), so any suffix of the stream can
-    be regenerated. DIVCTL_THREADS > 0 enables that many prefetch workers
-    (order-preserving, so the stream is identical either way).
-    """
-    if bank.size < 1:
-        raise ContractError("bank is empty")
-    workers = int(os.environ.get("DIVCTL_THREADS", "0") or 0)
-    indices = iter(range(start, stop if stop is not None else 2 ** 62))
-    if workers <= 0:
-        for b in indices:
-            yield _build_batch(bank, batch_size, seed, b)
-        return
-    # touch every cache up front: worker threads then only read
-    for c in range(len(bank.specs)):
-        bank.condition_images(c)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        window: list = []
-        depth = 2 * workers
-        for b in indices:
-            window.append(pool.submit(_build_batch, bank, batch_size, seed, b))
-            if len(window) >= depth:
-                yield window.pop(0).result()
-        for fut in window:
-            yield fut.result()
 
 
 # ----------------------------------------------------------------------

@@ -53,8 +53,6 @@ CONFIG_KEYS = {
     "gate_bias_rate": (1e-3, float, "balance-bias step size"),
     "embed_dim": (64, int, "instruction embedding width"),
     "encoder_seed": (7027, int, "seed of the frozen instruction/vision encoders"),
-    "multi_condition_mode": ("logits", str,
-                             "combine multi-condition routing by: logits | alpha"),
     "lambda_repa": (0.05, float, "alignment loss weight"),
     "repa_layer": (2, int, "branch layer whose tokens are aligned"),
     "repa_dim": (48, int, "frozen vision-encoder output width"),
@@ -98,7 +96,6 @@ class RunConfig:
     gate_bias_rate: float
     embed_dim: int
     encoder_seed: int
-    multi_condition_mode: str
     lambda_repa: float
     repa_layer: int
     repa_dim: int
@@ -109,6 +106,12 @@ class RunConfig:
     adapt_n_tailor: int
     adapt_top_k: int
     eval_samples: int
+
+    def __post_init__(self):
+        if self.mode not in ("diversion", "adapt_frozen", "scratch"):
+            raise ConfigError(f"unknown mode '{self.mode}'")
+        if self.lambda_repa < 0:
+            raise ConfigError("lambda_repa must be >= 0")
 
     def denoiser_config(self) -> DenoiserConfig:
         return DenoiserConfig(
@@ -172,13 +175,7 @@ def resolve_config(file_text: str = "", overrides: dict | None = None) -> RunCon
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
         values[key] = val
-    cfg = RunConfig(**values)
-    if cfg.mode not in ("diversion", "adapt_frozen", "scratch"):
-        raise ConfigError(f"unknown mode '{cfg.mode}'")
-    if cfg.multi_condition_mode not in ("logits", "alpha"):
-        raise ConfigError(
-            f"unknown multi_condition_mode '{cfg.multi_condition_mode}'")
-    return cfg
+    return RunConfig(**values)
 
 
 def resolved_text(cfg: RunConfig) -> str:

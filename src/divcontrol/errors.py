@@ -1,4 +1,4 @@
-"""Exception hierarchy. Exit-code mapping lives in cli.py."""
+"""Exception hierarchy; the class docstrings give each error's exit code."""
 
 
 class DivControlError(Exception):

@@ -58,11 +58,6 @@ class InstructionEncoder:
                                     e_txt=pooled)
 
 
-def embed_instruction(encoder_seed: int, text: str, embed_dim: int = 64,
-                      condition_id: str = "") -> InstructionEmbedding:
-    return InstructionEncoder(encoder_seed, embed_dim).encode(text, condition_id)
-
-
 @dataclass
 class GateState:
     """Routing network plus load-balancing state.

@@ -10,7 +10,7 @@ projections, so at step 0 the condition contributes exactly nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,10 +252,6 @@ class RepaHead:
         return T.add(T.linear(h, self.a2), self.a2b)
 
 
-def encode_condition_image(head: RepaHead, x_cond, return_degenerate: bool = False):
-    return head.encode(x_cond, return_degenerate=return_degenerate)
-
-
 # ----------------------------------------------------------------------
 # DDPM schedule
 # ----------------------------------------------------------------------
@@ -400,14 +396,6 @@ def denoise_predict(den: DenoiserNet, cfg: DenoiserConfig,
 # losses
 # ----------------------------------------------------------------------
 
-@dataclass
-class LossReport:
-    l_diff: float
-    l_repa: float
-    l_total: float
-    step: int = 0
-
-
 def diffusion_loss(eps, eps_hat) -> Tensor:
     """Mean squared error over every element."""
     eps_t = eps if isinstance(eps, Tensor) else Tensor(eps)
@@ -434,13 +422,6 @@ def repa_loss(f_cond: Tensor, e_img: np.ndarray, head: RepaHead) -> Tensor:
     norm_e = np.linalg.norm(e_img, axis=-1)
     den = T.clamp_min(T.mul(norm_af, norm_e), 1e-300)
     return T.neg(T.mean_(T.div(num, den)))
-
-
-def total_loss(l_diff: float, l_repa: float, lam: float, step: int = 0) -> LossReport:
-    if lam < 0:
-        raise ContractError("lambda must be >= 0")
-    return LossReport(l_diff=float(l_diff), l_repa=float(l_repa),
-                      l_total=float(l_diff) + lam * float(l_repa), step=step)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor
 
 
 @dataclass
@@ -38,8 +37,9 @@ class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict.
 
     Decay is multiplicative (p *= 1 - lr*wd) and applied before the moment
-    update, so a parameter with zero gradient and zero decay is untouched,
-    and with decay alone shrinks by exactly (1 - lr*wd) per step.
+    update. A parameter whose gradient was always zero is untouched without
+    decay and shrinks by exactly (1 - lr*wd) per step with it; after a
+    nonzero gradient, momentum keeps moving it on zero-gradient steps.
     """
 
     params: dict
@@ -81,10 +81,3 @@ class AdamW:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-
-def adamw_step(params: dict, state: AdamW, lr: float | None = None) -> None:
-    """Apply one AdamW update; ``params`` must be the dict ``state`` was built on."""
-    if params is not state.params:
-        raise ContractError("optimizer state was built for a different parameter set")
-    state.step(lr=lr)

@@ -1,4 +1,4 @@
-"""Run-directory plumbing: metrics CSV, summaries, locks, image files."""
+"""Run-directory plumbing: metrics CSV, summaries, locks."""
 
 from __future__ import annotations
 
@@ -22,14 +22,26 @@ def metrics_header(condition_ids) -> list:
 
 
 class MetricsWriter:
-    """Append-only CSV stream; one row per optimizer step."""
+    """Append-only CSV stream; one row per optimizer step.
 
-    def __init__(self, run_dir, condition_ids, resume: bool = False):
+    ``resume_step`` > 0 continues an existing file from that step: rows past
+    it, written by a run that died after its last checkpoint, are dropped
+    first. 0 starts a new file.
+    """
+
+    def __init__(self, run_dir, condition_ids, resume_step: int = 0):
         self.path = os.path.join(run_dir, METRICS_FILE)
         self.header = metrics_header(condition_ids)
-        mode = "a" if resume and os.path.exists(self.path) else "w"
-        self._fh = open(self.path, mode, encoding="utf-8")
-        if mode == "w":
+        if resume_step > 0 and os.path.exists(self.path):
+            with open(self.path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+            kept = lines[:1] + [ln for ln in lines[1:] if ln.endswith("\n")
+                                and int(ln.split(",", 1)[0]) <= resume_step]
+            if len(kept) < len(lines):
+                _replace_file(self.path, "".join(kept))
+            self._fh = open(self.path, "a", encoding="utf-8")
+        else:
+            self._fh = open(self.path, "w", encoding="utf-8")
             self._fh.write(",".join(self.header) + "\n")
 
     def write(self, step: int, l_diff: float, l_repa: float, l_total: float,
@@ -81,12 +93,16 @@ def export_metrics(run_dir, extra: dict | None = None) -> dict:
         idx = {name: i for i, name in enumerate(header)}
         summary["final_100_mean_l_diff"] = float(
             np.mean([r[idx["l_diff"]] for r in tail]))
-    tmp = summary_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, summary_path)
+    _replace_file(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
+
+
+def _replace_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and an atomic rename."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def write_resolved_config(run_dir, text: str) -> None:
@@ -113,47 +129,3 @@ def run_lock(run_dir):
     finally:
         if os.path.exists(path):
             os.unlink(path)
-
-
-# ----------------------------------------------------------------------
-# images
-# ----------------------------------------------------------------------
-
-def _to_u8(img: np.ndarray) -> np.ndarray:
-    scaled = np.clip((np.asarray(img) + 1.0) * 0.5, 0.0, 1.0) * 255.0
-    return np.round(scaled).astype(np.uint8)
-
-
-def write_pgm(path, img: np.ndarray) -> None:
-    """8-bit grayscale PGM (binary P5), input in [-1, 1]."""
-    u8 = _to_u8(img)
-    if u8.ndim != 2:
-        raise ContractError("write_pgm expects a 2-D image")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{u8.shape[1]} {u8.shape[0]}\n255\n".encode("ascii"))
-        fh.write(u8.tobytes())
-
-
-def write_ppm(path, img: np.ndarray) -> None:
-    """8-bit RGB PPM (binary P6); grayscale input is replicated per channel."""
-    u8 = _to_u8(img)
-    if u8.ndim == 2:
-        u8 = np.stack([u8] * 3, axis=-1)
-    if u8.ndim != 3 or u8.shape[-1] != 3:
-        raise ContractError("write_ppm expects (H, W) or (H, W, 3)")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{u8.shape[1]} {u8.shape[0]}\n255\n".encode("ascii"))
-        fh.write(u8.tobytes())
-
-
-def image_grid(images, columns: int, pad: int = 1, fill: float = -1.0) -> np.ndarray:
-    """Tile equally sized [-1, 1] images into one image, row-major."""
-    images = [np.asarray(im) for im in images]
-    h, w = images[0].shape
-    rows = (len(images) + columns - 1) // columns
-    grid = np.full((rows * (h + pad) + pad, columns * (w + pad) + pad), fill)
-    for i, im in enumerate(images):
-        r, c = divmod(i, columns)
-        top, left = pad + r * (h + pad), pad + c * (w + pad)
-        grid[top:top + h, left:left + w] = im
-    return grid

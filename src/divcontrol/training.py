@@ -21,7 +21,6 @@ from .conditions import (
     DatasetBank,
     _build_batch,
     basic_conditions,
-    default_registry,
     find_condition,
     metric_encoder_sim,
     metric_ssim,
@@ -50,11 +49,16 @@ from .model import (
     patchify,
     repa_loss,
     sample_batch,
-    total_loss,
 )
 from .optim import AdamW, lr_at
 from .rng import stream
-from .runio import MetricsWriter, export_metrics, run_lock, write_resolved_config
+from .runio import (
+    MetricsWriter,
+    export_metrics,
+    read_metrics,
+    run_lock,
+    write_resolved_config,
+)
 from .tensor import Tensor
 
 
@@ -73,16 +77,10 @@ class ModelBundle:
     trainable_names: set = field(default_factory=set)
 
     def params(self) -> dict:
-        out = {}
-        for name, t in self.den.tensors().items():
-            out["den." + name] = t
-        for name, t in self.branch.tensors().items():
-            out["br." + name] = t
-        for name, t in self.gate.tensors().items():
-            out["gate." + name] = t
-        for name, t in self.repa.tensors().items():
-            out["repa." + name] = t
-        return out
+        parts = (("den.", self.den), ("br.", self.branch), ("gate.", self.gate),
+                 ("repa.", self.repa))
+        return {prefix + name: t for prefix, part in parts
+                for name, t in part.tensors().items()}
 
     def trainable_params(self) -> dict:
         params = self.params()
@@ -112,9 +110,10 @@ def build_diversion_bundle(cfg: RunConfig, registry=None) -> ModelBundle:
     return bundle
 
 
-def _fresh_tailor_bank(fw: FactorizedWeight, cfg: RunConfig, name: str,
-                       freeze_shared: bool) -> FactorizedWeight:
-    """Replace the tailor block with randomly initialized components.
+def _fresh_tailor_bank(fw: FactorizedWeight, cfg: RunConfig,
+                       name: str) -> FactorizedWeight:
+    """Keep the (frozen) learngene block; replace the tailor block with
+    randomly initialized trainable components.
 
     New u/v columns are unit-norm random directions and sigma starts at
     zero, so the swapped-in bank leaves the composed weight untouched
@@ -126,13 +125,7 @@ def _fresh_tailor_bank(fw: FactorizedWeight, cfg: RunConfig, name: str,
     u /= np.linalg.norm(u, axis=0, keepdims=True)
     v = gen.standard_normal((fw.in_dim, n_t))
     v /= np.linalg.norm(v, axis=0, keepdims=True)
-    shared = (Tensor(fw.u_g.data, requires_grad=not freeze_shared),
-              Tensor(fw.s_g.data, requires_grad=not freeze_shared),
-              Tensor(fw.v_g.data, requires_grad=not freeze_shared))
-    return FactorizedWeight(*shared,
-                            Tensor(u, requires_grad=True),
-                            Tensor(np.zeros(n_t), requires_grad=True),
-                            Tensor(v, requires_grad=True),
+    return FactorizedWeight(fw.u_g, fw.s_g, fw.v_g, u, np.zeros(n_t), v,
                             projection_tag=fw.projection_tag,
                             layer_index=fw.layer_index)
 
@@ -151,13 +144,10 @@ def _adaptation_surgery(base: ModelBundle, cfg: RunConfig) -> ModelBundle:
     branch = base.branch
     for li, blk in enumerate(branch.blocks):
         for key in ("fw_q", "fw_k", "fw_v", "fw_o", "fw_in", "fw_out"):
-            blk[key] = _fresh_tailor_bank(blk[key], cfg, f"l{li}.{key}",
-                                          freeze_shared=True)
+            blk[key] = _fresh_tailor_bank(blk[key], cfg, f"l{li}.{key}")
     branch.n_tailor = cfg.adapt_n_tailor
-    old_gate = base.gate
     gate = GateState(
-        w1=Tensor(old_gate.w1.data, requires_grad=False),
-        b1=Tensor(old_gate.b1.data, requires_grad=False),
+        w1=base.gate.w1, b1=base.gate.b1,  # frozen above
         w2=Tensor(np.zeros((cfg.adapt_n_tailor, cfg.embed_dim)), requires_grad=True),
         b2=Tensor(np.zeros(cfg.adapt_n_tailor), requires_grad=True),
         k=cfg.adapt_top_k, bias_update_rate=cfg.gate_bias_rate)
@@ -170,26 +160,24 @@ def _adaptation_surgery(base: ModelBundle, cfg: RunConfig) -> ModelBundle:
     return bundle
 
 
+def _fresh_bundle(cfg: RunConfig) -> ModelBundle:
+    """Random bundle shaped for ``cfg.mode`` (adaptation modes: frozen base)."""
+    bundle = build_diversion_bundle(cfg)
+    if cfg.mode != "diversion":
+        bundle = _adaptation_surgery(bundle, cfg)
+    return bundle
+
+
 def build_adapt_bundle(cfg: RunConfig, base_ckpt_path) -> ModelBundle:
     """Few-shot bundle: transferred parameters frozen, fresh routing path."""
     if cfg.mode != "adapt_frozen":
         raise ContractError("adaptation requires mode = adapt_frozen")
-    state = load_checkpoint(base_ckpt_path)
-    base_cfg = resolve_config(state.config_text)
-    base = build_diversion_bundle(base_cfg)
-    load_bundle_arrays(base, state)
+    base = restore_bundle(base_ckpt_path)
+    if base.cfg.mode != "diversion":
+        raise ContractError(
+            f"adaptation needs a diversion-mode base checkpoint; "
+            f"'{base_ckpt_path}' was written in mode {base.cfg.mode}")
     return _adaptation_surgery(base, cfg)
-
-
-def build_scratch_bundle(cfg: RunConfig) -> ModelBundle:
-    """Control arm for adaptation: identical trainable set, random frozen
-    base instead of a transferred one."""
-    if cfg.mode != "scratch":
-        raise ContractError("build_scratch_bundle requires mode = scratch")
-    base = build_diversion_bundle(cfg.replace(mode="diversion"))
-    bundle = _adaptation_surgery(base, cfg.replace(mode="adapt_frozen"))
-    bundle.cfg = cfg
-    return bundle
 
 
 # ----------------------------------------------------------------------
@@ -220,38 +208,34 @@ def bundle_state(bundle: ModelBundle, opt: AdamW | None, step: int,
                            arrays=arrays, meta=meta)
 
 
+def _block(state: CheckpointState, key: str, shape=None) -> np.ndarray:
+    """Copy of block ``key``; CheckpointError if it is missing or not ``shape``."""
+    if key not in state.arrays:
+        raise CheckpointError(f"checkpoint missing block '{key}'")
+    arr = state.arrays[key]
+    if shape is not None and arr.shape != shape:
+        raise CheckpointError(f"block '{key}' shape {arr.shape} != expected {shape}")
+    return arr.copy()
+
+
 def load_bundle_arrays(bundle: ModelBundle, state: CheckpointState,
                        opt: AdamW | None = None) -> None:
-    params = bundle.params()
-    for name, t in params.items():
-        key = "param/" + name
-        if key not in state.arrays:
-            raise CheckpointError(f"checkpoint missing parameter block '{key}'")
-        arr = state.arrays[key]
-        if arr.shape != t.data.shape:
-            raise CheckpointError(
-                f"block '{key}' shape {arr.shape} != expected {t.data.shape}")
-        t.data = arr.copy()
-    bundle.gate.balance_bias = state.arrays["gate/balance_bias"].copy()
-    bundle.gate.usage_count = state.arrays["gate/usage"].copy()
-    bundle.gate.batch_count = state.arrays["gate/batch"].copy()
+    for name, t in bundle.params().items():
+        t.data = _block(state, "param/" + name, t.data.shape)
+    bundle.gate.balance_bias = _block(state, "gate/balance_bias")
+    bundle.gate.usage_count = _block(state, "gate/usage")
+    bundle.gate.batch_count = _block(state, "gate/batch")
     if opt is not None:
-        for name in opt.params:
-            opt.m[name] = state.arrays["opt/m/" + name].copy()
-            opt.v[name] = state.arrays["opt/v/" + name].copy()
-        opt.step_count = int(state.arrays["opt/t"][0])
+        for name, p in opt.params.items():
+            opt.m[name] = _block(state, "opt/m/" + name, p.data.shape)
+            opt.v[name] = _block(state, "opt/v/" + name, p.data.shape)
+        opt.step_count = int(_block(state, "opt/t")[0])
 
 
 def restore_bundle(ckpt_path) -> ModelBundle:
-    """Rebuild a bundle (diversion- or adaptation-shaped) from a checkpoint."""
+    """Rebuild the bundle a checkpoint was written from, in its mode."""
     state = load_checkpoint(ckpt_path)
-    cfg = resolve_config(state.config_text)
-    if cfg.mode in ("adapt_frozen", "scratch"):
-        base = build_diversion_bundle(cfg.replace(mode="diversion"))
-        bundle = _adaptation_surgery(base, cfg.replace(mode="adapt_frozen"))
-        bundle.cfg = cfg
-    else:
-        bundle = build_diversion_bundle(cfg)
+    bundle = _fresh_bundle(resolve_config(state.config_text))
     load_bundle_arrays(bundle, state)
     return bundle
 
@@ -262,7 +246,6 @@ def restore_bundle(ckpt_path) -> ModelBundle:
 
 @dataclass
 class RunMetrics:
-    reports: list = field(default_factory=list)
     cond_ema: np.ndarray = None
     cond_seen: np.ndarray = None
     seconds_per_100: list = field(default_factory=list)
@@ -314,15 +297,13 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
     patch = dcfg.patch_size
     stop = cfg.steps if stop_step is None else min(stop_step, cfg.steps)
     if opt is None:
-        opt = AdamW(bundle.trainable_params(), lr=cfg.lr,
-                    betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps,
-                    weight_decay=cfg.weight_decay)
+        opt = _new_optimizer(bundle)
     if metrics is None:
         metrics = RunMetrics(cond_ema=np.zeros(len(bundle.specs)),
                              cond_seen=np.zeros(len(bundle.specs)))
     os.makedirs(out_dir, exist_ok=True)
     writer = MetricsWriter(out_dir, [s.condition_id for s in bundle.specs],
-                           resume=start_step > 0)
+                           resume_step=start_step)
     ckpt_path = os.path.join(out_dir, "checkpoint.divc")
     t_block = time.monotonic()
     try:
@@ -349,8 +330,8 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
                 with T.no_grad():
                     l_repa_t = repa_loss(Tensor(f_cond.data), e_img, bundle.repa)
                 total_t = l_diff_t
-            report = total_loss(l_diff_t.item(), l_repa_t.item(), lam, step=s + 1)
-            if not np.isfinite(report.l_total):
+            l_diff, l_repa, l_total = l_diff_t.item(), l_repa_t.item(), total_t.item()
+            if not (np.isfinite(l_total) and np.isfinite(l_repa)):
                 snap = os.path.join(out_dir, f"nan-snapshot-step{s + 1}.divc")
                 save_checkpoint(snap, bundle_state(
                     bundle, opt, s, metrics.cond_ema, metrics.cond_seen,
@@ -375,9 +356,8 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
             opt.step(lr=lr_at(lr_sched, s))
             opt.zero_grad()
             update_biases(bundle.gate)
-            metrics.reports.append(report)
-            writer.write(s + 1, report.l_diff, report.l_repa, report.l_total,
-                         lr_at(lr_sched, s), metrics.cond_ema)
+            writer.write(s + 1, l_diff, l_repa, l_total, lr_at(lr_sched, s),
+                         metrics.cond_ema)
             if (s + 1) % 100 == 0:
                 metrics.seconds_per_100.append(time.monotonic() - t_block)
                 t_block = time.monotonic()
@@ -385,14 +365,21 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
                 save_checkpoint(ckpt_path, bundle_state(
                     bundle, opt, s + 1, metrics.cond_ema, metrics.cond_seen))
                 if log:
-                    log(f"step {s + 1}/{stop} l_diff={report.l_diff:.4f} "
-                        f"l_repa={report.l_repa:+.4f}")
+                    log(f"step {s + 1}/{stop} l_diff={l_diff:.4f} "
+                        f"l_repa={l_repa:+.4f}")
     finally:
         writer.close()
     save_checkpoint(ckpt_path, bundle_state(bundle, opt, stop,
                                             metrics.cond_ema, metrics.cond_seen))
     export_metrics(out_dir, extra=_summary_extras(bundle, metrics))
     return ckpt_path, metrics
+
+
+def _new_optimizer(bundle: ModelBundle) -> AdamW:
+    cfg = bundle.cfg
+    return AdamW(bundle.trainable_params(), lr=cfg.lr,
+                 betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps,
+                 weight_decay=cfg.weight_decay)
 
 
 def _summary_extras(bundle: ModelBundle, metrics: RunMetrics) -> dict:
@@ -409,33 +396,48 @@ def _summary_extras(bundle: ModelBundle, metrics: RunMetrics) -> dict:
     }
 
 
+def _train_run(bundle: ModelBundle, out_dir, start_step: int = 0,
+               opt: AdamW | None = None, metrics: RunMetrics | None = None,
+               log=None) -> tuple:
+    """Lock ``out_dir``, write the bundle's config, build the bank and train.
+
+    Diversion runs draw from ``dataset_size`` base images; adaptation runs
+    from ``adapt_images`` few-shot images, for ``adapt_steps`` steps (the
+    config file keeps the ``steps`` it was given).
+    """
+    cfg = bundle.cfg
+    with run_lock(out_dir):
+        write_resolved_config(out_dir, resolved_text(cfg))
+        if cfg.mode == "diversion":
+            bank = DatasetBank(cfg.seed, cfg.dataset_size, bundle.specs,
+                               cfg.image_size)
+        else:
+            bank = DatasetBank(cfg.seed, cfg.adapt_images, bundle.specs,
+                               cfg.image_size, image_stream="adapt-image")
+            bundle.cfg = cfg.replace(steps=cfg.adapt_steps)
+        return train_steps(bundle, bank, out_dir, start_step=start_step,
+                           opt=opt, metrics=metrics, log=log)
+
+
 def train_diversion(cfg: RunConfig, out_dir, resume: str | None = None,
                     allow_config_mismatch: bool = False, log=None) -> str:
     """Algorithm: route, compose, denoise, align, update; returns ckpt path."""
     if cfg.mode != "diversion":
         raise ContractError("train_diversion requires mode = diversion")
-    with run_lock(out_dir):
-        write_resolved_config(out_dir, resolved_text(cfg))
-        bundle = build_diversion_bundle(cfg)
-        bank = DatasetBank(cfg.seed, cfg.dataset_size, bundle.specs,
-                           cfg.image_size)
-        start, opt, metrics = 0, None, None
-        if resume is not None:
-            state = load_checkpoint(resume)
-            if state.config_digest != config_digest(cfg) and not allow_config_mismatch:
-                raise ContractError(
-                    "resume checkpoint was written under a different config; "
-                    "pass --allow-config-mismatch to continue anyway")
-            opt = AdamW(bundle.trainable_params(), lr=cfg.lr,
-                        betas=(cfg.adam_beta1, cfg.adam_beta2),
-                        eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-            load_bundle_arrays(bundle, state, opt)
-            start = state.step
-            metrics = RunMetrics(cond_ema=state.arrays["metrics/cond_ema"].copy(),
-                                 cond_seen=state.arrays["metrics/cond_seen"].copy())
-        ckpt, _ = train_steps(bundle, bank, out_dir, start_step=start,
-                              opt=opt, metrics=metrics, log=log)
-        return ckpt
+    bundle = build_diversion_bundle(cfg)
+    start, opt, metrics = 0, None, None
+    if resume is not None:
+        state = load_checkpoint(resume)
+        if state.config_digest != config_digest(cfg) and not allow_config_mismatch:
+            raise ContractError(
+                "resume checkpoint was written under a different config; "
+                "pass --allow-config-mismatch to continue anyway")
+        opt = _new_optimizer(bundle)
+        load_bundle_arrays(bundle, state, opt)
+        start = state.step
+        metrics = RunMetrics(cond_ema=_block(state, "metrics/cond_ema"),
+                             cond_seen=_block(state, "metrics/cond_seen"))
+    return _train_run(bundle, out_dir, start, opt, metrics, log)[0]
 
 
 def zero_shot_route(ckpt_path_or_bundle, instruction_text: str) -> GatedCoefficients:
@@ -451,28 +453,14 @@ def zero_shot_route(ckpt_path_or_bundle, instruction_text: str) -> GatedCoeffici
 
 def adapt_few_shot(cfg: RunConfig, base_ckpt, out_dir, log=None) -> str:
     """Train fresh tailors on a high-shift condition; everything else frozen."""
-    bundle = build_adapt_bundle(cfg, base_ckpt)
-    with run_lock(out_dir):
-        write_resolved_config(out_dir, resolved_text(cfg))
-        bank = DatasetBank(cfg.seed, cfg.adapt_images, bundle.specs,
-                           cfg.image_size, image_stream="adapt-image")
-        adapted_cfg = cfg.replace(steps=cfg.adapt_steps)
-        bundle.cfg = adapted_cfg
-        ckpt, _ = train_steps(bundle, bank, out_dir, log=log)
-        return ckpt
+    return _train_run(build_adapt_bundle(cfg, base_ckpt), out_dir, log=log)[0]
 
 
 def train_scratch(cfg: RunConfig, out_dir, log=None) -> str:
     """Adaptation control: same trainable set, random frozen base."""
-    bundle = build_scratch_bundle(cfg)
-    with run_lock(out_dir):
-        write_resolved_config(out_dir, resolved_text(cfg))
-        bank = DatasetBank(cfg.seed, cfg.adapt_images, bundle.specs,
-                           cfg.image_size, image_stream="adapt-image")
-        scratch_cfg = cfg.replace(steps=cfg.adapt_steps)
-        bundle.cfg = scratch_cfg
-        ckpt, _ = train_steps(bundle, bank, out_dir, log=log)
-        return ckpt
+    if cfg.mode != "scratch":
+        raise ContractError("train_scratch requires mode = scratch")
+    return _train_run(_fresh_bundle(cfg), out_dir, log=log)[0]
 
 
 # ----------------------------------------------------------------------
@@ -556,6 +544,13 @@ def audit_batch_streams(configs, n_batches: int = 3) -> bool:
     return True
 
 
+def _l_diff(run_dir) -> list:
+    """The l_diff column of a run's metrics.csv, bit-exact (stored as repr)."""
+    header, rows = read_metrics(run_dir)
+    col = header.index("l_diff")
+    return [row[col] for row in rows]
+
+
 def run_ablation(cfg: RunConfig, out_dir, eval_samples: int | None = None,
                  log=None) -> dict:
     """Train the three ablation arms under identical seeds and batches."""
@@ -568,17 +563,12 @@ def run_ablation(cfg: RunConfig, out_dir, eval_samples: int | None = None,
         arm_dir = os.path.join(out_dir, arm)
         if log:
             log(f"[ablation] training arm '{arm}'")
-        with run_lock(arm_dir):
-            write_resolved_config(arm_dir, resolved_text(arm_cfg))
-            bundle = build_diversion_bundle(arm_cfg)
-            bank = DatasetBank(arm_cfg.seed, arm_cfg.dataset_size,
-                               bundle.specs, arm_cfg.image_size)
-            _, metrics = train_steps(bundle, bank, arm_dir, log=log)
-        tail = [r.l_diff for r in metrics.reports[-100:]]
-        head = [r.l_diff for r in metrics.reports[:100]]
+        bundle = build_diversion_bundle(arm_cfg)
+        _train_run(bundle, arm_dir, log=log)
+        l_diff = _l_diff(arm_dir)
         arm_out = {
-            "final_100_mean_l_diff": float(np.mean(tail)),
-            "first_100_mean_l_diff": float(np.mean(head)),
+            "final_100_mean_l_diff": float(np.mean(l_diff[-100:])),
+            "first_100_mean_l_diff": float(np.mean(l_diff[:100])),
             "config_digest": config_digest(arm_cfg).hex(),
         }
         arm_out.update(evaluate_bundle(bundle, n_samples=eval_samples))
@@ -603,13 +593,9 @@ def sweep_repa(cfg: RunConfig, depths, lambdas, out_dir, log=None) -> dict:
             cell_dir = os.path.join(out_dir, f"depth{d}_lambda{lam}")
             if log:
                 log(f"[sweep] depth={d} lambda={lam}")
-            with run_lock(cell_dir):
-                write_resolved_config(cell_dir, resolved_text(cell_cfg))
-                bundle = build_diversion_bundle(cell_cfg)
-                bank = DatasetBank(cell_cfg.seed, cell_cfg.dataset_size,
-                                   bundle.specs, cell_cfg.image_size)
-                _, metrics = train_steps(bundle, bank, cell_dir, log=log)
-            final = float(np.mean([r.l_diff for r in metrics.reports[-100:]]))
+            bundle = build_diversion_bundle(cell_cfg)
+            _train_run(bundle, cell_dir, log=log)
+            final = float(np.mean(_l_diff(cell_dir)[-100:]))
             ev = evaluate_bundle(bundle, n_samples=min(32, cfg.eval_samples),
                                  sample_images=False)
             key = f"depth={d},lambda={lam}"

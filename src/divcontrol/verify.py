@@ -23,7 +23,6 @@ from .model import (
     repa_loss,
 )
 from .rng import stream
-from .tensor import Tensor
 from .training import _routing_rows, build_diversion_bundle
 
 

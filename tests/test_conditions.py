@@ -8,12 +8,11 @@ from divcontrol.conditions import (
     Batch,
     DatasetBank,
     apply_condition,
+    _build_batch,
     basic_conditions,
-    dataset_iter,
     default_registry,
     find_condition,
     generate_image,
-    generate_shapes,
     metric_encoder_sim,
     metric_ssim,
     render_components,
@@ -52,15 +51,15 @@ def test_unknown_condition_and_kind_rejected():
 
 
 def test_generate_deterministic_and_in_range():
-    a = np.stack(generate_shapes(8, SEED))
-    b = np.stack(generate_shapes(8, SEED))
+    a = np.stack([generate_image(SEED, i) for i in range(8)])
+    b = np.stack([generate_image(SEED, i) for i in range(8)])
     assert a.tobytes() == b.tobytes()
     assert a.min() >= -1.0 and a.max() <= 1.0
 
 
 def test_generate_rejects_bad_n():
     with pytest.raises(ContractError):
-        generate_shapes(0, SEED)
+        DatasetBank(SEED, 0, basic_conditions())
 
 
 def test_foreground_coverage_in_band():
@@ -126,16 +125,20 @@ def test_shuffle_is_a_fixed_permutation():
 
 def test_sample_record_regenerable():
     bank = DatasetBank(SEED, 16, basic_conditions())
-    rec = bank.record(3, 2)
-    assert np.array_equal(rec.x, generate_image(SEED, 3))
-    assert np.array_equal(rec.x_cond, apply_condition(rec.x, bank.specs[2]))
+    batch = _build_batch(bank, 4, SEED, 3)
+    for i, c, x, x_cond, cid in zip(batch.image_idx, batch.cond_idx, batch.x,
+                                    batch.x_cond, batch.condition_ids):
+        assert np.array_equal(x, generate_image(SEED, int(i)))
+        assert np.array_equal(x_cond, apply_condition(x, bank.specs[c]))
+        assert cid == bank.specs[c].condition_id
 
 
-def test_dataset_iter_uniform_conditions():
+def test_build_batch_uniform_conditions():
     bank = DatasetBank(SEED, 64, basic_conditions())
     counts = np.zeros(8)
     n_samples = 0
-    for batch in dataset_iter(bank, 16, SEED, stop=625):  # 10k samples
+    for b in range(625):  # 10k samples
+        batch = _build_batch(bank, 16, SEED, b)
         for c in batch.cond_idx:
             counts[c] += 1
         n_samples += len(batch.cond_idx)
@@ -143,34 +146,28 @@ def test_dataset_iter_uniform_conditions():
     assert np.abs(freqs - 1 / 8).max() < 0.02
 
 
-def test_dataset_iter_seed_reproducible():
+def test_build_batch_seed_reproducible():
     bank = DatasetBank(SEED, 32, basic_conditions())
-    b1 = list(dataset_iter(bank, 4, SEED, stop=5))
-    b2 = list(dataset_iter(bank, 4, SEED, stop=5))
-    for x, y in zip(b1, b2):
+    for b in range(5):
+        x, y = _build_batch(bank, 4, SEED, b), _build_batch(bank, 4, SEED, b)
         assert np.array_equal(x.x, y.x)
         assert np.array_equal(x.cond_idx, y.cond_idx)
+    assert not np.array_equal(_build_batch(bank, 4, SEED, 0).image_idx,
+                              _build_batch(bank, 4, SEED + 1, 0).image_idx)
 
 
-def test_dataset_iter_threaded_matches_sync(monkeypatch):
+def test_build_batch_suffix_regenerable():
+    # batch b depends only on (seed, b): a fresh bank regenerates any batch
+    # without replaying the ones before it
     bank = DatasetBank(SEED, 32, basic_conditions())
-    sync = list(dataset_iter(bank, 4, SEED, stop=12))
-    monkeypatch.setenv("DIVCTL_THREADS", "3")
-    threaded = list(dataset_iter(bank, 4, SEED, stop=12))
-    assert len(sync) == len(threaded)
-    for a, b in zip(sync, threaded):
-        assert a.index == b.index
-        assert np.array_equal(a.x_cond, b.x_cond)
-        assert a.condition_ids == b.condition_ids
-
-
-def test_dataset_iter_suffix_regenerable():
-    bank = DatasetBank(SEED, 32, basic_conditions())
-    full = list(dataset_iter(bank, 4, SEED, stop=8))
-    tail = list(dataset_iter(bank, 4, SEED, start=5, stop=8))
-    for a, b in zip(full[5:], tail):
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.cond_idx, b.cond_idx)
+    full = [_build_batch(bank, 4, SEED, b) for b in range(8)]
+    fresh = DatasetBank(SEED, 32, basic_conditions())
+    for b in (7, 5, 6):
+        a, c = full[b], _build_batch(fresh, 4, SEED, b)
+        assert a.index == c.index == b
+        assert np.array_equal(a.x, c.x)
+        assert np.array_equal(a.x_cond, c.x_cond)
+        assert np.array_equal(a.cond_idx, c.cond_idx)
 
 
 def test_ssim_identity_and_sign():

@@ -7,7 +7,6 @@ from divcontrol.gate import (
     GateState,
     InstructionEncoder,
     compose_multi_condition,
-    embed_instruction,
     gate_logits,
     record_usage,
     route,
@@ -26,21 +25,21 @@ def make_gate(n_t=8, k=3, embed_dim=16, seed=SEED, rate=1e-3):
 
 
 def test_embed_deterministic():
-    a = embed_instruction(SEED, "sobel edge map", embed_dim=16)
-    b = embed_instruction(SEED, "sobel edge map", embed_dim=16)
+    a = InstructionEncoder(SEED, 16).encode("sobel edge map")
+    b = InstructionEncoder(SEED, 16).encode("sobel edge map")
     assert np.array_equal(a.e_txt, b.e_txt)
     assert abs(np.linalg.norm(a.e_txt) - 1.0) < 1e-12
 
 
 def test_embed_normalizes_case_and_whitespace():
-    a = embed_instruction(SEED, "depth map", embed_dim=16)
-    b = embed_instruction(SEED, "depth  MAP", embed_dim=16)
+    a = InstructionEncoder(SEED, 16).encode("depth map")
+    b = InstructionEncoder(SEED, 16).encode("depth  MAP")
     assert np.array_equal(a.e_txt, b.e_txt)
 
 
 def test_embed_rejects_empty():
     with pytest.raises(InvalidInputError):
-        embed_instruction(SEED, "   ")
+        InstructionEncoder(SEED, 64).encode("   ")
 
 
 def test_shared_token_raises_similarity():
@@ -56,7 +55,7 @@ def test_shared_token_raises_similarity():
 
 def test_route_uniform_at_zero_init():
     gate = make_gate(n_t=8)
-    e = embed_instruction(SEED, "anything at all", embed_dim=16)
+    e = InstructionEncoder(SEED, 16).encode("anything at all")
     alpha = route(gate, e)
     assert np.allclose(alpha.data, 1.0 / 8.0, atol=1e-15)
     T.clear_tape()
@@ -67,7 +66,7 @@ def test_route_sums_to_one_and_is_deterministic():
     gate.w2.data = np.random.default_rng(0).standard_normal(gate.w2.shape)
     with T.no_grad():
         for text in ("sobel edge map", "soft box blur", "checkerboard mask"):
-            e = embed_instruction(SEED, text, embed_dim=16)
+            e = InstructionEncoder(SEED, 16).encode(text)
             a1 = route(gate, e).data
             a2 = route(gate, e).data
             assert abs(a1.sum() - 1.0) < 1e-12
@@ -181,7 +180,7 @@ def test_balancing_reduces_load_skew_over_stream():
 def test_routing_gradient_through_selected_coefficients():
     gate = make_gate(n_t=6, k=3, embed_dim=16)
     gate.w2.data = np.random.default_rng(5).standard_normal(gate.w2.shape) * 0.3
-    e = embed_instruction(SEED, "sobel edge map", embed_dim=16)
+    e = InstructionEncoder(SEED, 16).encode("sobel edge map")
     with T.no_grad():
         frozen_active = topk_select(route(gate, e), gate).active_set
     v = np.random.default_rng(6).standard_normal(6)
@@ -198,7 +197,7 @@ def test_routing_gradient_through_selected_coefficients():
 def test_multi_condition_duplicate_equals_single():
     gate = make_gate(n_t=6, k=2)
     gate.w2.data = np.random.default_rng(7).standard_normal(gate.w2.shape)
-    e = embed_instruction(SEED, "soft box blur", embed_dim=16)
+    e = InstructionEncoder(SEED, 16).encode("soft box blur")
     with T.no_grad():
         single = topk_select(route(gate, e), gate)
         double = compose_multi_condition(gate, [e, e])
@@ -242,7 +241,7 @@ def test_multi_condition_permutation_invariant():
 
 def test_multi_condition_rejects_short_list():
     gate = make_gate()
-    e = embed_instruction(SEED, "solo", embed_dim=16)
+    e = InstructionEncoder(SEED, 16).encode("solo")
     with pytest.raises(ContractError):
         compose_multi_condition(gate, [e])
 

@@ -76,3 +76,11 @@ def test_coordinate_subsampling_is_deterministic():
                            rng=np.random.default_rng(1))
     assert r1.n_coords == r2.n_coords == 10
     assert r1.max_rel_err == r2.max_rel_err
+
+
+def test_e2e_gradcheck_subsampled():
+    from divcontrol.verify import run_e2e_gradcheck
+
+    rep = run_e2e_gradcheck(max_coords_per_param=3)
+    assert rep.passed, rep.max_rel_err
+    assert rep.n_coords >= 200

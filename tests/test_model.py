@@ -9,20 +9,17 @@ from divcontrol.model import (
     ControlBranch,
     DenoiserConfig,
     DenoiserNet,
-    LossReport,
     NoiseSchedule,
     RepaHead,
     branch_forward,
     denoise_predict,
     denoiser_forward,
     diffusion_loss,
-    encode_condition_image,
     forward_noise,
     patchify,
     posterior_step,
     repa_loss,
     sample,
-    total_loss,
     unpatchify,
 )
 from divcontrol.tensor import Tensor, backward
@@ -227,15 +224,6 @@ def test_repa_loss_zero_encoder_rows_contribute_zero():
     assert np.array_equal(f.grad[0, 1], np.zeros(3))
 
 
-def test_total_loss_arithmetic():
-    rep = total_loss(1.0, -0.5, 0.05)
-    assert rep.l_total == pytest.approx(0.975, abs=1e-15)
-    assert total_loss(0.7, -0.9, 0.0).l_total == 0.7
-    assert isinstance(rep, LossReport)
-    with pytest.raises(ContractError):
-        total_loss(1.0, 0.0, -0.1)
-
-
 def test_gradient_flow_repa_and_branch():
     cfg = small_cfg()
     den, branch, head = build_parts(cfg)
@@ -261,20 +249,19 @@ def test_gradient_flow_repa_and_branch():
     assert "enc_w" not in head.tensors()
 
 
-def test_encode_condition_image_contracts():
+def test_repa_encode_contracts():
     head = RepaHead(CFG, SEED, encoder_seed=7)
     img = generate_image(SEED, 0)
-    e1 = encode_condition_image(head, img)
-    e2 = encode_condition_image(head, img)
+    e1 = head.encode(img)
+    e2 = head.encode(img)
     assert np.array_equal(e1, e2)
     assert e1.shape == (CFG.n_patches, CFG.repa_dim)
-    zero, degenerate = encode_condition_image(head, np.zeros((16, 16)),
-                                              return_degenerate=True)
+    zero, degenerate = head.encode(np.zeros((16, 16)), return_degenerate=True)
     assert np.array_equal(zero, np.zeros_like(zero)) and degenerate.all()
     # locality: editing one patch changes only that embedding row
     img2 = img.copy()
     img2[0:4, 0:4] += 0.1
-    e3 = encode_condition_image(head, np.clip(img2, -1, 1))
+    e3 = head.encode(np.clip(img2, -1, 1))
     changed = np.abs(e3 - e1).max(axis=1) > 0
     assert changed[0] and not changed[1:].any()
 

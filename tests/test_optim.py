@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from divcontrol.errors import ContractError
-from divcontrol.optim import AdamW, LrSchedule, adamw_step, lr_at
+from divcontrol.optim import AdamW, LrSchedule, lr_at
 from divcontrol.tensor import Tensor
 
 
@@ -63,7 +63,7 @@ def test_adamw_shape_mismatch_rejected():
         opt.step()
 
 
-def test_adamw_step_counter_increments():
+def test_adamw_counter_increments():
     p = Tensor(np.zeros(2), requires_grad=True)
     opt = AdamW({"p": p})
     for expected in (1, 2, 3):
@@ -71,11 +71,18 @@ def test_adamw_step_counter_increments():
         assert opt.step_count == expected
 
 
-def test_adamw_step_guard_on_foreign_params():
-    p = Tensor(np.zeros(2), requires_grad=True)
-    opt = AdamW({"p": p})
-    with pytest.raises(ContractError):
-        adamw_step({"p": p.detach()}, opt)
+def test_adamw_momentum_moves_param_after_gradient_stops():
+    # zero gradient and zero decay leave a parameter still only while its
+    # first moment is zero
+    p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+    p.grad = np.array([1.0, 0.0])
+    opt.step()
+    opt.zero_grad()
+    before = p.data.copy()
+    opt.step()
+    assert p.data[0] < before[0]
+    assert p.data[1] == before[1]
 
 
 def test_lr_at_paper_values():
