@@ -181,19 +181,21 @@ def reconstruct(fw: FactorizedWeight) -> Tensor:
 
 
 def apply_factorized(x, fw: FactorizedWeight, coeffs) -> Tensor:
-    """Compute ``x @ W~.T`` without materializing W~.
+    """Compute ``x @ W~.T`` without materializing W~, as one
+    ``T.factorized_linear`` tape node.
 
-    ``coeffs`` may be a GatedCoefficients (one routing for the whole batch)
-    or a Tensor of per-row coefficient vectors with shape (..., n_tailor)
-    broadcastable against ``x @ v_t``. Mathematically identical to
-    ``linear(x, compose_weight(fw, coeffs))`` up to float rounding.
+    ``coeffs`` may be a GatedCoefficients (one routing for the whole batch),
+    a Tensor of per-row coefficient vectors with shape (..., n_tailor)
+    broadcastable against ``x @ v_t``, or None for the learngene block
+    alone. Mathematically identical to
+    ``linear(x, compose_weight(fw, coeffs))`` up to float rounding; the
+    gradient reaches every factor and the coefficients.
     """
-    y = T.linear(T.mul(T.matmul(x, fw.v_g), fw.s_g), fw.u_g)
     if fw.n_tailor == 0 or coeffs is None:
-        return y
+        return T.factorized_linear(x, fw.u_g, fw.s_g, fw.v_g)
     g = coeffs.g if isinstance(coeffs, GatedCoefficients) else coeffs
-    t = T.mul(T.matmul(x, fw.v_t), T.mul(g, fw.s_t))
-    return T.add(y, T.linear(t, fw.u_t))
+    return T.factorized_linear(x, fw.u_g, fw.s_g, fw.v_g,
+                               fw.u_t, fw.s_t, fw.v_t, g)
 
 
 def masked_gradient_apply(fw: FactorizedWeight, coeffs) -> float:

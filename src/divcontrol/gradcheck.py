@@ -237,6 +237,46 @@ def _case_chain(rngen):
     return f, {"w": w, "v": v}
 
 
+def _case_factorized_linear(rngen):
+    # per-row (B, 1, n_tailor) coefficients, tailor 1 inactive in every row
+    # and tailor 2 in one row. The output is linear in each input, so a loss
+    # linear in the output makes central differences exact up to round-off.
+    x = _rand(rngen, 2, 3, 5)
+    u_g, s_g, v_g = _rand(rngen, 4, 2), _rand(rngen, 2), _rand(rngen, 5, 2)
+    u_t, s_t, v_t = _rand(rngen, 4, 3), _rand(rngen, 3), _rand(rngen, 5, 3)
+    active = np.array([[[1.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]]])
+    c = Tensor(rngen.standard_normal((2, 1, 3)) * active, requires_grad=True)
+    w = Tensor(rngen.standard_normal((2, 3, 4)))
+
+    def f():
+        y = T.factorized_linear(x, u_g, s_g, v_g, u_t, s_t, v_t, c)
+        return T.sum_(y * w)
+
+    return f, {"x": x, "u_g": u_g, "s_g": s_g, "v_g": v_g,
+               "u_t": u_t, "s_t": s_t, "v_t": v_t, "c": c}
+
+
+def _case_factorized_learngene(rngen):
+    x = _rand(rngen, 3, 5)
+    u_g, s_g, v_g = _rand(rngen, 4, 3), _rand(rngen, 3), _rand(rngen, 5, 3)
+
+    def f():
+        y = T.factorized_linear(x, u_g, s_g, v_g)
+        return T.sum_(y * y)
+
+    return f, {"x": x, "u_g": u_g, "s_g": s_g, "v_g": v_g}
+
+
+def _case_attention(rngen):
+    q, k, v = _rand(rngen, 2, 4, 3), _rand(rngen, 2, 4, 3), _rand(rngen, 2, 4, 2)
+    w = Tensor(rngen.standard_normal((2, 4, 2)))
+
+    def f():
+        return T.sum_(T.attention(q, k, v, 0.7) * w)
+
+    return f, {"q": q, "k": k, "v": v}
+
+
 OP_CASES = [
     ("elementwise", _case_elementwise),
     ("matmul", _case_matmul),
@@ -251,6 +291,9 @@ OP_CASES = [
     ("gather_rows", _case_gather),
     ("sqrt_log_clamp", _case_sqrt_log_clamp),
     ("chain", _case_chain),
+    ("factorized_linear", _case_factorized_linear),
+    ("factorized_learngene", _case_factorized_learngene),
+    ("attention", _case_attention),
 ]
 
 

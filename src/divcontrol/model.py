@@ -310,9 +310,7 @@ def _dropout(x: Tensor, p: float, gen) -> Tensor:
 
 def _attention(x, ln_g, ln_b, proj, d):
     h = T.layer_norm(x, ln_g, ln_b)
-    q, k, v = proj("q", h), proj("k", h), proj("v", h)
-    scores = T.mul(T.matmul(q, T.transpose2(k)), 1.0 / np.sqrt(d))
-    ctx = T.matmul(T.softmax(scores, axis=-1), v)
+    ctx = T.attention(proj("q", h), proj("k", h), proj("v", h), 1.0 / np.sqrt(d))
     return proj("o", ctx)
 
 

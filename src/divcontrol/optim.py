@@ -40,6 +40,10 @@ class AdamW:
     update. A parameter whose gradient was always zero is untouched without
     decay and shrinks by exactly (1 - lr*wd) per step with it; after a
     nonzero gradient, momentum keeps moving it on zero-gradient steps.
+
+    Updates happen in place: each parameter's ``.data`` array and the
+    moment arrays ``m``/``v`` are overwritten, so a caller holding
+    ``p.data`` sees it change, and no two parameters may share memory.
     """
 
     params: dict
@@ -71,12 +75,21 @@ class AdamW:
             if g is not None and g.shape != p.data.shape:
                 raise ContractError(f"gradient shape mismatch for '{name}'")
             if self.weight_decay:
-                p.data = p.data * (1.0 - lr * self.weight_decay)
+                p.data *= 1.0 - lr * self.weight_decay
             if g is None:
                 g = 0.0
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            delta = m / bc1
+            delta *= lr
+            den = v / bc2
+            np.sqrt(den, out=den)
+            den += self.eps
+            delta /= den
+            p.data -= delta
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -7,8 +7,14 @@ gradients into ``.grad`` buffers, and frees the tape. The tape is dynamic
 (recorded per forward pass) and is always consumed by exactly one backward
 pass, which is all the training loop needs.
 
-Tensors are immutable once created, except for ``.grad`` accumulation.
-All data is 64-bit; there is no device or dtype dispatch.
+Besides elementwise, shape, reduction and matmul ops, four fused
+primitives carry hand-derived adjoints and record one tape node each:
+``softmax``, ``layer_norm``, ``factorized_linear`` (a learngene/tailor
+projection, see ``factorized.py``) and single-head ``attention``.
+
+Tensors are immutable once created, except for ``.grad`` accumulation
+and the optimizer's in-place parameter update. All data is 64-bit; there
+is no device or dtype dispatch.
 """
 
 from __future__ import annotations
@@ -240,11 +246,66 @@ _GELU_C0 = np.sqrt(2.0 / np.pi)
 _GELU_C1 = 0.044715
 
 
+def _gelu_arg(cube, x):
+    return _GELU_C0 * (x + _GELU_C1 * cube)
+
+
+def _split(a):
+    """Veltkamp split of float64 ``a`` into halves of 26 significant bits."""
+    hi = 134217729.0 * a  # 2**27 + 1
+    hi -= hi - a
+    return hi, a - hi
+
+
+def _product_error(a_hi, a_lo, b_hi, b_lo, p):
+    """Dekker: ``a*b - p`` exactly, for ``p = fl(a*b)`` and split a, b."""
+    err = a_hi * b_hi
+    err -= p
+    err += a_hi * b_lo
+    err += a_lo * b_hi
+    err += a_lo * b_lo
+    return err
+
+
+def _gelu_arg_of(x: np.ndarray) -> np.ndarray:
+    """``_gelu_arg(x ** 3, x)`` bit for bit, mostly without ``x ** 3``.
+
+    numpy's ``power`` is vectorized for positive bases but takes a scalar
+    path, about 40 times slower, for the others; for a negative base it
+    returns the correctly rounded cube or a float64 neighbour of it. So
+    negative bases get the correctly rounded cube from Dekker's exact
+    products, and the argument from the cube's two neighbours, between
+    which ``_gelu_arg`` (monotone in the cube) must land. ``power`` runs
+    only where those two differ, and on zeros and non-finite bases: about
+    one negative base in ten.
+    """
+    out = _gelu_arg(np.abs(x) ** 3, x)  # right wherever x > 0
+    rest = np.flatnonzero(~(x > 0))
+    if rest.size == 0:
+        return out
+    xn = np.take(x, rest)  # flat indices, C order, whatever the layout
+    xn_hi, xn_lo = _split(xn)
+    sq = xn * xn
+    sq_err = _product_error(xn_hi, xn_lo, xn_hi, xn_lo, sq)
+    cube = sq * xn
+    cube_err = _product_error(*_split(sq), xn_hi, xn_lo, cube)
+    # x**3 = cube + cube_err + sq_err*xn, with the first two terms exact
+    sq_err *= xn
+    cube_err += sq_err
+    cube += cube_err
+    gap = np.abs(cube) * 2.0 ** -52  # at least one float64 spacing of cube
+    u = _gelu_arg(cube - gap, xn)
+    todo = (u != _gelu_arg(cube + gap, xn)) | (xn == 0)  # NaN lands here too
+    u[todo] = _gelu_arg(xn[todo] ** 3, xn[todo])
+    np.put(out, rest, u)
+    return out
+
+
 def gelu(a) -> Tensor:
     """tanh-form GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
     a = as_tensor(a)
     x = a.data
-    u = _GELU_C0 * (x + _GELU_C1 * x ** 3)
+    u = _gelu_arg_of(x)
     t = np.tanh(u)
     out = Tensor(0.5 * x * (1.0 + t))
 
@@ -385,7 +446,8 @@ def dot(a, b) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# softmax and layer norm (fused primitives, hand-derived adjoints)
+# fused primitives with hand-derived adjoints: softmax, layer norm,
+# factorized projection, attention
 # ----------------------------------------------------------------------
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -397,18 +459,21 @@ def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     if a.size == 0:
         return _record(Tensor(a.data.copy()), (a,), lambda g: (g,))
-    if not np.isfinite(a.data).all():
-        raise InvalidInputError("softmax input contains non-finite values")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax_data(a.data, axis, "softmax input")
     out = Tensor(y)
+    return _record(out, (a,), lambda g: (_softmax_vjp(g, y, axis),))
 
-    def vjp(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - inner) * y,)
 
-    return _record(out, (a,), vjp)
+def _softmax_data(z: np.ndarray, axis: int, what: str) -> np.ndarray:
+    if not np.isfinite(z).all():
+        raise InvalidInputError(f"{what} contains non-finite values")
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_vjp(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * y).sum(axis=axis, keepdims=True)
+    return (g - inner) * y
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -433,6 +498,94 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         return gx, ggain.reshape(gain.data.shape), gbias.reshape(bias.data.shape)
 
     return _record(out, (x, gain, bias), vjp)
+
+
+def factorized_linear(x, u_g, s_g, v_g, u_t=None, s_t=None, v_t=None,
+                      c=None) -> Tensor:
+    """Projection through rank-1 components, without forming the matrix.
+
+    Computes ``((x @ v_g) * s_g) @ u_g.T`` and, when the tailor block
+    ``u_t, s_t, v_t`` is given, adds ``((x @ v_t) * (c * s_t)) @ u_t.T``.
+    ``c`` holds the tailor coefficients: one (n_tailor,) vector, or rows
+    broadcastable against ``x @ v_t`` such as (B, 1, n_tailor). Every
+    input gets its gradient. A tailor column whose coefficient is zero in
+    every row gets exactly zero gradient in ``u_t``, ``s_t`` and ``v_t``.
+
+    Forward and gradients are bit-identical to the same expression built
+    from ``matmul``, ``mul``, ``linear`` and ``add`` nodes.
+    """
+    x, u_g, s_g, v_g = (as_tensor(t) for t in (x, u_g, s_g, v_g))
+    if x.ndim < 2 or x.data.shape[-1] != v_g.data.shape[0]:
+        raise ContractError(
+            f"factorized_linear shape mismatch: x {x.data.shape} vs v_g {v_g.data.shape}")
+    h_g = np.matmul(x.data, v_g.data)
+    a_g = h_g * s_g.data
+    y = np.matmul(a_g, u_g.data.T)
+    if u_t is None:
+        def vjp(g):
+            return _factor_block_vjp(g, x, u_g, v_g, h_g, a_g, s_g.data)
+
+        return _record(Tensor(y), (x, u_g, s_g, v_g), vjp)
+
+    u_t, s_t, v_t, c = (as_tensor(t) for t in (u_t, s_t, v_t, c))
+    h_t = np.matmul(x.data, v_t.data)
+    cs = c.data * s_t.data
+    a_t = h_t * cs
+    y = y + np.matmul(a_t, u_t.data.T)
+
+    def vjp_tailored(g):
+        gx_t, gu_t, gcs, gv_t = _factor_block_vjp(g, x, u_t, v_t, h_t, a_t, cs)
+        gc = _unbroadcast(gcs * s_t.data, c.data.shape)
+        gs_t = _unbroadcast(gcs * c.data, s_t.data.shape)
+        return (gx_t, gu_t, gs_t, gv_t, gc) + _factor_block_vjp(
+            g, x, u_g, v_g, h_g, a_g, s_g.data)
+
+    # x is listed once per block: backward adds the tailor block's part of
+    # x.grad and then the learngene block's, so the float sums into x.grad
+    # keep the order of the unfused expression.
+    return _record(Tensor(y), (x, u_t, s_t, v_t, c, x, u_g, s_g, v_g), vjp_tailored)
+
+
+def _factor_block_vjp(g, x, u, v, h, a, scale):
+    """Gradients of ``a @ u.T`` with ``a = h * scale`` and ``h = x @ v``:
+    for x, u, scale and v, in that order (None where none is needed)."""
+    ga = np.matmul(g, u.data)
+    gu = gv = gx = None
+    if u.requires_grad:
+        gu = g.reshape(-1, g.shape[-1]).T @ a.reshape(-1, a.shape[-1])
+    gscale = _unbroadcast(ga * h, np.shape(scale))
+    gh = ga * scale
+    if v.requires_grad:
+        gv = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gh), v.data.shape)
+    if x.requires_grad:
+        gx = np.matmul(gh, np.swapaxes(v.data, -1, -2))
+    return gx, gu, gscale, gv
+
+
+def attention(q, k, v, scale: float) -> Tensor:
+    """Single-head attention ``softmax(q @ k^T * scale) @ v`` over the last
+    two axes, as one tape node.
+
+    Raises InvalidInputError when a score is non-finite, as ``softmax`` does.
+    Output and gradients are bit-identical to the same expression built from
+    ``matmul``, ``transpose2``, ``mul`` and ``softmax`` nodes.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ContractError("attention requires ndim >= 2 operands")
+    p = _softmax_data(np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale,
+                      -1, "attention scores")
+    out = Tensor(np.matmul(p, v.data))
+
+    def vjp(g):
+        gs = _softmax_vjp(np.matmul(g, np.swapaxes(v.data, -1, -2)), p, -1) * scale
+        gq = np.matmul(gs, k.data)
+        gk = np.matmul(np.swapaxes(gs, -1, -2), q.data)
+        gv = np.matmul(np.swapaxes(p, -1, -2), g)
+        return (_unbroadcast(gq, q.data.shape), _unbroadcast(gk, k.data.shape),
+                _unbroadcast(gv, v.data.shape))
+
+    return _record(out, (q, k, v), vjp)
 
 
 def cosine_similarity(a, b, return_degenerate: bool = False):
@@ -477,7 +630,12 @@ def backward(loss: Tensor) -> None:
             if gi is None or not inp.requires_grad:
                 continue
             if inp.grad is None:
-                inp.grad = np.array(gi, dtype=_F64, copy=True)
+                # an array the vjp just made is kept; g itself and views are
+                # copied, so no two tensors share a gradient buffer
+                if type(gi) is np.ndarray and gi.flags.owndata and gi is not g:
+                    inp.grad = gi
+                else:
+                    inp.grad = np.array(gi, dtype=_F64, copy=True)
             else:
                 inp.grad = inp.grad + gi
         out.grad = None  # free intermediate buffers as we go

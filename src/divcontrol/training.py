@@ -168,6 +168,14 @@ def _fresh_bundle(cfg: RunConfig) -> ModelBundle:
     return bundle
 
 
+# Keys that set a parameter shape of the diversion base. An adaptation
+# checkpoint stores only its own config, and restore_bundle rebuilds the
+# frozen base from it, so these must equal the base's.
+_BASE_SHAPE_KEYS = ("image_size", "patch_size", "token_dim", "mlp_hidden",
+                    "layers", "controlnet_layers", "timesteps", "n_learngene",
+                    "n_tailor", "embed_dim", "repa_dim", "repa_hidden")
+
+
 def build_adapt_bundle(cfg: RunConfig, base_ckpt_path) -> ModelBundle:
     """Few-shot bundle: transferred parameters frozen, fresh routing path."""
     if cfg.mode != "adapt_frozen":
@@ -177,6 +185,12 @@ def build_adapt_bundle(cfg: RunConfig, base_ckpt_path) -> ModelBundle:
         raise ContractError(
             f"adaptation needs a diversion-mode base checkpoint; "
             f"'{base_ckpt_path}' was written in mode {base.cfg.mode}")
+    differ = [f"{k} = {getattr(cfg, k)} (base: {getattr(base.cfg, k)})"
+              for k in _BASE_SHAPE_KEYS if getattr(cfg, k) != getattr(base.cfg, k)]
+    if differ:
+        raise ContractError(
+            f"adaptation config disagrees with base checkpoint '{base_ckpt_path}' "
+            f"on parameter shapes: {', '.join(differ)}")
     return _adaptation_surgery(base, cfg)
 
 
@@ -368,6 +382,7 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
                     log(f"step {s + 1}/{stop} l_diff={l_diff:.4f} "
                         f"l_repa={l_repa:+.4f}")
     finally:
+        T.clear_tape()  # a step abandoned by an error leaves its nodes behind
         writer.close()
     save_checkpoint(ckpt_path, bundle_state(bundle, opt, stop,
                                             metrics.cond_ema, metrics.cond_seen))

@@ -156,6 +156,32 @@ def test_apply_factorized_matches_dense_twin():
     assert np.abs(dense - fact).max() < 1e-10
 
 
+def unfused_apply(x, fw, rows):
+    """Reference: the node-by-node chain factorized_linear replaces."""
+    y = T.linear(T.mul(T.matmul(x, fw.v_g), fw.s_g), fw.u_g)
+    t = T.mul(T.matmul(x, fw.v_t), T.mul(rows, fw.s_t))
+    return T.add(y, T.linear(t, fw.u_t))
+
+
+def test_apply_factorized_is_bit_identical_to_unfused_chain():
+    # two projections read the same x, as q, k and v do, so the order in
+    # which their gradients are summed into x.grad matters too
+    rng = np.random.default_rng(16)
+    fws = [random_fw(rng, 6, 5, 2, 3)[0] for _ in range(2)]
+    x = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
+    rows = Tensor(np.array([[[0.5, 0.0, 0.2]], [[0.3, 0.0, 0.0]]]), requires_grad=True)
+    leaves = [x, rows] + [t for fw in fws for t in fw.tensors().values()]
+    results = []
+    for project in (apply_factorized, unfused_apply):
+        T.zero_grads(leaves)
+        h = T.mul(x, 1.5)
+        y = T.mul(project(h, fws[0], rows), project(h, fws[1], rows))
+        backward(T.sum_(T.tanh(y)))
+        results.append([y.data] + [t.grad for t in leaves])
+    for fused, unfused in zip(*results):
+        assert np.array_equal(fused, unfused)
+
+
 def test_inactive_tailor_gets_exact_zero_grads():
     rng = np.random.default_rng(9)
     fw, _ = random_fw(rng, 5, 5, 2, 3)
@@ -172,6 +198,22 @@ def test_inactive_tailor_gets_exact_zero_grads():
     assert np.abs(fw.u_t.grad[:, 0]).max() > 0
     residual = masked_gradient_apply(fw, coeffs)
     assert residual == 0.0
+
+
+def test_inactive_tailor_gets_exact_zero_grads_per_row():
+    # the branch passes (B, 1, n_tailor) rows; a column that is zero in every
+    # row must get exactly zero gradient, or the mask pass would have work
+    rng = np.random.default_rng(15)
+    fw, _ = random_fw(rng, 5, 5, 2, 3)
+    rows = Tensor(np.array([[[0.5, 0.0, 0.2]], [[0.3, 0.0, 0.0]]]), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
+    y = apply_factorized(x, fw, rows)
+    backward(T.sum_(T.mul(y, y)))
+    for grad in (fw.u_t.grad[:, 1], fw.v_t.grad[:, 1], fw.s_t.grad[1:2]):
+        assert np.array_equal(grad, np.zeros_like(grad))
+    assert np.abs(fw.u_t.grad[:, 2]).max() > 0   # active in one row only
+    assert np.abs(rows.grad).max() > 0
+    assert masked_gradient_apply(fw, (0, 2)) == 0.0
 
 
 def test_active_coefficient_scales_sigma_gradient():

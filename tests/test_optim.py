@@ -85,6 +85,48 @@ def test_adamw_momentum_moves_param_after_gradient_stops():
     assert p.data[1] == before[1]
 
 
+def reference_adamw_step(params, m, v, t, lr, b1, b2, eps, wd):
+    """The allocate-and-rebind update the in-place optimizer replaced."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for name, p in params.items():
+        g = p.grad
+        if wd:
+            p.data = p.data * (1.0 - lr * wd)
+        if g is None:
+            g = 0.0
+        mk = m[name] = b1 * m[name] + (1.0 - b1) * g
+        vk = v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+        p.data = p.data - lr * (mk / bc1) / (np.sqrt(vk / bc2) + eps)
+
+
+def test_adamw_in_place_is_bit_identical_to_rebinding_update():
+    rng = np.random.default_rng(1)
+    shapes = {"w": (3, 4), "b": (4,), "frozen_grad": (2, 2), "s": (5,)}
+    ours = {k: Tensor(rng.standard_normal(sh), requires_grad=True)
+            for k, sh in shapes.items()}
+    ref = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in ours.items()}
+    held = {k: t.data for k, t in ours.items()}
+    lr, betas, eps, wd = 3e-3, (0.9, 0.999), 1e-8, 3e-2
+    opt = AdamW(ours, lr=lr, betas=betas, eps=eps, weight_decay=wd)
+    m = {k: np.zeros(sh) for k, sh in shapes.items()}
+    v = {k: np.zeros(sh) for k, sh in shapes.items()}
+    for t in range(1, 7):
+        for k, sh in shapes.items():
+            # "frozen_grad" never has a gradient; "s" loses it from step 4
+            g = None if k == "frozen_grad" or (k == "s" and t >= 4) \
+                else rng.standard_normal(sh)
+            ours[k].grad = ref[k].grad = g
+        step_lr = lr * (0.5 if t >= 5 else 1.0)
+        opt.step(lr=step_lr)
+        reference_adamw_step(ref, m, v, t, step_lr, *betas, eps, wd)
+        for k in shapes:
+            assert np.array_equal(ours[k].data, ref[k].data), (t, k)
+            assert np.array_equal(opt.m[k], m[k]), (t, k)
+            assert np.array_equal(opt.v[k], v[k]), (t, k)
+    for k, t in ours.items():
+        assert t.data is held[k]   # updated in place, not rebound
+
+
 def test_lr_at_paper_values():
     sched = LrSchedule(base_lr=1.25e-5, milestones=(300000,), factor=0.4)
     assert lr_at(sched, 0) == pytest.approx(1.25e-5)

@@ -82,6 +82,7 @@ def test_non_finite_logged_loss_stops_the_run(tmp_path, monkeypatch, loss_name):
     try:
         with pytest.raises(NumericError):
             training.train_diversion(cfg, tmp_path)
+        assert T.tape_size() == 0   # the abandoned step's nodes are freed
     finally:
         T.clear_tape()
     assert os.path.exists(tmp_path / "nan-snapshot-step1.divc")
@@ -107,3 +108,14 @@ def test_adaptation_needs_a_diversion_base_and_scratch_mode(trained, tmp_path):
         training.build_adapt_bundle(acfg, adapted)
     with pytest.raises(ContractError, match="mode = scratch"):
         training.train_scratch(cfg, tmp_path / "scratch")
+
+
+def test_adaptation_refuses_a_config_that_reshapes_the_base(trained, tmp_path):
+    # the adaptation checkpoint stores only its own config, and the frozen
+    # base is rebuilt from it, so a different n_learngene could never be read
+    cfg, ckpt = trained
+    acfg = cfg.replace(mode="adapt_frozen", n_learngene=6, adapt_steps=2,
+                       adapt_images=4, adapt_n_tailor=2, adapt_top_k=1)
+    with pytest.raises(ContractError, match="n_learngene = 6 .base: 4."):
+        training.adapt_few_shot(acfg, ckpt, tmp_path / "adapt")
+    assert not os.path.exists(tmp_path / "adapt" / "checkpoint.divc")

@@ -130,7 +130,78 @@ def test_gather_rows_scatter_adds():
     assert np.array_equal(table.grad, expected)
 
 
+def test_backward_gives_each_tensor_its_own_grad_buffer():
+    # add hands the same upstream array to both inputs and reshape a view of
+    # it; the optimizer and the mask pass write gradients in place
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    c = Tensor(np.ones(6), requires_grad=True)
+    y = T.add(a, b) * 2.0
+    backward(T.sum_(T.add(T.reshape(y, (6,)), c)))
+    grads = [a.grad, b.grad, c.grad]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+
+
 def test_tape_freed_after_backward():
     a = Tensor(np.ones(4), requires_grad=True)
     backward(T.sum_(a * a))
     assert T.tape_size() == 0
+
+
+def test_gelu_argument_is_bit_identical_to_power_form():
+    # gelu sidesteps numpy's slow power path for negative bases, and the
+    # loss trajectory depends on every bit of x ** 3 all the same
+    rng = np.random.default_rng(6)
+    special = rng.standard_normal((7, 9))
+    for start, value in enumerate((0.0, -0.0, np.nan, -np.inf, np.inf)):
+        special.flat[start::6] = value
+    cases = [rng.standard_normal(200_000) * s for s in (1e-3, 0.5, 1.0, 3.0, 1e3)]
+    cases += [special, special.T, rng.standard_normal((16, 16, 128))[:, ::2],
+              rng.standard_normal(50) * 1e-160, rng.standard_normal(50) * 1e120]
+    with np.errstate(all="ignore"):
+        for x in cases:
+            ref = T._GELU_C0 * (x + T._GELU_C1 * x ** 3)
+            assert np.array_equal(T._gelu_arg_of(x).view(np.int64), ref.view(np.int64))
+
+
+def test_fused_primitives_record_one_tape_node():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    u, s, v = (Tensor(rng.standard_normal(shape), requires_grad=True)
+               for shape in ((5, 2), (2,), (4, 2)))
+    c = Tensor(rng.standard_normal((2, 1, 2)), requires_grad=True)
+    T.clear_tape()
+    T.factorized_linear(x, u, s, v)
+    T.factorized_linear(x, u, s, v, u, s, v, c)
+    T.attention(x, x, x, 0.5)
+    assert T.tape_size() == 3
+    T.clear_tape()
+
+
+def test_attention_is_bit_identical_to_softmax_composition():
+    rng = np.random.default_rng(4)
+    q, k, v = (Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+               for _ in range(3))
+    w = rng.standard_normal((2, 5, 3))
+
+    def unfused(q, k, v, scale):
+        scores = T.mul(T.matmul(q, T.transpose2(k)), scale)
+        return T.matmul(softmax(scores, axis=-1), v)
+
+    results = []
+    for attend in (T.attention, unfused):
+        T.zero_grads([q, k, v])
+        y = attend(q, k, v, 0.25)
+        backward(T.sum_(T.mul(y, w)))
+        results.append([y.data, q.grad, k.grad, v.grad])
+    for fused, composed in zip(*results):
+        assert np.array_equal(fused, composed)
+
+
+def test_attention_rejects_non_finite_scores():
+    q = np.ones((1, 2, 2))
+    q[0, 1, 0] = np.inf
+    with pytest.raises(InvalidInputError):
+        T.attention(Tensor(q), Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 2, 2))), 1.0)

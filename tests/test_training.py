@@ -132,6 +132,27 @@ def test_restore_bundle_matches_trained_bundle(runs, name):
     assert np.array_equal(bundle.gate.batch_count, ref.gate.batch_count)
 
 
+@pytest.mark.parametrize("source", ["fresh", "adapt", "loaded"])
+def test_optimizer_arrays_share_no_memory(runs, source):
+    # AdamW updates parameters and moments in place, so two trainable
+    # tensors that share memory would receive each other's updates
+    _, ckpt, _ = runs
+    if source == "adapt":
+        bundle = training.build_adapt_bundle(micro(mode="adapt_frozen"), ckpt["diversion"])
+    else:
+        bundle = training.build_diversion_bundle(micro())
+    opt = training._new_optimizer(bundle)
+    if source == "loaded":
+        training.load_bundle_arrays(bundle, load_checkpoint(ckpt["diversion"]), opt)
+    arrays = [(f"param/{k}", p.data) for k, p in opt.params.items()]
+    arrays += [(f"opt/m/{k}", a) for k, a in opt.m.items()]
+    arrays += [(f"opt/v/{k}", a) for k, a in opt.v.items()]
+    assert len(opt.params) == len(bundle.trainable_names)
+    for i, (name_a, a) in enumerate(arrays):
+        for name_b, b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b), (name_a, name_b)
+
+
 def test_zero_shot_route_pinned(runs):
     _, ckpt, _ = runs
     coeffs = training.zero_shot_route(ckpt["diversion"], "sobel edge outline")
