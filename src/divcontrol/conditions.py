@@ -80,18 +80,6 @@ def default_registry() -> list[ConditionSpec]:
 # low-shift novels and their nearest basic condition
 NOVEL_LOW_SIBLINGS = {"edge-lap": "edge", "blur-wide": "blur"}
 
-# spare phrasings of the basic instructions, for zero-shot routing demos
-NEAR_SYNONYMS = {
-    "edge": "sobel edge outline",
-    "sketch": "binary sketch edge drawing",
-    "blur": "soft blur smoothing",
-    "pixel": "coarse pixel mosaic",
-    "outpaint": "border outpainting frame",
-    "window": "center crop box",
-    "poster": "flat posterize bands",
-    "invert": "inverted negative tones",
-}
-
 
 def basic_conditions(registry=None) -> list[ConditionSpec]:
     registry = default_registry() if registry is None else registry

@@ -1,18 +1,19 @@
 """Flat key = value run configuration.
 
-Every hyperparameter has a documented default below; unknown keys in a
-config file are a hard error. The resolved configuration is rendered as
-sorted ``key = value`` lines, and its SHA-256 is the config digest that
-checkpoints embed, so seed and all hyperparameters are covered.
+Every hyperparameter is one ``RunConfig`` field, declared once with its
+default below; unknown keys in a config file are a hard error. The
+resolved configuration is rendered as sorted ``key = value`` lines, and
+its SHA-256 is the config digest that checkpoints embed, so seed and all
+hyperparameters are covered.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .model import DenoiserConfig
 from .optim import LrSchedule
 
 
@@ -23,117 +24,81 @@ def _intlist(text: str) -> tuple:
     return tuple(int(v.strip()) for v in text.split(","))
 
 
-# key -> (default, parser, help)
-CONFIG_KEYS = {
-    "seed": (0, int, "root seed for every random stream"),
-    "mode": ("diversion", str, "diversion | adapt_frozen | scratch"),
-    "steps": (5000, int, "optimizer steps for diversion training"),
-    "batch_size": (16, int, "items per batch"),
-    "dataset_size": (2048, int, "synthetic base images in the bank"),
-    "lr": (1e-3, float, "base learning rate"),
-    "lr_milestones": ((3500,), _intlist, "comma-separated decay steps"),
-    "lr_factor": (0.4, float, "multiplicative decay at each milestone"),
-    "weight_decay": (3e-2, float, "decoupled AdamW weight decay"),
-    "adam_beta1": (0.9, float, "AdamW first-moment coefficient"),
-    "adam_beta2": (0.999, float, "AdamW second-moment coefficient"),
-    "adam_eps": (1e-8, float, "AdamW denominator epsilon"),
-    "image_size": (16, int, "square image side"),
-    "patch_size": (4, int, "square patch side"),
-    "token_dim": (64, int, "transformer token width"),
-    "mlp_hidden": (128, int, "MLP hidden width"),
-    "layers": (4, int, "denoiser transformer layers"),
-    "controlnet_layers": (4, int, "condition-branch layers"),
-    "timesteps": (100, int, "diffusion timesteps"),
-    "beta_start": (1e-4, float, "first beta of the linear schedule"),
-    "beta_end": (2e-2, float, "last beta of the linear schedule"),
-    "dropout": (0.1, float, "dropout on MLP activations during training"),
-    "n_learngene": (32, int, "shared components per projection"),
-    "n_tailor": (32, int, "condition-specific components per projection"),
-    "top_k": (16, int, "tailors activated per condition"),
-    "gate_bias_rate": (1e-3, float, "balance-bias step size"),
-    "embed_dim": (64, int, "instruction embedding width"),
-    "encoder_seed": (7027, int, "seed of the frozen instruction/vision encoders"),
-    "lambda_repa": (0.05, float, "alignment loss weight"),
-    "repa_layer": (2, int, "branch layer whose tokens are aligned"),
-    "repa_dim": (48, int, "frozen vision-encoder output width"),
-    "repa_hidden": (128, int, "alignment MLP hidden width"),
-    "adapt_condition": ("shuffle", str, "condition id for few-shot adaptation"),
-    "adapt_steps": (500, int, "optimizer steps for adaptation"),
-    "adapt_images": (200, int, "few-shot image budget"),
-    "adapt_n_tailor": (16, int, "fresh tailor components per projection"),
-    "adapt_top_k": (8, int, "active tailors during adaptation"),
-    "eval_samples": (128, int, "held-out samples for evaluation metrics"),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int
-    mode: str
-    steps: int
-    batch_size: int
-    dataset_size: int
-    lr: float
-    lr_milestones: tuple
-    lr_factor: float
-    weight_decay: float
-    adam_beta1: float
-    adam_beta2: float
-    adam_eps: float
-    image_size: int
-    patch_size: int
-    token_dim: int
-    mlp_hidden: int
-    layers: int
-    controlnet_layers: int
-    timesteps: int
-    beta_start: float
-    beta_end: float
-    dropout: float
-    n_learngene: int
-    n_tailor: int
-    top_k: int
-    gate_bias_rate: float
-    embed_dim: int
-    encoder_seed: int
-    lambda_repa: float
-    repa_layer: int
-    repa_dim: int
-    repa_hidden: int
-    adapt_condition: str
-    adapt_steps: int
-    adapt_images: int
-    adapt_n_tailor: int
-    adapt_top_k: int
-    eval_samples: int
+    seed: int = 0  # root seed for every random stream
+    mode: str = "diversion"  # diversion | adapt_frozen | scratch
+    steps: int = 5000  # optimizer steps for diversion training
+    batch_size: int = 16  # items per batch
+    dataset_size: int = 2048  # synthetic base images in the bank
+    lr: float = 1e-3  # base learning rate
+    lr_milestones: tuple = (3500,)  # comma-separated decay steps
+    lr_factor: float = 0.4  # multiplicative decay at each milestone
+    weight_decay: float = 3e-2  # decoupled AdamW weight decay
+    adam_beta1: float = 0.9  # AdamW first-moment coefficient
+    adam_beta2: float = 0.999  # AdamW second-moment coefficient
+    adam_eps: float = 1e-8  # AdamW denominator epsilon
+    image_size: int = 16  # square image side
+    patch_size: int = 4  # square patch side
+    token_dim: int = 64  # transformer token width
+    mlp_hidden: int = 128  # MLP hidden width
+    layers: int = 4  # denoiser transformer layers
+    controlnet_layers: int = 4  # condition-branch layers
+    timesteps: int = 100  # diffusion timesteps
+    beta_start: float = 1e-4  # first beta of the linear schedule
+    beta_end: float = 2e-2  # last beta of the linear schedule
+    dropout: float = 0.1  # dropout on MLP activations during training
+    n_learngene: int = 32  # shared components per projection
+    n_tailor: int = 32  # condition-specific components per projection
+    top_k: int = 16  # tailors activated per condition
+    gate_bias_rate: float = 1e-3  # balance-bias step size
+    embed_dim: int = 64  # instruction embedding width
+    encoder_seed: int = 7027  # seed of the frozen instruction/vision encoders
+    lambda_repa: float = 0.05  # alignment loss weight
+    repa_layer: int = 2  # branch layer whose tokens are aligned
+    repa_dim: int = 48  # frozen vision-encoder output width
+    repa_hidden: int = 128  # alignment MLP hidden width
+    adapt_condition: str = "shuffle"  # condition id for few-shot adaptation
+    adapt_steps: int = 500  # optimizer steps for adaptation
+    adapt_images: int = 200  # few-shot image budget
+    adapt_n_tailor: int = 16  # fresh tailor components per projection
+    adapt_top_k: int = 8  # active tailors during adaptation
+    eval_samples: int = 128  # held-out samples for evaluation metrics
 
     def __post_init__(self):
         if self.mode not in ("diversion", "adapt_frozen", "scratch"):
             raise ConfigError(f"unknown mode '{self.mode}'")
         if self.lambda_repa < 0:
             raise ConfigError("lambda_repa must be >= 0")
+        if self.image_size % self.patch_size != 0:
+            raise ConfigError("image_size must be divisible by patch_size")
+        if not 1 <= self.repa_layer <= self.controlnet_layers:
+            raise ConfigError("repa_layer must lie in [1, controlnet_layers]")
+        if self.mlp_hidden < self.token_dim:
+            raise ConfigError("mlp_hidden must be >= token_dim")
 
-    def denoiser_config(self) -> DenoiserConfig:
-        return DenoiserConfig(
-            image_size=self.image_size, patch_size=self.patch_size,
-            token_dim=self.token_dim, mlp_hidden=self.mlp_hidden,
-            layers=self.layers, controlnet_layers=self.controlnet_layers,
-            timesteps=self.timesteps, beta_start=self.beta_start,
-            beta_end=self.beta_end, repa_layer=self.repa_layer,
-            repa_dim=self.repa_dim, repa_hidden=self.repa_hidden,
-            lambda_repa=self.lambda_repa, dropout=self.dropout)
+    @property
+    def n_patches(self) -> int:
+        return (self.image_size // self.patch_size) ** 2
+
+    @property
+    def patch_dim(self) -> int:
+        return self.patch_size ** 2
 
     def schedule(self) -> LrSchedule:
         return LrSchedule(base_lr=self.lr, milestones=self.lr_milestones,
                           factor=self.lr_factor)
 
     def replace(self, **kw) -> "RunConfig":
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        unknown = set(kw) - set(current)
+        unknown = set(kw) - set(CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        current.update(kw)
-        return RunConfig(**current)
+        return dataclasses.replace(self, **kw)
+
+
+# key -> parser of its config-file text, from the field's annotation
+_PARSERS = {"int": int, "float": float, "str": str, "tuple": _intlist}
+CONFIG_KEYS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def _format_value(value) -> str:
@@ -164,18 +129,14 @@ def parse_config_text(text: str) -> dict:
 
 def resolve_config(file_text: str = "", overrides: dict | None = None) -> RunConfig:
     """Apply defaults, then file values, then explicit overrides."""
-    values = {k: default for k, (default, _, _) in CONFIG_KEYS.items()}
+    values = {}
     for key, text in parse_config_text(file_text).items():
-        _, parser, _ = CONFIG_KEYS[key]
         try:
-            values[key] = parser(text)
+            values[key] = CONFIG_KEYS[key](text)
         except ValueError as e:
             raise ConfigError(f"bad value for '{key}': {text!r}") from e
-    for key, val in (overrides or {}).items():
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config key '{key}'")
-        values[key] = val
-    return RunConfig(**values)
+    values.update(overrides or {})
+    return RunConfig().replace(**values)
 
 
 def resolved_text(cfg: RunConfig) -> str:

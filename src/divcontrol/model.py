@@ -6,6 +6,8 @@ everywhere). The condition branch mirrors it, but stores its six
 projections per layer as FactorizedWeight and injects its per-layer
 token features additively into the denoiser through zero-initialized
 projections, so at step 0 the condition contributes exactly nothing.
+Every network, pass and schedule takes its sizes from the run's
+``RunConfig``.
 """
 
 from __future__ import annotations
@@ -15,47 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import RunConfig
 from .errors import ContractError
 from .factorized import FactorizedWeight, GatedCoefficients, apply_factorized, partition, svd_factorize
 from .rng import stream
 from .tensor import Tensor
-
-
-@dataclass
-class DenoiserConfig:
-    image_size: int = 16
-    patch_size: int = 4
-    token_dim: int = 64
-    mlp_hidden: int = 128
-    layers: int = 4
-    controlnet_layers: int = 4
-    heads: int = 1
-    timesteps: int = 100
-    beta_start: float = 1e-4
-    beta_end: float = 2e-2
-    repa_layer: int = 2
-    repa_dim: int = 48
-    repa_hidden: int = 128
-    lambda_repa: float = 0.05
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.image_size % self.patch_size != 0:
-            raise ContractError("image_size must be divisible by patch_size")
-        if not (1 <= self.repa_layer <= self.controlnet_layers):
-            raise ContractError("repa_layer must lie in [1, controlnet_layers]")
-        if self.heads != 1:
-            raise ContractError("only single-head attention is supported")
-        if self.mlp_hidden < self.token_dim:
-            raise ContractError("mlp_hidden must be >= token_dim")
-
-    @property
-    def n_patches(self) -> int:
-        return (self.image_size // self.patch_size) ** 2
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch_size ** 2
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +67,7 @@ def _param(data) -> Tensor:
 class DenoiserNet:
     """Dense-weight denoiser backbone."""
 
-    def __init__(self, cfg: DenoiserConfig, seed: int):
+    def __init__(self, cfg: RunConfig, seed: int):
         d, p, hid = cfg.token_dim, cfg.patch_dim, cfg.mlp_hidden
 
         def g(name):
@@ -146,7 +112,7 @@ PROJECTION_TAGS = ("q", "k", "v", "o", "in", "out")
 class ControlBranch:
     """Condition encoder with factorized projections and zero-init injections."""
 
-    def __init__(self, cfg: DenoiserConfig, seed: int,
+    def __init__(self, cfg: RunConfig, seed: int,
                  n_learngene: int, n_tailor: int):
         d, p, hid = cfg.token_dim, cfg.patch_dim, cfg.mlp_hidden
         rank = n_learngene + n_tailor
@@ -209,7 +175,7 @@ class RepaHead:
     pretrained vision model. It never receives gradients.
     """
 
-    def __init__(self, cfg: DenoiserConfig, seed: int, encoder_seed: int):
+    def __init__(self, cfg: RunConfig, seed: int, encoder_seed: int):
         d, p = cfg.token_dim, cfg.patch_dim
         hid, out = cfg.repa_hidden, cfg.repa_dim
 
@@ -263,7 +229,7 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
 
     @staticmethod
-    def linear(cfg: DenoiserConfig) -> "NoiseSchedule":
+    def linear(cfg: RunConfig) -> "NoiseSchedule":
         betas = np.linspace(cfg.beta_start, cfg.beta_end, cfg.timesteps)
         alphas = 1.0 - betas
         return NoiseSchedule(betas, alphas, np.cumprod(alphas))
@@ -314,7 +280,7 @@ def _attention(x, ln_g, ln_b, proj, d):
     return proj("o", ctx)
 
 
-def branch_forward(branch: ControlBranch, cfg: DenoiserConfig,
+def branch_forward(branch: ControlBranch, cfg: RunConfig,
                    xc_tokens, t_idx, coeff_rows,
                    dropout_p: float = 0.0, drop_gen=None):
     """Run the condition branch.
@@ -352,7 +318,7 @@ def branch_forward(branch: ControlBranch, cfg: DenoiserConfig,
     return injections, f_cond
 
 
-def denoiser_forward(den: DenoiserNet, cfg: DenoiserConfig,
+def denoiser_forward(den: DenoiserNet, cfg: RunConfig,
                      z_tokens, t_idx, injections=None,
                      dropout_p: float = 0.0, drop_gen=None) -> Tensor:
     """Predict noise tokens (B, N, patch_dim) from noisy-image tokens."""
@@ -376,7 +342,7 @@ def denoiser_forward(den: DenoiserNet, cfg: DenoiserConfig,
     return T.add(T.linear(y, den.head_w), den.head_b)
 
 
-def denoise_predict(den: DenoiserNet, cfg: DenoiserConfig,
+def denoise_predict(den: DenoiserNet, cfg: RunConfig,
                     z_t: np.ndarray, injections, t) -> np.ndarray:
     """Noise prediction on images (no gradients): (B, H, W) -> (B, H, W)."""
     single = z_t.ndim == 2
@@ -427,7 +393,7 @@ def repa_loss(f_cond: Tensor, e_img: np.ndarray, head: RepaHead) -> Tensor:
 # ----------------------------------------------------------------------
 
 def sample_batch(den: DenoiserNet, branch: ControlBranch | None,
-                 cfg: DenoiserConfig, sched: NoiseSchedule,
+                 cfg: RunConfig, sched: NoiseSchedule,
                  x_cond: np.ndarray, coeff_rows: np.ndarray | None,
                  seed: int, sample_indices=None) -> np.ndarray:
     """Ancestral DDPM sampling for a batch; deterministic per (seed, index).
@@ -461,7 +427,7 @@ def sample_batch(den: DenoiserNet, branch: ControlBranch | None,
     return np.clip(z, -1.0, 1.0)
 
 
-def sample(den: DenoiserNet, branch: ControlBranch | None, cfg: DenoiserConfig,
+def sample(den: DenoiserNet, branch: ControlBranch | None, cfg: RunConfig,
            sched: NoiseSchedule, x_cond: np.ndarray,
            coeffs: GatedCoefficients | None, seed: int) -> np.ndarray:
     """Generate one image conditioned on ``x_cond``; output in [-1, 1]."""

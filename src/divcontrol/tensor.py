@@ -58,10 +58,6 @@ def no_grad():
         _TAPE.enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _TAPE.enabled
-
-
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
@@ -88,12 +84,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -591,7 +581,7 @@ def attention(q, k, v, scale: float) -> Tensor:
 def cosine_similarity(a, b, return_degenerate: bool = False):
     """Cosine of the angle between two equal-length vectors, in [-1, 1].
 
-    A pair of zero-norm vectors is defined to have similarity 0; pass
+    A pair with a zero-norm vector is defined to have similarity 0; pass
     ``return_degenerate=True`` to also receive a flag marking that case.
     """
     av = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=_F64)
@@ -599,8 +589,6 @@ def cosine_similarity(a, b, return_degenerate: bool = False):
     if av.ndim != 1 or bv.ndim != 1 or av.size != bv.size:
         raise ContractError("cosine_similarity expects two equal-length vectors")
     na, nb = np.linalg.norm(av), np.linalg.norm(bv)
-    if na == 0.0 and nb == 0.0:
-        return (0.0, True) if return_degenerate else 0.0
     if na == 0.0 or nb == 0.0:
         return (0.0, True) if return_degenerate else 0.0
     val = float(np.clip(np.dot(av, bv) / (na * nb), -1.0, 1.0))

@@ -97,14 +97,13 @@ def _embed_all(cfg: RunConfig, specs) -> list:
 def build_diversion_bundle(cfg: RunConfig, registry=None) -> ModelBundle:
     """Fresh model for multi-condition training on the basic registry."""
     specs = basic_conditions(registry)
-    dcfg = cfg.denoiser_config()
-    den = DenoiserNet(dcfg, cfg.seed)
-    branch = ControlBranch(dcfg, cfg.seed, cfg.n_learngene, cfg.n_tailor)
+    den = DenoiserNet(cfg, cfg.seed)
+    branch = ControlBranch(cfg, cfg.seed, cfg.n_learngene, cfg.n_tailor)
     gate = GateState.init(cfg.embed_dim, cfg.n_tailor, cfg.top_k, cfg.seed,
                           bias_update_rate=cfg.gate_bias_rate)
-    repa = RepaHead(dcfg, cfg.seed, cfg.encoder_seed)
+    repa = RepaHead(cfg, cfg.seed, cfg.encoder_seed)
     bundle = ModelBundle(cfg=cfg, den=den, branch=branch, gate=gate, repa=repa,
-                         sched=NoiseSchedule.linear(dcfg), specs=specs,
+                         sched=NoiseSchedule.linear(cfg), specs=specs,
                          embeddings=_embed_all(cfg, specs))
     bundle.trainable_names = set(bundle.params())
     return bundle
@@ -140,7 +139,6 @@ def _adaptation_surgery(base: ModelBundle, cfg: RunConfig) -> ModelBundle:
             f"'{new_spec.condition_id}' is {new_spec.shift_class}")
     for t in base.params().values():
         t.requires_grad = False
-    dcfg = cfg.denoiser_config()
     branch = base.branch
     for li, blk in enumerate(branch.blocks):
         for key in ("fw_q", "fw_k", "fw_v", "fw_o", "fw_in", "fw_out"):
@@ -153,7 +151,7 @@ def _adaptation_surgery(base: ModelBundle, cfg: RunConfig) -> ModelBundle:
         k=cfg.adapt_top_k, bias_update_rate=cfg.gate_bias_rate)
     specs = [new_spec]
     bundle = ModelBundle(cfg=cfg, den=base.den, branch=branch, gate=gate,
-                         repa=base.repa, sched=NoiseSchedule.linear(dcfg),
+                         repa=base.repa, sched=NoiseSchedule.linear(cfg),
                          specs=specs, embeddings=_embed_all(cfg, specs))
     bundle.trainable_names = {
         name for name, t in bundle.params().items() if t.requires_grad}
@@ -305,10 +303,9 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
     Returns (checkpoint_path, RunMetrics).
     """
     cfg = bundle.cfg
-    dcfg = cfg.denoiser_config()
     lr_sched = cfg.schedule()
     lam = cfg.lambda_repa
-    patch = dcfg.patch_size
+    patch = cfg.patch_size
     stop = cfg.steps if stop_step is None else min(stop_step, cfg.steps)
     if opt is None:
         opt = _new_optimizer(bundle)
@@ -324,15 +321,15 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
         for s in range(start_step, stop):
             batch = _build_batch(bank, cfg.batch_size, cfg.seed, s)
             gen = stream(cfg.seed, "step", s)
-            t_idx = gen.integers(0, dcfg.timesteps, cfg.batch_size)
+            t_idx = gen.integers(0, cfg.timesteps, cfg.batch_size)
             eps = gen.standard_normal(batch.x.shape)
             rows, active_union = _routing_rows(bundle, batch.cond_idx)
             z_t = forward_noise(batch.x, t_idx, eps, bundle.sched)
             drop_gen = gen if cfg.dropout > 0 else None
-            inj, f_cond = branch_forward(bundle.branch, dcfg,
+            inj, f_cond = branch_forward(bundle.branch, cfg,
                                          patchify(batch.x_cond, patch), t_idx,
                                          rows, cfg.dropout, drop_gen)
-            eps_hat = denoiser_forward(bundle.den, dcfg, patchify(z_t, patch),
+            eps_hat = denoiser_forward(bundle.den, cfg, patchify(z_t, patch),
                                        t_idx, inj, cfg.dropout, drop_gen)
             eps_tok = patchify(eps, patch)
             l_diff_t = diffusion_loss(eps_tok, eps_hat)
@@ -487,7 +484,6 @@ def evaluate_bundle(bundle: ModelBundle, n_samples: int | None = None,
     """Held-out metrics: noise-prediction loss, aligned cosine, and (when
     ``sample_images``) SSIM / encoder similarity of generated images."""
     cfg = bundle.cfg
-    dcfg = cfg.denoiser_config()
     n = cfg.eval_samples if n_samples is None else n_samples
     specs = bundle.specs
     bank = DatasetBank(cfg.seed, n, specs, cfg.image_size, image_stream="eval")
@@ -496,24 +492,24 @@ def evaluate_bundle(bundle: ModelBundle, n_samples: int | None = None,
     x_cond = np.stack([bank.condition_images(int(c))[i]
                        for i, c in enumerate(cond_idx)])
     gen = stream(cfg.seed, "eval-noise")
-    t_idx = gen.integers(0, dcfg.timesteps, n)
+    t_idx = gen.integers(0, cfg.timesteps, n)
     eps = gen.standard_normal(x.shape)
     z_t = forward_noise(x, t_idx, eps, bundle.sched)
     with T.no_grad():
         rows, _ = _routing_rows(bundle, cond_idx, record=False)
         rows_np = rows.data if rows is not None else None
-        inj, f_cond = branch_forward(bundle.branch, dcfg,
-                                     patchify(x_cond, dcfg.patch_size), t_idx,
+        inj, f_cond = branch_forward(bundle.branch, cfg,
+                                     patchify(x_cond, cfg.patch_size), t_idx,
                                      rows)
-        eps_hat = denoiser_forward(bundle.den, dcfg,
-                                   patchify(z_t, dcfg.patch_size), t_idx, inj)
-        l_diff = diffusion_loss(patchify(eps, dcfg.patch_size), eps_hat).item()
+        eps_hat = denoiser_forward(bundle.den, cfg,
+                                   patchify(z_t, cfg.patch_size), t_idx, inj)
+        l_diff = diffusion_loss(patchify(eps, cfg.patch_size), eps_hat).item()
         aligned_cos = -repa_loss(f_cond, bundle.repa.encode(x_cond),
                                  bundle.repa).item()
     out = {"eval_l_diff": l_diff, "eval_aligned_cosine": aligned_cos,
            "n_samples": n}
     if sample_images:
-        samples = sample_batch(bundle.den, bundle.branch, dcfg, bundle.sched,
+        samples = sample_batch(bundle.den, bundle.branch, cfg, bundle.sched,
                                x_cond, rows_np, cfg.seed,
                                sample_indices=[f"eval-{i}" for i in range(n)])
         out["eval_ssim"] = float(np.mean(
@@ -600,27 +596,28 @@ def sweep_repa(cfg: RunConfig, depths, lambdas, out_dir, log=None) -> dict:
     depths, lambdas = list(depths), list(lambdas)
     if not depths or not lambdas:
         raise ContractError("sweep grid must be non-empty")
+    # every cell's config is checked before the first cell trains
+    cells = [(d, lam, cfg.replace(repa_layer=d, lambda_repa=lam))
+             for d in depths for lam in lambdas]
     report = {"depths": depths, "lambdas": lambdas, "cells": {}}
     best, best_key = None, None
-    for d in depths:
-        for lam in lambdas:
-            cell_cfg = cfg.replace(repa_layer=d, lambda_repa=lam)
-            cell_dir = os.path.join(out_dir, f"depth{d}_lambda{lam}")
-            if log:
-                log(f"[sweep] depth={d} lambda={lam}")
-            bundle = build_diversion_bundle(cell_cfg)
-            _train_run(bundle, cell_dir, log=log)
-            final = float(np.mean(_l_diff(cell_dir)[-100:]))
-            ev = evaluate_bundle(bundle, n_samples=min(32, cfg.eval_samples),
-                                 sample_images=False)
-            key = f"depth={d},lambda={lam}"
-            report["cells"][key] = {
-                "final_100_mean_l_diff": final,
-                "eval_aligned_cosine": ev["eval_aligned_cosine"],
-                "config_digest": config_digest(cell_cfg).hex(),
-            }
-            if best is None or final < best:
-                best, best_key = final, key
+    for d, lam, cell_cfg in cells:
+        cell_dir = os.path.join(out_dir, f"depth{d}_lambda{lam}")
+        if log:
+            log(f"[sweep] depth={d} lambda={lam}")
+        bundle = build_diversion_bundle(cell_cfg)
+        _train_run(bundle, cell_dir, log=log)
+        final = float(np.mean(_l_diff(cell_dir)[-100:]))
+        ev = evaluate_bundle(bundle, n_samples=min(32, cfg.eval_samples),
+                             sample_images=False)
+        key = f"depth={d},lambda={lam}"
+        report["cells"][key] = {
+            "final_100_mean_l_diff": final,
+            "eval_aligned_cosine": ev["eval_aligned_cosine"],
+            "config_digest": config_digest(cell_cfg).hex(),
+        }
+        if best is None or final < best:
+            best, best_key = final, key
     report["argmin_cell"] = best_key
     report["note"] = ("argmin is what this desk-scale grid observed; "
                       "it is not claimed to transfer to other scales")

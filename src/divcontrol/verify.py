@@ -37,7 +37,6 @@ def micro_config(seed: int = 0):
 def build_e2e_case(seed: int = 0):
     """(loss closure, params) for the one-layer end-to-end objective."""
     cfg = micro_config(seed)
-    dcfg = cfg.denoiser_config()
     bundle = build_diversion_bundle(cfg)
     # spread the singular values so tailor gradients are well scaled
     registry = default_registry()
@@ -46,15 +45,15 @@ def build_e2e_case(seed: int = 0):
     cond_idx = np.array([0, 2])
     x_cond = np.stack([apply_condition(img, registry[c])
                        for img, c in zip(x0, cond_idx)])
-    t_idx = gen.integers(0, dcfg.timesteps, 2)
+    t_idx = gen.integers(0, cfg.timesteps, 2)
     eps = gen.standard_normal(x0.shape)
     z_t = forward_noise(x0, t_idx, eps, bundle.sched)
     # make routing non-uniform so selection is meaningful, then freeze it
     bundle.gate.w2.data = 0.3 * gen.standard_normal(bundle.gate.w2.shape)
     e_img = bundle.repa.encode(x_cond)
-    eps_tok = patchify(eps, dcfg.patch_size)
-    zt_tok = patchify(z_t, dcfg.patch_size)
-    xc_tok = patchify(x_cond, dcfg.patch_size)
+    eps_tok = patchify(eps, cfg.patch_size)
+    zt_tok = patchify(z_t, cfg.patch_size)
+    xc_tok = patchify(x_cond, cfg.patch_size)
     with T.no_grad():
         _, frozen_active = _routing_rows(bundle, cond_idx, record=False)
 
@@ -64,8 +63,8 @@ def build_e2e_case(seed: int = 0):
         mask = np.zeros(bundle.gate.n_tailor)
         mask[list(frozen_active)] = 1.0
         rows = T.mul(rows, mask)
-        inj, f_cond = branch_forward(bundle.branch, dcfg, xc_tok, t_idx, rows)
-        eps_hat = denoiser_forward(bundle.den, dcfg, zt_tok, t_idx, inj)
+        inj, f_cond = branch_forward(bundle.branch, cfg, xc_tok, t_idx, rows)
+        eps_hat = denoiser_forward(bundle.den, cfg, zt_tok, t_idx, inj)
         l_diff = diffusion_loss(eps_tok, eps_hat)
         l_repa = repa_loss(f_cond, e_img, bundle.repa)
         return T.add(l_diff, T.mul(l_repa, cfg.lambda_repa))

@@ -203,9 +203,10 @@ def test_ssim_matches_reference_implementation():
 
 
 def test_encoder_sim_identity_and_range():
-    from divcontrol.model import DenoiserConfig, RepaHead
+    from divcontrol.config import resolve_config
+    from divcontrol.model import RepaHead
 
-    head = RepaHead(DenoiserConfig(), seed=0, encoder_seed=7)
+    head = RepaHead(resolve_config(), seed=0, encoder_seed=7)
     img = generate_image(SEED, 0)
     assert metric_encoder_sim(head, img, img) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(7)
@@ -219,9 +220,10 @@ def test_encoder_sim_identity_and_range():
 def test_encoder_sim_rank_correlates_with_ssim():
     from scipy.stats import spearmanr
 
-    from divcontrol.model import DenoiserConfig, RepaHead
+    from divcontrol.config import resolve_config
+    from divcontrol.model import RepaHead
 
-    head = RepaHead(DenoiserConfig(), seed=0, encoder_seed=7)
+    head = RepaHead(resolve_config(), seed=0, encoder_seed=7)
     rng = np.random.default_rng(8)
     ssims, encs = [], []
     for i in range(100):

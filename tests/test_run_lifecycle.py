@@ -1,5 +1,6 @@
 """Run lifecycle at micro scale: resume after a crash, missing checkpoint
-blocks, the non-finite guard and the per-step loss arithmetic."""
+blocks, the non-finite guard, the per-step loss arithmetic and the
+sweep's up-front config check."""
 
 import json
 import os
@@ -12,7 +13,7 @@ from divcontrol import tensor as T
 from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint, save_checkpoint
 from divcontrol.conditions import DatasetBank
-from divcontrol.errors import CheckpointError, ContractError, NumericError
+from divcontrol.errors import CheckpointError, ConfigError, ContractError, NumericError
 from divcontrol.runio import read_metrics
 from divcontrol.verify import micro_config
 
@@ -119,3 +120,11 @@ def test_adaptation_refuses_a_config_that_reshapes_the_base(trained, tmp_path):
     with pytest.raises(ContractError, match="n_learngene = 6 .base: 4."):
         training.adapt_few_shot(acfg, ckpt, tmp_path / "adapt")
     assert not os.path.exists(tmp_path / "adapt" / "checkpoint.divc")
+
+
+def test_sweep_checks_every_cell_before_training_any(tmp_path):
+    # repa_layer 9 exceeds the micro config's one branch layer
+    cfg = micro_config(0).replace(steps=2)
+    with pytest.raises(ConfigError, match="repa_layer"):
+        training.sweep_repa(cfg, [1, 9], [0.0], tmp_path / "sweep")
+    assert not list(tmp_path.glob("sweep/depth*"))
