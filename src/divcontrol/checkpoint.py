@@ -22,6 +22,7 @@ temp file in the target directory followed by an atomic rename.
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 import tempfile
@@ -140,8 +141,14 @@ def load_checkpoint(path) -> CheckpointState:
     state = CheckpointState(step=step, config_digest=digest)
     for _ in range(n_blocks):
         name_len = r.unpack("<H", "block name length")
-        name = r.read(name_len, "block name").decode("utf-8")
+        try:
+            name = r.read(name_len, "block name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(
+                f"{path}: block name is not UTF-8 (corrupt data)") from e
         tag = r.unpack("<B", f"dtype of block '{name}'")
+        if tag not in (_DTYPE_F64, _DTYPE_I64, _DTYPE_BYTES):
+            raise CheckpointError(f"{path}: block '{name}' has unknown dtype tag {tag}")
         shape = None
         if tag != _DTYPE_BYTES:
             ndim = r.unpack("<B", f"ndim of block '{name}'")
@@ -157,8 +164,8 @@ def load_checkpoint(path) -> CheckpointState:
             state.meta[name.removeprefix("meta/")] = payload.decode("utf-8")
             continue
         wire = "<f8" if tag == _DTYPE_F64 else "<i8"
-        expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        if shape is not None and len(payload) != expected:
+        expected = 8 * math.prod(shape)
+        if len(payload) != expected:
             raise CheckpointError(
                 f"{path}: block '{name}' length {len(payload)} != expected {expected}")
         arr = np.frombuffer(payload, dtype=wire).reshape(shape)

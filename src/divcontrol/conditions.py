@@ -7,8 +7,9 @@ background, fully regenerable from (seed, index).
 The registry pairs each condition with a fixed instruction string; the
 instructions carry the routing semantics, so related conditions share
 tokens on purpose. Depth/normal-style conditions have no 16x16 analog;
-the registry substitutes structurally similar transforms (documented in
-the README) rather than claiming equivalence.
+the registry substitutes structurally similar image transforms (edge
+maps, blurs, pixelation, masks, posterization, inversion, patch
+shuffles) rather than claiming equivalence.
 """
 
 from __future__ import annotations

@@ -66,6 +66,13 @@ class RunConfig:
     eval_samples: int = 128  # held-out samples for evaluation metrics
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and type(value) is int:
+                object.__setattr__(self, f.name, float(value))
+            elif type(value) is not _TYPES[f.type] or (
+                    f.type == "tuple" and any(type(v) is not int for v in value)):
+                raise ConfigError(f"'{f.name}' must be {f.type}, not {value!r}")
         if self.mode not in ("diversion", "adapt_frozen", "scratch"):
             raise ConfigError(f"unknown mode '{self.mode}'")
         if self.lambda_repa < 0:
@@ -96,8 +103,10 @@ class RunConfig:
         return dataclasses.replace(self, **kw)
 
 
-# key -> parser of its config-file text, from the field's annotation
-_PARSERS = {"int": int, "float": float, "str": str, "tuple": _intlist}
+# a field's annotation -> the type its value must have, and the parser
+# of its config-file text (tuple fields hold ints)
+_TYPES = {"int": int, "float": float, "str": str, "tuple": tuple}
+_PARSERS = dict(_TYPES, tuple=_intlist)
 CONFIG_KEYS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 

@@ -72,7 +72,7 @@ class GateState:
     w2: Tensor
     b2: Tensor
     k: int
-    bias_update_rate: float = 1e-3
+    bias_update_rate: float
     balance_bias: np.ndarray = None
     usage_count: np.ndarray = None
     batch_count: np.ndarray = field(default=None, repr=False)
@@ -101,7 +101,7 @@ class GateState:
 
     @staticmethod
     def init(embed_dim: int, n_tailor: int, k: int, seed: int,
-             bias_update_rate: float = 1e-3) -> "GateState":
+             bias_update_rate: float) -> "GateState":
         """Hidden layer Kaiming-uniform, output layer zero so routing starts
         uniform."""
         gen = stream(seed, "init", "gate")

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .errors import ContractError
-from .factorized import FactorizedWeight, GatedCoefficients, apply_factorized, partition, svd_factorize
+from .factorized import FactorizedWeight, apply_factorized, factorize
 from .rng import stream
 from .tensor import Tensor
 
@@ -115,21 +115,15 @@ class ControlBranch:
     def __init__(self, cfg: RunConfig, seed: int,
                  n_learngene: int, n_tailor: int):
         d, p, hid = cfg.token_dim, cfg.patch_dim, cfg.mlp_hidden
-        rank = n_learngene + n_tailor
-        if rank > d:
-            raise ContractError(
-                f"n_learngene + n_tailor = {rank} exceeds projection rank {d}")
         self.n_learngene = n_learngene
         self.n_tailor = n_tailor
 
         def g(name):
             return stream(seed, "init", "br." + name)
 
-        def make_fw(name, out_dim, in_dim, tag, layer):
-            dense = _kaiming(g(name), out_dim, in_dim)
-            fw = svd_factorize(dense, truncate_to=rank,
-                               projection_tag=tag, layer_index=layer)
-            return partition(fw, n_learngene, n_tailor)
+        def make_fw(name, out_dim, in_dim):
+            return factorize(_kaiming(g(name), out_dim, in_dim),
+                             n_learngene, n_tailor)
 
         self.patch_w = _param(_kaiming(g("patch_w"), d, p))
         self.patch_b = _param(np.zeros(d))
@@ -138,13 +132,13 @@ class ControlBranch:
         for l in range(cfg.controlnet_layers):
             blk = {
                 "ln1_g": _param(np.ones(d)), "ln1_b": _param(np.zeros(d)),
-                "fw_q": make_fw(f"l{l}.wq", d, d, "q", l + 1),
-                "fw_k": make_fw(f"l{l}.wk", d, d, "k", l + 1),
-                "fw_v": make_fw(f"l{l}.wv", d, d, "v", l + 1),
-                "fw_o": make_fw(f"l{l}.wo", d, d, "o", l + 1),
+                "fw_q": make_fw(f"l{l}.wq", d, d),
+                "fw_k": make_fw(f"l{l}.wk", d, d),
+                "fw_v": make_fw(f"l{l}.wv", d, d),
+                "fw_o": make_fw(f"l{l}.wo", d, d),
                 "ln2_g": _param(np.ones(d)), "ln2_b": _param(np.zeros(d)),
-                "fw_in": make_fw(f"l{l}.w_in", hid, d, "in", l + 1),
-                "fw_out": make_fw(f"l{l}.w_out", d, hid, "out", l + 1),
+                "fw_in": make_fw(f"l{l}.w_in", hid, d),
+                "fw_out": make_fw(f"l{l}.w_out", d, hid),
                 "inj_w": _param(np.zeros((d, d))),
             }
             self.blocks.append(blk)
@@ -425,16 +419,6 @@ def sample_batch(den: DenoiserNet, branch: ControlBranch | None,
                 xi = np.stack([g.standard_normal(hw) for g in gens])
             z = posterior_step(z, eps_hat, t, sched, xi)
     return np.clip(z, -1.0, 1.0)
-
-
-def sample(den: DenoiserNet, branch: ControlBranch | None, cfg: RunConfig,
-           sched: NoiseSchedule, x_cond: np.ndarray,
-           coeffs: GatedCoefficients | None, seed: int) -> np.ndarray:
-    """Generate one image conditioned on ``x_cond``; output in [-1, 1]."""
-    rows = None
-    if coeffs is not None and coeffs.n_tailor:
-        rows = coeffs.g.data.reshape(1, -1)
-    return sample_batch(den, branch, cfg, sched, x_cond[None], rows, seed)[0]
 
 
 def count_parameters(tensor_dict: dict) -> int:

@@ -74,7 +74,6 @@ class ModelBundle:
     sched: NoiseSchedule
     specs: list
     embeddings: list
-    trainable_names: set = field(default_factory=set)
 
     def params(self) -> dict:
         parts = (("den.", self.den), ("br.", self.branch), ("gate.", self.gate),
@@ -83,10 +82,7 @@ class ModelBundle:
                 for name, t in part.tensors().items()}
 
     def trainable_params(self) -> dict:
-        params = self.params()
-        if not self.trainable_names:
-            return params
-        return {k: v for k, v in params.items() if k in self.trainable_names}
+        return {k: t for k, t in self.params().items() if t.requires_grad}
 
 
 def _embed_all(cfg: RunConfig, specs) -> list:
@@ -102,11 +98,9 @@ def build_diversion_bundle(cfg: RunConfig, registry=None) -> ModelBundle:
     gate = GateState.init(cfg.embed_dim, cfg.n_tailor, cfg.top_k, cfg.seed,
                           bias_update_rate=cfg.gate_bias_rate)
     repa = RepaHead(cfg, cfg.seed, cfg.encoder_seed)
-    bundle = ModelBundle(cfg=cfg, den=den, branch=branch, gate=gate, repa=repa,
-                         sched=NoiseSchedule.linear(cfg), specs=specs,
-                         embeddings=_embed_all(cfg, specs))
-    bundle.trainable_names = set(bundle.params())
-    return bundle
+    return ModelBundle(cfg=cfg, den=den, branch=branch, gate=gate, repa=repa,
+                       sched=NoiseSchedule.linear(cfg), specs=specs,
+                       embeddings=_embed_all(cfg, specs))
 
 
 def _fresh_tailor_bank(fw: FactorizedWeight, cfg: RunConfig,
@@ -124,9 +118,7 @@ def _fresh_tailor_bank(fw: FactorizedWeight, cfg: RunConfig,
     u /= np.linalg.norm(u, axis=0, keepdims=True)
     v = gen.standard_normal((fw.in_dim, n_t))
     v /= np.linalg.norm(v, axis=0, keepdims=True)
-    return FactorizedWeight(fw.u_g, fw.s_g, fw.v_g, u, np.zeros(n_t), v,
-                            projection_tag=fw.projection_tag,
-                            layer_index=fw.layer_index)
+    return FactorizedWeight(fw.u_g, fw.s_g, fw.v_g, u, np.zeros(n_t), v)
 
 
 def _adaptation_surgery(base: ModelBundle, cfg: RunConfig) -> ModelBundle:
@@ -150,12 +142,9 @@ def _adaptation_surgery(base: ModelBundle, cfg: RunConfig) -> ModelBundle:
         b2=Tensor(np.zeros(cfg.adapt_n_tailor), requires_grad=True),
         k=cfg.adapt_top_k, bias_update_rate=cfg.gate_bias_rate)
     specs = [new_spec]
-    bundle = ModelBundle(cfg=cfg, den=base.den, branch=branch, gate=gate,
-                         repa=base.repa, sched=NoiseSchedule.linear(cfg),
-                         specs=specs, embeddings=_embed_all(cfg, specs))
-    bundle.trainable_names = {
-        name for name, t in bundle.params().items() if t.requires_grad}
-    return bundle
+    return ModelBundle(cfg=cfg, den=base.den, branch=branch, gate=gate,
+                       repa=base.repa, sched=NoiseSchedule.linear(cfg),
+                       specs=specs, embeddings=_embed_all(cfg, specs))
 
 
 def _fresh_bundle(cfg: RunConfig) -> ModelBundle:

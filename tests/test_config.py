@@ -88,3 +88,19 @@ def test_unknown_mode_and_key_rejected():
         resolve_config(overrides={"no_such_key": 1})
     with pytest.raises(ConfigError):
         resolve_config().replace(no_such_key=1)
+
+
+def test_override_types_follow_field_annotations():
+    # an int for a float key is stored as float, so the digest survives a
+    # round trip through the rendered text
+    cfg = resolve_config(overrides={"lr": 1})
+    assert type(cfg.lr) is float
+    assert config_digest(resolve_config(resolved_text(cfg))) == config_digest(cfg)
+    assert type(resolve_config().replace(beta_end=1).beta_end) is float
+    for bad in (dict(steps="100"), dict(steps=True), dict(steps=100.0),
+                dict(lr="0.1"), dict(lr=True), dict(mode=3),
+                dict(lr_milestones=[10]), dict(lr_milestones=(1.5,))):
+        with pytest.raises(ConfigError):
+            resolve_config(overrides=bad)
+        with pytest.raises(ConfigError):
+            resolve_config().replace(**bad)

@@ -3,108 +3,104 @@ import pytest
 
 from divcontrol import tensor as T
 from divcontrol.errors import ContractError
-from divcontrol.factorized import (
-    FactorizedWeight,
-    GatedCoefficients,
-    apply_factorized,
-    compose_weight,
-    masked_gradient_apply,
-    partition,
-    reconstruct,
-    svd_factorize,
-)
+from divcontrol.factorized import apply_factorized, factorize, masked_gradient_apply
 from divcontrol.tensor import Tensor, backward
 
 
 def brute_force_compose(fw, g):
     """Independent oracle: accumulate rank-1 terms one by one."""
-    u, s, v = fw.U, fw.Sigma, fw.V
-    n_g = fw.n_learngene
     w = np.zeros((fw.out_dim, fw.in_dim))
-    for i in range(n_g):
-        w += s[i] * np.outer(u[:, i], v[:, i])
+    for i in range(fw.n_learngene):
+        w += fw.s_g.data[i] * np.outer(fw.u_g.data[:, i], fw.v_g.data[:, i])
     for j in range(fw.n_tailor):
-        w += g[j] * s[n_g + j] * np.outer(u[:, n_g + j], v[:, n_g + j])
+        w += g[j] * fw.s_t.data[j] * np.outer(fw.u_t.data[:, j], fw.v_t.data[:, j])
     return w
+
+
+def applied_weight(fw, g):
+    """W~ as apply_factorized sees it: the identity's rows map to W~.T."""
+    with T.no_grad():
+        return apply_factorized(Tensor(np.eye(fw.in_dim)), fw, Tensor(g)).data.T
+
+
+def columns(fw):
+    """The (U, Sigma, V) of all components, learngenes first."""
+    return (np.hstack([fw.u_g.data, fw.u_t.data]),
+            np.concatenate([fw.s_g.data, fw.s_t.data]),
+            np.hstack([fw.v_g.data, fw.v_t.data]))
 
 
 def random_fw(rng, out_dim, in_dim, n_g, n_t):
     w = rng.standard_normal((out_dim, in_dim))
-    return partition(svd_factorize(w), n_g, n_t), w
+    return factorize(w, n_g, n_t), w
 
 
 def test_svd_diagonal_case():
-    fw = svd_factorize(np.diag([3.0, 2.0, 1.0]))
-    assert np.allclose(fw.Sigma, [3.0, 2.0, 1.0], atol=1e-14)
+    fw = factorize(np.diag([3.0, 2.0, 1.0]), 1, 2)
+    u, s, v = columns(fw)
+    assert np.allclose(fw.s_g.data, [3.0]) and np.allclose(fw.s_t.data, [2.0, 1.0])
     # identity up to column signs
-    for mat in (fw.U, fw.V):
+    for mat in (u, v):
         assert np.allclose(np.abs(mat), np.eye(3), atol=1e-12)
-    assert np.allclose(fw.U * fw.Sigma @ fw.V.T, np.diag([3.0, 2.0, 1.0]), atol=1e-14)
+    assert np.allclose(u * s @ v.T, np.diag([3.0, 2.0, 1.0]), atol=1e-14)
 
 
 def test_svd_zero_matrix():
-    fw = svd_factorize(np.zeros((4, 3)))
-    assert np.allclose(fw.Sigma, 0.0)
-    assert np.allclose(reconstruct(fw).data, 0.0)
+    fw = factorize(np.zeros((4, 3)), 2, 1)
+    assert np.allclose(columns(fw)[1], 0.0)
+    assert np.allclose(applied_weight(fw, np.ones(1)), 0.0)
 
 
 def test_svd_reconstruction_bound():
     rng = np.random.default_rng(0)
     w = rng.standard_normal((8, 6))
-    fw = svd_factorize(w)
-    err = np.linalg.norm(w - reconstruct(fw).data) / np.linalg.norm(w)
+    fw = factorize(w, 4, 2)
+    err = np.linalg.norm(w - applied_weight(fw, np.ones(2))) / np.linalg.norm(w)
     assert err <= 1e-10
 
 
 def test_svd_orthonormal_and_ordered_at_init():
     rng = np.random.default_rng(1)
-    fw = svd_factorize(rng.standard_normal((10, 7)))
-    assert np.allclose(fw.U.T @ fw.U, np.eye(7), atol=1e-12)
-    assert np.allclose(fw.V.T @ fw.V, np.eye(7), atol=1e-12)
-    assert (np.diff(fw.Sigma) <= 1e-12).all() and (fw.Sigma >= 0).all()
+    u, s, v = columns(factorize(rng.standard_normal((10, 7)), 3, 4))
+    assert np.allclose(u.T @ u, np.eye(7), atol=1e-12)
+    assert np.allclose(v.T @ v, np.eye(7), atol=1e-12)
+    assert (np.diff(s) <= 1e-12).all() and (s >= 0).all()
 
 
 def test_svd_truncation():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((6, 6))
-    fw = svd_factorize(w, truncate_to=3)
-    assert fw.rank == 3
+    fw = factorize(w, 2, 1)
+    assert fw.n_learngene == 2 and fw.n_tailor == 1
     _, s, _ = np.linalg.svd(w)
     expected_err = np.linalg.norm(s[3:]) / np.linalg.norm(w)
-    got_err = np.linalg.norm(w - reconstruct(fw).data) / np.linalg.norm(w)
+    got_err = np.linalg.norm(w - brute_force_compose(fw, np.ones(1))) / np.linalg.norm(w)
     assert got_err == pytest.approx(expected_err, rel=1e-10)
 
 
 def test_partition_learngenes_take_top_sigma():
     rng = np.random.default_rng(3)
-    fw0 = svd_factorize(rng.standard_normal((6, 6)))
-    fw = partition(fw0, 2, 4)
-    top_two = np.sort(fw0.Sigma)[::-1][:2]
-    assert np.allclose(np.sort(fw.s_g.data)[::-1], top_two)
+    w = rng.standard_normal((6, 6))
+    fw = factorize(w, 2, 4)
+    s = np.linalg.svd(w, compute_uv=False)
+    assert np.allclose(fw.s_g.data, s[:2]) and np.allclose(fw.s_t.data, s[2:])
     assert fw.n_learngene == 2 and fw.n_tailor == 4
 
 
 def test_partition_rejects_bad_split():
-    fw = svd_factorize(np.eye(4))
+    for n_g, n_t in ((3, 2), (0, 0), (-1, 3), (3, -1)):
+        with pytest.raises(ContractError):
+            factorize(np.eye(4), n_g, n_t)
     with pytest.raises(ContractError):
-        partition(fw, 3, 2)
-
-
-def test_partition_paper_scale_split_accepted():
-    # 1152 = 576 + 576 bookkeeping only; built directly, no SVD needed
-    r = 1152
-    u = np.zeros((r, r))
-    fw = FactorizedWeight(u, np.zeros(r), u.copy(),
-                          np.zeros((r, 0)), np.zeros(0), np.zeros((r, 0)))
-    out = partition(fw, 576, 576)
-    assert out.n_learngene == 576 and out.n_tailor == 576 and out.rank == 1152
+        factorize(np.ones(4), 1, 0)
+    with pytest.raises(ContractError):
+        factorize(np.diag([1.0, np.nan]), 1, 0)
 
 
 def test_compose_all_zero_coefficients_gives_learngene_only():
     rng = np.random.default_rng(4)
     fw, _ = random_fw(rng, 5, 5, 3, 2)
-    coeffs = GatedCoefficients.inactive(2)
-    w = compose_weight(fw, coeffs).data
+    w = applied_weight(fw, np.zeros(2))
     learngene_only = fw.u_g.data * fw.s_g.data @ fw.v_g.data.T
     assert np.allclose(w, learngene_only, atol=1e-15)
 
@@ -113,8 +109,7 @@ def test_compose_one_hot_adds_exactly_one_tailor():
     rng = np.random.default_rng(5)
     fw, _ = random_fw(rng, 6, 4, 2, 2)
     g = np.array([0.0, 1.0])
-    coeffs = GatedCoefficients(Tensor(g), (1,))
-    w = compose_weight(fw, coeffs).data
+    w = applied_weight(fw, g)
     assert np.allclose(w, brute_force_compose(fw, g), atol=1e-12)
 
 
@@ -131,28 +126,26 @@ def test_compose_matches_brute_force_random():
         active = tuple(rng.choice(n_t, size=k, replace=False)) if k else ()
         for j in active:
             g[j] = rng.uniform(0, 1)
-        coeffs = GatedCoefficients(Tensor(g), active)
-        w = compose_weight(fw, coeffs).data
+        w = applied_weight(fw, g)
         assert np.abs(w - brute_force_compose(fw, g)).max() < 1e-12
 
 
 def test_reconstruct_equals_unit_coefficients():
     rng = np.random.default_rng(7)
     fw, w0 = random_fw(rng, 7, 5, 3, 2)
-    unit = GatedCoefficients(Tensor(np.ones(2)), (0, 1))
-    assert np.allclose(reconstruct(fw).data, compose_weight(fw, unit).data, atol=1e-14)
-    assert np.linalg.norm(reconstruct(fw).data - w0) / np.linalg.norm(w0) <= 1e-10
+    full = applied_weight(fw, np.ones(2))
+    assert np.allclose(full, brute_force_compose(fw, np.ones(2)), atol=1e-14)
+    assert np.linalg.norm(full - w0) / np.linalg.norm(w0) <= 1e-10
 
 
 def test_apply_factorized_matches_dense_twin():
     rng = np.random.default_rng(8)
     fw, _ = random_fw(rng, 6, 6, 3, 3)
     g = np.array([0.5, 0.0, 0.2])
-    coeffs = GatedCoefficients(Tensor(g), (0, 2))
     x = rng.standard_normal((2, 4, 6))
+    dense = x @ brute_force_compose(fw, g).T
     with T.no_grad():
-        dense = T.linear(Tensor(x), compose_weight(fw, coeffs)).data
-        fact = apply_factorized(Tensor(x), fw, coeffs).data
+        fact = apply_factorized(Tensor(x), fw, Tensor(g)).data
     assert np.abs(dense - fact).max() < 1e-10
 
 
@@ -187,16 +180,15 @@ def test_inactive_tailor_gets_exact_zero_grads():
     fw, _ = random_fw(rng, 5, 5, 2, 3)
     alpha = Tensor(np.array([0.5, 0.3, 0.2]), requires_grad=True)
     mask = np.array([1.0, 0.0, 1.0])  # tailor 1 inactive
-    coeffs = GatedCoefficients(T.mul(alpha, mask), (0, 2))
     x = Tensor(rng.standard_normal((3, 5)))
-    y = apply_factorized(x, fw, coeffs)
+    y = apply_factorized(x, fw, T.mul(alpha, mask))
     backward(T.sum_(T.mul(y, y)))
     assert np.array_equal(fw.u_t.grad[:, 1], np.zeros(5))
     assert np.array_equal(fw.v_t.grad[:, 1], np.zeros(5))
     assert fw.s_t.grad[1] == 0.0
     assert alpha.grad[1] == 0.0  # selection blocks gate gradient too
     assert np.abs(fw.u_t.grad[:, 0]).max() > 0
-    residual = masked_gradient_apply(fw, coeffs)
+    residual = masked_gradient_apply(fw, (0, 2))
     assert residual == 0.0
 
 
@@ -223,8 +215,7 @@ def test_active_coefficient_scales_sigma_gradient():
     loss_grads = []
     for gval in (1.0, 0.5):
         fw, _ = random_fw(np.random.default_rng(11), 6, 6, 3, 3)
-        coeffs = GatedCoefficients(Tensor(np.array([gval, 0.0, 0.0])), (0,))
-        y = apply_factorized(Tensor(x), fw, coeffs)
+        y = apply_factorized(Tensor(x), fw, Tensor(np.array([gval, 0.0, 0.0])))
         backward(T.sum_(y))
         loss_grads.append(fw.s_t.grad[0])
     assert loss_grads[1] == pytest.approx(0.5 * loss_grads[0], rel=1e-12)
@@ -235,10 +226,9 @@ def test_learngene_grads_invariant_to_active_set():
     # depend on which tailors were active
     x = np.random.default_rng(12).standard_normal((4, 6))
     grads = []
-    for active, g in (((0,), [1.0, 0.0, 0.0]), ((2,), [0.0, 0.0, 1.0])):
+    for g in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]):
         fw, _ = random_fw(np.random.default_rng(13), 6, 6, 3, 3)
-        coeffs = GatedCoefficients(Tensor(np.array(g)), active)
-        y = apply_factorized(Tensor(x), fw, coeffs)
+        y = apply_factorized(Tensor(x), fw, Tensor(np.array(g)))
         backward(T.sum_(y))
         grads.append((fw.u_g.grad.copy(), fw.s_g.grad.copy(), fw.v_g.grad.copy()))
     for a, b in zip(grads[0], grads[1]):
@@ -251,16 +241,17 @@ def test_training_moves_parameters_freely():
 
     rng = np.random.default_rng(14)
     fw, _ = random_fw(rng, 4, 4, 2, 2)
-    init = reconstruct(fw).data.copy()
+    init = brute_force_compose(fw, np.ones(2))
     target = rng.standard_normal((4, 4))
     params = {k: t for k, t in fw.tensors().items()}
     opt = AdamW(params, lr=1e-2)
-    coeffs = GatedCoefficients(Tensor(np.ones(2)), (0, 1))
     for _ in range(100):
-        diff = T.sub(compose_weight(fw, coeffs), target)
+        # the identity's image is W~.T, so this pulls W~ towards target.T
+        w_t = apply_factorized(Tensor(np.eye(4)), fw, Tensor(np.ones(2)))
+        diff = T.sub(w_t, target)
         backward(T.sum_(T.mul(diff, diff)))
         opt.step()
         opt.zero_grad()
-    after = reconstruct(fw).data
+    after = brute_force_compose(fw, np.ones(2))
     assert np.linalg.norm(after - init) > 1e-3
     # orthonormality deliberately NOT asserted here: it only holds at step 0

@@ -218,9 +218,11 @@ def test_multi_condition_merges_disjoint_one_hots():
 
     e1 = InstructionEmbedding("a", "a", np.array([1.0, 0, 0, 0]))
     e2 = InstructionEmbedding("b", "b", np.array([0, 1.0, 0, 0]))
+    solo_gate = GateState(gate.w1, gate.b1, gate.w2, gate.b2, k=1,
+                          bias_update_rate=gate.bias_update_rate)
     with T.no_grad():
-        solo1 = topk_select(route(gate, e1), GateState(gate.w1, gate.b1, gate.w2, gate.b2, k=1))
-        solo2 = topk_select(route(gate, e2), GateState(gate.w1, gate.b1, gate.w2, gate.b2, k=1))
+        solo1 = topk_select(route(gate, e1), solo_gate)
+        solo2 = topk_select(route(gate, e2), solo_gate)
         combined = compose_multi_condition(gate, [e1, e2])
     assert set(solo1.active_set).isdisjoint(solo2.active_set)
     assert set(combined.active_set) & set(solo1.active_set)

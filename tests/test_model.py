@@ -5,7 +5,7 @@ from divcontrol import tensor as T
 from divcontrol.conditions import apply_condition, find_condition, generate_image
 from divcontrol.config import resolve_config
 from divcontrol.errors import ContractError
-from divcontrol.factorized import GatedCoefficients, compose_weight
+from divcontrol.factorized import factorize
 from divcontrol.model import (
     ControlBranch,
     DenoiserNet,
@@ -19,7 +19,7 @@ from divcontrol.model import (
     patchify,
     posterior_step,
     repa_loss,
-    sample,
+    sample_batch,
     unpatchify,
 )
 from divcontrol.tensor import Tensor, backward
@@ -273,9 +273,6 @@ def test_factorized_branch_matches_dense_twin():
 
     # dense twin: re-factorize each reconstructed matrix with every
     # component in the shared block, so the forward is coefficient-free
-    from divcontrol import model as M
-    from divcontrol.factorized import svd_factorize
-
     class DenseTwin:
         pass
 
@@ -284,20 +281,26 @@ def test_factorized_branch_matches_dense_twin():
     twin.time_table = branch.time_table
     twin.n_tailor = 0
     twin.blocks = []
-    unit = GatedCoefficients(Tensor(np.ones(branch.n_tailor)),
-                             tuple(range(branch.n_tailor)))
     twin.n_learngene = branch.n_learngene + branch.n_tailor
     with T.no_grad():
         for blk in branch.blocks:
             dense = dict(blk)
             for tag in ("q", "k", "v", "o", "in", "out"):
-                w = compose_weight(blk["fw_" + tag], unit).data
-                dense["fw_" + tag] = svd_factorize(w)
+                fw = blk["fw_" + tag]
+                w = sum(u.data * s.data @ v.data.T for u, s, v in (
+                    (fw.u_g, fw.s_g, fw.v_g), (fw.u_t, fw.s_t, fw.v_t)))
+                dense["fw_" + tag] = factorize(w, min(w.shape), 0)
             twin.blocks.append(dense)
-        inj_d, fc_d = M.branch_forward(twin, cfg, xc, t_idx, None)
+        inj_d, fc_d = branch_forward(twin, cfg, xc, t_idx, None)
     assert np.abs(fc_f.data - fc_d.data).max() < 1e-10
     for a, b in zip(inj_f, inj_d):
         assert np.abs(a.data - b.data).max() < 1e-10
+
+
+def test_branch_rejects_rank_above_token_dim():
+    # 10 + 7 components cannot come from a 16 x 16 projection
+    with pytest.raises(ContractError):
+        build_parts(small_cfg(), n_g=10, n_t=7)
 
 
 def test_sampling_deterministic_and_clamped():
@@ -305,10 +308,10 @@ def test_sampling_deterministic_and_clamped():
     den, branch, _ = build_parts(cfg)
     rng = np.random.default_rng(13)
     xc = rng.uniform(-1, 1, (8, 8))
-    coeffs = GatedCoefficients(Tensor(np.array([0.5, 0.5, 0, 0.0])), (0, 1))
+    rows = np.array([[0.5, 0.5, 0, 0.0]])
     sched = NoiseSchedule.linear(cfg)
-    img1 = sample(den, branch, cfg, sched, xc, coeffs, seed=99)
-    img2 = sample(den, branch, cfg, sched, xc, coeffs, seed=99)
+    img1 = sample_batch(den, branch, cfg, sched, xc[None], rows, seed=99)[0]
+    img2 = sample_batch(den, branch, cfg, sched, xc[None], rows, seed=99)[0]
     assert np.array_equal(img1, img2)
     assert img1.min() >= -1.0 and img1.max() <= 1.0
 
@@ -318,7 +321,7 @@ def test_untrained_sample_statistics_near_noise():
     den, _, _ = build_parts(cfg)
     sched = NoiseSchedule.linear(cfg)
     imgs = np.stack([
-        sample(den, None, cfg, sched, np.zeros((8, 8)), None, seed=100 + i)
+        sample_batch(den, None, cfg, sched, np.zeros((1, 8, 8)), None, seed=100 + i)[0]
         for i in range(8)])
     # untrained: outputs spread widely instead of collapsing to a constant
     assert imgs.std() > 0.3
