@@ -29,13 +29,6 @@ _PERM_SEED = 1337  # fixed root for per-condition patch permutations
 # condition registry
 # ----------------------------------------------------------------------
 
-TRANSFORM_KINDS = (
-    "edge_sobel", "edge_laplacian", "blur_box3", "blur_box5", "pixelate4",
-    "mask_border", "posterize4", "invert_gray", "shuffle_patches",
-    "checker_mask",
-)
-
-
 @dataclass(frozen=True)
 class ConditionSpec:
     condition_id: str
@@ -45,7 +38,7 @@ class ConditionSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.transform_kind not in TRANSFORM_KINDS:
+        if self.transform_kind not in _TRANSFORMS:
             raise ConfigError(f"unknown transform_kind '{self.transform_kind}'")
 
 
@@ -82,14 +75,12 @@ def default_registry() -> list[ConditionSpec]:
 NOVEL_LOW_SIBLINGS = {"edge-lap": "edge", "blur-wide": "blur"}
 
 
-def basic_conditions(registry=None) -> list[ConditionSpec]:
-    registry = default_registry() if registry is None else registry
-    return [c for c in registry if c.shift_class == "basic"]
+def basic_conditions() -> list[ConditionSpec]:
+    return [c for c in default_registry() if c.shift_class == "basic"]
 
 
-def find_condition(condition_id: str, registry=None) -> ConditionSpec:
-    registry = default_registry() if registry is None else registry
-    for c in registry:
+def find_condition(condition_id: str) -> ConditionSpec:
+    for c in default_registry():
         if c.condition_id == condition_id:
             return c
     raise ConfigError(f"unknown condition '{condition_id}'")
@@ -165,12 +156,12 @@ _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=float)
 _LAPLACE = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=float)
 
 
-def _edge_sobel(img, binary=False, threshold=0.25):
+def _edge_sobel(img, binary):
     gx = _conv2_symmetric(img, _SOBEL_X)
     gy = _conv2_symmetric(img, _SOBEL_X.T)
     mag = np.clip(np.hypot(gx, gy) / 4.0, 0.0, 1.0)
     if binary:
-        return (mag > threshold).astype(float)
+        return (mag > 0.25).astype(float)
     return mag
 
 
@@ -183,14 +174,16 @@ def _blur_box(img, width):
     return _conv2_symmetric(img, kernel)
 
 
-def _pixelate(img, block=4):
+def _pixelate(img):
+    block = 4
     h, w = img.shape
     blocks = img.reshape(h // block, block, w // block, block)
     means = blocks.mean(axis=(1, 3), keepdims=True)
     return np.broadcast_to(means, blocks.shape).reshape(h, w).copy()
 
 
-def _mask_border(img, width=3, keep="border"):
+def _mask_border(img, keep):
+    width = 3
     out = np.zeros_like(img)
     if keep == "border":
         out[:] = img
@@ -202,7 +195,7 @@ def _mask_border(img, width=3, keep="border"):
     return out
 
 
-def _posterize(img, levels=4):
+def _posterize(img, levels):
     unit = (img + 1.0) / 2.0
     q = np.round(unit * (levels - 1)) / (levels - 1)
     return q * 2.0 - 1.0
@@ -212,7 +205,8 @@ def _patch_permutation(condition_id: str, n_patches: int) -> np.ndarray:
     return stream(_PERM_SEED, "perm", condition_id).permutation(n_patches)
 
 
-def _shuffle_patches(img, condition_id, block=4):
+def _shuffle_patches(img, condition_id):
+    block = 4
     h, w = img.shape
     nh, nw = h // block, w // block
     patches = img.reshape(nh, block, nw, block).transpose(0, 2, 1, 3)
@@ -222,39 +216,30 @@ def _shuffle_patches(img, condition_id, block=4):
     return shuffled.reshape(h, w).copy()
 
 
-def _checker_mask(img, cell=2):
+def _checker_mask(img):
     ii, jj = np.indices(img.shape)
-    mask = ((ii // cell + jj // cell) % 2 == 0).astype(float)
+    mask = ((ii // 2 + jj // 2) % 2 == 0).astype(float)
     return img * mask
+
+
+# transform_kind -> f(image, spec)
+_TRANSFORMS = {
+    "edge_sobel": lambda img, spec: _edge_sobel(img, spec.params.get("binary", False)),
+    "edge_laplacian": lambda img, spec: _edge_laplacian(img),
+    "blur_box3": lambda img, spec: _blur_box(img, 3),
+    "blur_box5": lambda img, spec: _blur_box(img, 5),
+    "pixelate4": lambda img, spec: _pixelate(img),
+    "mask_border": lambda img, spec: _mask_border(img, spec.params.get("keep", "border")),
+    "posterize4": lambda img, spec: _posterize(img, 4),
+    "invert_gray": lambda img, spec: -img,
+    "shuffle_patches": lambda img, spec: _shuffle_patches(img, spec.condition_id),
+    "checker_mask": lambda img, spec: _checker_mask(img),
+}
 
 
 def apply_condition(image: np.ndarray, spec: ConditionSpec) -> np.ndarray:
     """Produce the condition image for ``spec``; same shape, range [-1, 1]."""
-    image = np.asarray(image, dtype=np.float64)
-    kind, p = spec.transform_kind, spec.params
-    if kind == "edge_sobel":
-        return _edge_sobel(image, binary=p.get("binary", False),
-                           threshold=p.get("threshold", 0.25))
-    if kind == "edge_laplacian":
-        return _edge_laplacian(image)
-    if kind == "blur_box3":
-        return _blur_box(image, 3)
-    if kind == "blur_box5":
-        return _blur_box(image, 5)
-    if kind == "pixelate4":
-        return _pixelate(image, 4)
-    if kind == "mask_border":
-        return _mask_border(image, width=p.get("width", 3),
-                            keep=p.get("keep", "border"))
-    if kind == "posterize4":
-        return _posterize(image, 4)
-    if kind == "invert_gray":
-        return -image
-    if kind == "shuffle_patches":
-        return _shuffle_patches(image, spec.condition_id, block=p.get("block", 4))
-    if kind == "checker_mask":
-        return _checker_mask(image, cell=p.get("cell", 2))
-    raise ConfigError(f"unknown transform_kind '{kind}'")
+    return _TRANSFORMS[spec.transform_kind](np.asarray(image, dtype=np.float64), spec)
 
 
 # ----------------------------------------------------------------------

@@ -157,7 +157,3 @@ def resolved_text(cfg: RunConfig) -> str:
 def config_digest(cfg: RunConfig) -> bytes:
     return hashlib.sha256(resolved_text(cfg).encode("utf-8")).digest()
 
-
-def load_config_file(path, overrides: dict | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return resolve_config(fh.read(), overrides)

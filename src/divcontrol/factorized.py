@@ -120,7 +120,7 @@ def apply_factorized(x, fw: FactorizedWeight, rows: Tensor | None) -> Tensor:
     broadcastable against ``x @ v_t``, or is None for the learngene block
     alone. The gradient reaches every factor and the coefficients.
     """
-    if fw.n_tailor == 0 or rows is None:
+    if rows is None:
         return T.factorized_linear(x, fw.u_g, fw.s_g, fw.v_g)
     return T.factorized_linear(x, fw.u_g, fw.s_g, fw.v_g,
                                fw.u_t, fw.s_t, fw.v_t, rows)

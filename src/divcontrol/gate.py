@@ -127,29 +127,20 @@ def route(gate: GateState, e: InstructionEmbedding) -> Tensor:
     return T.softmax(gate_logits(gate, e))
 
 
-def topk_select(alpha, gate: GateState,
-                active_override: tuple | None = None) -> GatedCoefficients:
+def topk_select(alpha, gate: GateState) -> GatedCoefficients:
     """Pick the K tailors with the largest biased score, keep unbiased values.
 
-    Ties break toward the lower index. ``active_override`` pins the active
-    set (used by gradient probes where selection must stay fixed).
+    Ties break toward the lower index.
     """
     alpha_t = alpha if isinstance(alpha, Tensor) else Tensor(alpha)
     n_t = gate.n_tailor
     if alpha_t.size != n_t:
         raise ContractError(f"alpha length {alpha_t.size} != n_tailor {n_t}")
-    k = min(gate.k, n_t)
-    if active_override is not None:
-        active = tuple(active_override)
-    elif k == 0:
-        active = ()
-    else:
-        scores = alpha_t.data + gate.balance_bias
-        order = np.argsort(-scores, kind="stable")  # stable: ties -> lower index
-        active = tuple(int(i) for i in order[:k])
+    scores = alpha_t.data + gate.balance_bias
+    order = np.argsort(-scores, kind="stable")  # stable: ties -> lower index
+    active = tuple(int(i) for i in order[:min(gate.k, n_t)])
     mask = np.zeros(n_t)
-    if active:
-        mask[list(active)] = 1.0
+    mask[list(active)] = 1.0
     g = T.mul(alpha_t, mask)
     return GatedCoefficients(g=g, active_set=active)
 

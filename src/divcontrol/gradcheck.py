@@ -3,8 +3,7 @@
 ``finite_diff_check`` compares the tape's analytic gradients against
 central differences coordinate by coordinate and reports the worst
 relative error. The registered case list below covers every
-differentiable primitive plus composite paths; the ``gradcheck`` CLI
-subcommand and the acceptance suite both run it.
+differentiable primitive plus composite paths; ``run_op_suite`` runs it.
 """
 
 from __future__ import annotations

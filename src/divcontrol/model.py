@@ -192,19 +192,15 @@ class RepaHead:
     def tensors(self) -> dict:
         return {"a1": self.a1, "a1b": self.a1b, "a2": self.a2, "a2b": self.a2b}
 
-    def encode(self, x_cond: np.ndarray, return_degenerate: bool = False):
+    def encode(self, x_cond: np.ndarray) -> np.ndarray:
         """Patchify, project with the frozen matrix, L2-normalize per patch.
 
-        All-zero patches stay zero vectors; the optional flag marks them.
+        All-zero patches stay zero vectors.
         """
         tokens = patchify(np.asarray(x_cond, dtype=np.float64), self.patch_size)
         e = tokens @ self.enc_w.T
         norms = np.linalg.norm(e, axis=-1, keepdims=True)
-        degenerate = norms[..., 0] == 0.0
-        e = np.where(norms > 0, e / np.maximum(norms, 1e-300), 0.0)
-        if return_degenerate:
-            return e, degenerate
-        return e
+        return np.where(norms > 0, e / np.maximum(norms, 1e-300), 0.0)
 
     def align(self, f_cond: Tensor) -> Tensor:
         """A(f_cond): two-layer MLP from branch tokens to encoder space."""
@@ -292,10 +288,9 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
     x = T.add(T.linear(Tensor(xc_tokens), branch.patch_w), branch.patch_b)
     temb = T.reshape(T.gather_rows(branch.time_table, t_idx), (len(t_idx), 1, d))
     x = T.add(x, temb)
-    if branch.n_tailor and coeff_rows is not None:
+    c3 = None
+    if coeff_rows is not None:
         c3 = T.reshape(coeff_rows, (coeff_rows.shape[0], 1, branch.n_tailor))
-    else:
-        c3 = None
     injections = []
     f_cond = None
     for li, blk in enumerate(branch.blocks):
@@ -336,20 +331,6 @@ def denoiser_forward(den: DenoiserNet, cfg: RunConfig,
     return T.add(T.linear(y, den.head_w), den.head_b)
 
 
-def denoise_predict(den: DenoiserNet, cfg: RunConfig,
-                    z_t: np.ndarray, injections, t) -> np.ndarray:
-    """Noise prediction on images (no gradients): (B, H, W) -> (B, H, W)."""
-    single = z_t.ndim == 2
-    z = z_t[None] if single else z_t
-    t_idx = np.full(z.shape[0], t, dtype=np.int64) if np.ndim(t) == 0 \
-        else np.asarray(t, dtype=np.int64)
-    with T.no_grad():
-        tokens = denoiser_forward(den, cfg, patchify(z, cfg.patch_size), t_idx,
-                                  injections).data
-    out = unpatchify(tokens, cfg.image_size, cfg.patch_size)
-    return out[0] if single else out
-
-
 # ----------------------------------------------------------------------
 # losses
 # ----------------------------------------------------------------------
@@ -386,12 +367,13 @@ def repa_loss(f_cond: Tensor, e_img: np.ndarray, head: RepaHead) -> Tensor:
 # sampling
 # ----------------------------------------------------------------------
 
-def sample_batch(den: DenoiserNet, branch: ControlBranch | None,
+def sample_batch(den: DenoiserNet, branch: ControlBranch,
                  cfg: RunConfig, sched: NoiseSchedule,
-                 x_cond: np.ndarray, coeff_rows: np.ndarray | None,
+                 x_cond: np.ndarray, coeff_rows: Tensor | None,
                  seed: int, sample_indices=None) -> np.ndarray:
     """Ancestral DDPM sampling for a batch; deterministic per (seed, index).
 
+    ``coeff_rows`` are the tailor coefficients ``branch_forward`` takes.
     Image ``i`` draws its initial noise and all step noises from the
     stream ("sample", sample_indices[i]) in timestep order.
     """
@@ -402,15 +384,11 @@ def sample_batch(den: DenoiserNet, branch: ControlBranch | None,
     gens = [stream(seed, "sample", i) for i in sample_indices]
     z = np.stack([g.standard_normal(hw) for g in gens])
     xc_tokens = patchify(x_cond, cfg.patch_size)
-    coeff_t = None
-    if branch is not None and branch.n_tailor and coeff_rows is not None:
-        coeff_t = Tensor(np.asarray(coeff_rows))
     with T.no_grad():
         for t in reversed(range(sched.timesteps)):
             t_idx = np.full(b, t, dtype=np.int64)
-            injections = None
-            if branch is not None:
-                injections, _ = branch_forward(branch, cfg, xc_tokens, t_idx, coeff_t)
+            injections, _ = branch_forward(branch, cfg, xc_tokens, t_idx,
+                                           coeff_rows)
             tokens = denoiser_forward(den, cfg, patchify(z, cfg.patch_size),
                                       t_idx, injections).data
             eps_hat = unpatchify(tokens, cfg.image_size, cfg.patch_size)

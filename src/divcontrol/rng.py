@@ -12,19 +12,27 @@ Streams are stateless with respect to the run: step ``s`` always uses
 the exact draw sequence. Any implementation that follows this recipe
 byte-for-byte reproduces every random number this one produces.
 
-Reserved stream paths:
+Reserved stream paths (root: the run's ``seed`` unless noted):
 
-====================  =====================================================
-``("init", name)``    parameter initialisation, one stream per parameter
-``("step", s)``       all per-step training randomness, drawn in a fixed
-                      documented order (see training.run_training)
-``("image", i)``      synthetic base image number ``i``
-``("adapt-image", i)``  few-shot adaptation image number ``i``
-``("eval", i)``       held-out evaluation image number ``i``
-``("sample", i)``     ancestral sampling noise for generated image ``i``
-``("embed-table",)``  frozen instruction-token embedding table
-``("vision-encoder",)``  frozen image-patch encoder projection
-====================  =====================================================
+========================  ==================================================
+``("init", name)``        parameter initialisation, one stream per parameter
+``("batch", b)``          image and condition indices of training batch ``b``
+``("step", s)``           all per-step training randomness, drawn in a fixed
+                          documented order (see training.train_steps)
+``("image", i)``          synthetic base image number ``i``
+``("adapt-image", i)``    few-shot adaptation image number ``i``
+``("eval", i)``           held-out evaluation image number ``i``
+``("eval-noise",)``       timesteps and noise of the held-out loss
+``("sample", i)``         ancestral sampling noise for generated image ``i``
+``("e2e-data",)``         data of the end-to-end gradcheck case
+``("gradcheck", case)``   inputs of one registered gradcheck case
+``("embed-table",)``      frozen instruction-token embedding table (root:
+                          ``encoder_seed``)
+``("vision-encoder",)``   frozen image-patch encoder projection (root:
+                          ``encoder_seed``)
+``("perm", cond_id)``     patch permutation of a shuffle condition (fixed
+                          root 1337)
+========================  ==================================================
 """
 
 from __future__ import annotations

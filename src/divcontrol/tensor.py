@@ -578,11 +578,10 @@ def attention(q, k, v, scale: float) -> Tensor:
     return _record(out, (q, k, v), vjp)
 
 
-def cosine_similarity(a, b, return_degenerate: bool = False):
+def cosine_similarity(a, b) -> float:
     """Cosine of the angle between two equal-length vectors, in [-1, 1].
 
-    A pair with a zero-norm vector is defined to have similarity 0; pass
-    ``return_degenerate=True`` to also receive a flag marking that case.
+    A pair with a zero-norm vector is defined to have similarity 0.
     """
     av = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=_F64)
     bv = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=_F64)
@@ -590,9 +589,8 @@ def cosine_similarity(a, b, return_degenerate: bool = False):
         raise ContractError("cosine_similarity expects two equal-length vectors")
     na, nb = np.linalg.norm(av), np.linalg.norm(bv)
     if na == 0.0 or nb == 0.0:
-        return (0.0, True) if return_degenerate else 0.0
-    val = float(np.clip(np.dot(av, bv) / (na * nb), -1.0, 1.0))
-    return (val, False) if return_degenerate else val
+        return 0.0
+    return float(np.clip(np.dot(av, bv) / (na * nb), -1.0, 1.0))
 
 
 # ----------------------------------------------------------------------

@@ -90,9 +90,9 @@ def _embed_all(cfg: RunConfig, specs) -> list:
     return [enc.encode(s.instruction, s.condition_id) for s in specs]
 
 
-def build_diversion_bundle(cfg: RunConfig, registry=None) -> ModelBundle:
+def build_diversion_bundle(cfg: RunConfig) -> ModelBundle:
     """Fresh model for multi-condition training on the basic registry."""
-    specs = basic_conditions(registry)
+    specs = basic_conditions()
     den = DenoiserNet(cfg, cfg.seed)
     branch = ControlBranch(cfg, cfg.seed, cfg.n_learngene, cfg.n_tailor)
     gate = GateState.init(cfg.embed_dim, cfg.n_tailor, cfg.top_k, cfg.seed,
@@ -283,6 +283,30 @@ def _routing_rows(bundle: ModelBundle, cond_idx: np.ndarray,
     return rows, active_union
 
 
+def _objective(bundle: ModelBundle, x, x_cond, t_idx, eps, rows,
+               drop_gen=None) -> tuple:
+    """The training objective L = L_diff + lambda_repa * L_REPA on one batch.
+
+    ``x`` and ``x_cond`` are (B, H, W) images, ``eps`` the noise added at
+    timesteps ``t_idx`` and ``rows`` the tailor coefficients from
+    ``_routing_rows``. Dropout draws from ``drop_gen``; None disables it.
+    Returns (l_diff, l_repa, l_total, eps_tok, eps_hat): the three losses as
+    scalar tensors, then the target and the predicted noise tokens.
+    """
+    cfg = bundle.cfg
+    patch = cfg.patch_size
+    z_t = forward_noise(x, t_idx, eps, bundle.sched)
+    inj, f_cond = branch_forward(bundle.branch, cfg, patchify(x_cond, patch),
+                                 t_idx, rows, cfg.dropout, drop_gen)
+    eps_hat = denoiser_forward(bundle.den, cfg, patchify(z_t, patch), t_idx,
+                               inj, cfg.dropout, drop_gen)
+    eps_tok = patchify(eps, patch)
+    l_diff = diffusion_loss(eps_tok, eps_hat)
+    l_repa = repa_loss(f_cond, bundle.repa.encode(x_cond), bundle.repa)
+    l_total = T.add(l_diff, T.mul(l_repa, cfg.lambda_repa))
+    return l_diff, l_repa, l_total, eps_tok, eps_hat
+
+
 def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
                 start_step: int = 0, stop_step: int | None = None,
                 opt: AdamW | None = None, metrics: RunMetrics | None = None,
@@ -293,8 +317,6 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
     """
     cfg = bundle.cfg
     lr_sched = cfg.schedule()
-    lam = cfg.lambda_repa
-    patch = cfg.patch_size
     stop = cfg.steps if stop_step is None else min(stop_step, cfg.steps)
     if opt is None:
         opt = _new_optimizer(bundle)
@@ -313,23 +335,8 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
             t_idx = gen.integers(0, cfg.timesteps, cfg.batch_size)
             eps = gen.standard_normal(batch.x.shape)
             rows, active_union = _routing_rows(bundle, batch.cond_idx)
-            z_t = forward_noise(batch.x, t_idx, eps, bundle.sched)
-            drop_gen = gen if cfg.dropout > 0 else None
-            inj, f_cond = branch_forward(bundle.branch, cfg,
-                                         patchify(batch.x_cond, patch), t_idx,
-                                         rows, cfg.dropout, drop_gen)
-            eps_hat = denoiser_forward(bundle.den, cfg, patchify(z_t, patch),
-                                       t_idx, inj, cfg.dropout, drop_gen)
-            eps_tok = patchify(eps, patch)
-            l_diff_t = diffusion_loss(eps_tok, eps_hat)
-            e_img = bundle.repa.encode(batch.x_cond)
-            if lam > 0:
-                l_repa_t = repa_loss(f_cond, e_img, bundle.repa)
-                total_t = T.add(l_diff_t, T.mul(l_repa_t, lam))
-            else:
-                with T.no_grad():
-                    l_repa_t = repa_loss(Tensor(f_cond.data), e_img, bundle.repa)
-                total_t = l_diff_t
+            l_diff_t, l_repa_t, total_t, eps_tok, eps_hat = _objective(
+                bundle, batch.x, batch.x_cond, t_idx, eps, rows, gen)
             l_diff, l_repa, l_total = l_diff_t.item(), l_repa_t.item(), total_t.item()
             if not (np.isfinite(l_total) and np.isfinite(l_repa)):
                 snap = os.path.join(out_dir, f"nan-snapshot-step{s + 1}.divc")
@@ -483,23 +490,14 @@ def evaluate_bundle(bundle: ModelBundle, n_samples: int | None = None,
     gen = stream(cfg.seed, "eval-noise")
     t_idx = gen.integers(0, cfg.timesteps, n)
     eps = gen.standard_normal(x.shape)
-    z_t = forward_noise(x, t_idx, eps, bundle.sched)
     with T.no_grad():
         rows, _ = _routing_rows(bundle, cond_idx, record=False)
-        rows_np = rows.data if rows is not None else None
-        inj, f_cond = branch_forward(bundle.branch, cfg,
-                                     patchify(x_cond, cfg.patch_size), t_idx,
-                                     rows)
-        eps_hat = denoiser_forward(bundle.den, cfg,
-                                   patchify(z_t, cfg.patch_size), t_idx, inj)
-        l_diff = diffusion_loss(patchify(eps, cfg.patch_size), eps_hat).item()
-        aligned_cos = -repa_loss(f_cond, bundle.repa.encode(x_cond),
-                                 bundle.repa).item()
-    out = {"eval_l_diff": l_diff, "eval_aligned_cosine": aligned_cos,
+        l_diff, l_repa, _, _, _ = _objective(bundle, x, x_cond, t_idx, eps, rows)
+    out = {"eval_l_diff": l_diff.item(), "eval_aligned_cosine": -l_repa.item(),
            "n_samples": n}
     if sample_images:
         samples = sample_batch(bundle.den, bundle.branch, cfg, bundle.sched,
-                               x_cond, rows_np, cfg.seed,
+                               x_cond, rows, cfg.seed,
                                sample_indices=[f"eval-{i}" for i in range(n)])
         out["eval_ssim"] = float(np.mean(
             [metric_ssim(a, b) for a, b in zip(samples, x)]))

@@ -1,9 +1,10 @@
 """End-to-end gradient verification on a micro configuration.
 
-Builds the complete training loss (denoising MSE through the gated
-factorized branch, plus weighted alignment) at one-layer scale, small
-enough that every coordinate can be finite-differenced, and checks the
-tape's gradients against central differences.
+Differentiates the objective training runs on, ``training._objective``
+(denoising MSE through the gated factorized branch, plus weighted
+alignment), at one-layer scale, small enough that every coordinate can be
+finite-differenced, and checks the tape's gradients against central
+differences.
 """
 
 from __future__ import annotations
@@ -13,17 +14,9 @@ import numpy as np
 from . import tensor as T
 from .conditions import apply_condition, default_registry, generate_image
 from .config import resolve_config
-from .gradcheck import GradCheckReport, finite_diff_check, run_op_suite
-from .model import (
-    branch_forward,
-    denoiser_forward,
-    diffusion_loss,
-    forward_noise,
-    patchify,
-    repa_loss,
-)
+from .gradcheck import GradCheckReport, finite_diff_check
 from .rng import stream
-from .training import _routing_rows, build_diversion_bundle
+from .training import _objective, _routing_rows, build_diversion_bundle
 
 
 def micro_config(seed: int = 0):
@@ -38,7 +31,6 @@ def build_e2e_case(seed: int = 0):
     """(loss closure, params) for the one-layer end-to-end objective."""
     cfg = micro_config(seed)
     bundle = build_diversion_bundle(cfg)
-    # spread the singular values so tailor gradients are well scaled
     registry = default_registry()
     gen = stream(seed, "e2e-data")
     x0 = np.stack([generate_image(seed, i, cfg.image_size) for i in range(2)])
@@ -47,27 +39,17 @@ def build_e2e_case(seed: int = 0):
                        for img, c in zip(x0, cond_idx)])
     t_idx = gen.integers(0, cfg.timesteps, 2)
     eps = gen.standard_normal(x0.shape)
-    z_t = forward_noise(x0, t_idx, eps, bundle.sched)
     # make routing non-uniform so selection is meaningful, then freeze it
     bundle.gate.w2.data = 0.3 * gen.standard_normal(bundle.gate.w2.shape)
-    e_img = bundle.repa.encode(x_cond)
-    eps_tok = patchify(eps, cfg.patch_size)
-    zt_tok = patchify(z_t, cfg.patch_size)
-    xc_tok = patchify(x_cond, cfg.patch_size)
     with T.no_grad():
         _, frozen_active = _routing_rows(bundle, cond_idx, record=False)
+    # pin the active set: selection is treated as a constant per step
+    mask = np.zeros(bundle.gate.n_tailor)
+    mask[list(frozen_active)] = 1.0
 
     def loss():
         rows, _ = _routing_rows(bundle, cond_idx, record=False)
-        # pin the active set: selection is treated as a constant per step
-        mask = np.zeros(bundle.gate.n_tailor)
-        mask[list(frozen_active)] = 1.0
-        rows = T.mul(rows, mask)
-        inj, f_cond = branch_forward(bundle.branch, cfg, xc_tok, t_idx, rows)
-        eps_hat = denoiser_forward(bundle.den, cfg, zt_tok, t_idx, inj)
-        l_diff = diffusion_loss(eps_tok, eps_hat)
-        l_repa = repa_loss(f_cond, e_img, bundle.repa)
-        return T.add(l_diff, T.mul(l_repa, cfg.lambda_repa))
+        return _objective(bundle, x0, x_cond, t_idx, eps, T.mul(rows, mask))[2]
 
     return loss, bundle.params()
 
@@ -78,20 +60,3 @@ def run_e2e_gradcheck(seed: int = 0, h: float = 1e-5, tol: float = 1e-5,
     rng = np.random.default_rng(seed)
     return finite_diff_check(loss, params, h=h, tol=tol,
                              max_coords_per_param=max_coords_per_param, rng=rng)
-
-
-def run_full_gradcheck(seed: int = 0, tol: float = 1e-5,
-                       e2e_max_coords: int | None = None, log=None) -> dict:
-    """Op suite plus the end-to-end case; name -> GradCheckReport."""
-    reports = run_op_suite(seed=seed, tol=tol)
-    if log:
-        for name, rep in reports.items():
-            log(f"{'PASS' if rep.passed else 'FAIL'} {name}: "
-                f"max rel err {rep.max_rel_err:.3e}")
-    reports["e2e_one_layer"] = run_e2e_gradcheck(
-        seed=seed, tol=tol, max_coords_per_param=e2e_max_coords)
-    if log:
-        rep = reports["e2e_one_layer"]
-        log(f"{'PASS' if rep.passed else 'FAIL'} e2e_one_layer: "
-            f"max rel err {rep.max_rel_err:.3e} over {rep.n_coords} coords")
-    return reports

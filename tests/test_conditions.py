@@ -24,7 +24,7 @@ SEED = 21
 
 def test_registry_shape():
     reg = default_registry()
-    assert len(basic_conditions(reg)) == 8
+    assert len(basic_conditions()) == 8
     lows = [c for c in reg if c.shift_class == "novel_low"]
     highs = [c for c in reg if c.shift_class == "novel_high"]
     assert len(lows) == 2 and len(highs) == 2
@@ -34,7 +34,7 @@ def test_registry_shape():
     # low-shift kinds are perturbed variants of basic kinds
     assert {c.transform_kind for c in lows} == {"edge_laplacian", "blur_box5"}
     # high-shift kinds never appear among basic kinds
-    basic_kinds = {c.transform_kind for c in basic_conditions(reg)}
+    basic_kinds = {c.transform_kind for c in basic_conditions()}
     assert basic_kinds.isdisjoint({c.transform_kind for c in highs})
     for novel, sib in NOVEL_LOW_SIBLINGS.items():
         assert find_condition(novel).shift_class == "novel_low"

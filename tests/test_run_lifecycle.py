@@ -14,6 +14,7 @@ from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint, save_checkpoint
 from divcontrol.conditions import DatasetBank
 from divcontrol.errors import CheckpointError, ConfigError, ContractError, NumericError
+from divcontrol.optim import lr_at
 from divcontrol.runio import read_metrics
 from divcontrol.verify import micro_config
 
@@ -98,6 +99,25 @@ def test_logged_l_total_is_l_diff_plus_weighted_l_repa(tmp_path):
         for row in rows:
             l_diff, l_repa = row[col["l_diff"]], row[col["l_repa"]]
             assert row[col["l_total"]] == l_diff + lam * l_repa
+
+
+def test_alignment_head_only_decays_at_lambda_zero(tmp_path):
+    # at lambda_repa = 0 the alignment loss enters l_total with weight 0, so
+    # its head gets exact-zero gradients: AdamW's moments stay zero and only
+    # the decoupled weight decay moves the parameters
+    cfg = micro_config(0).replace(steps=40, dropout=0.1, lambda_repa=0.0)
+    init = training.build_diversion_bundle(cfg).params()
+    state = load_checkpoint(training.train_diversion(cfg, tmp_path))
+    sched = cfg.schedule()
+    names = [name for name in init if name.startswith("repa.")]
+    assert names
+    for name in names:
+        expected = init[name].data.copy()
+        for s in range(cfg.steps):
+            expected *= 1.0 - lr_at(sched, s) * cfg.weight_decay
+        assert np.array_equal(state.arrays["param/" + name], expected), name
+        assert not state.arrays["opt/m/" + name].any(), name
+        assert not state.arrays["opt/v/" + name].any(), name
 
 
 def test_adaptation_needs_a_diversion_base_and_scratch_mode(trained, tmp_path):

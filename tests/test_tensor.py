@@ -64,10 +64,9 @@ def test_cosine_similarity_analytic():
 
 
 def test_cosine_similarity_degenerate_pair():
-    val, flag = cosine_similarity([0.0, 0.0], [0.0, 0.0], return_degenerate=True)
-    assert val == 0.0 and flag is True
-    val, flag = cosine_similarity([1.0, 0.0], [1.0, 0.0], return_degenerate=True)
-    assert flag is False
+    assert cosine_similarity([0.0, 0.0], [0.0, 0.0]) == 0.0
+    assert cosine_similarity([0.0, 0.0], [1.0, 0.0]) == 0.0
+    assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == 1.0
 
 
 def test_backward_requires_scalar():
