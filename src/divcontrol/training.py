@@ -1,4 +1,11 @@
-"""Training loops: multi-condition diversion, few-shot adaptation, harnesses.
+"""Training: one run entry point for every mode, evaluation, harnesses.
+
+``train`` runs the three modes through one build, resume and run path.
+``cfg.mode`` picks the bundle (random for ``diversion`` and ``scratch``,
+fresh tailors on a frozen diversion base for ``adapt_frozen``), the image
+bank (``dataset_size`` base images for diversion, ``adapt_images`` few-shot
+images otherwise) and the step budget (``steps`` for diversion,
+``adapt_steps`` otherwise).
 
 Every stochastic draw is stream-addressed (see rng.py): batch ``b`` comes
 from ("batch", b) and the remaining per-step randomness (timesteps, noise,
@@ -309,15 +316,17 @@ def _objective(bundle: ModelBundle, x, x_cond, t_idx, eps, rows,
 
 def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
                 start_step: int = 0, stop_step: int | None = None,
-                opt: AdamW | None = None, metrics: RunMetrics | None = None,
-                log=None) -> tuple:
+                opt: AdamW | None = None, metrics: RunMetrics | None = None) -> tuple:
     """Run optimizer steps [start_step, stop_step) and checkpoint at the end.
 
+    The run's budget is ``steps`` in diversion mode and ``adapt_steps`` in
+    the adaptation modes; ``stop_step`` (default: the budget) is capped at it.
     Returns (checkpoint_path, RunMetrics).
     """
     cfg = bundle.cfg
     lr_sched = cfg.schedule()
-    stop = cfg.steps if stop_step is None else min(stop_step, cfg.steps)
+    budget = cfg.steps if cfg.mode == "diversion" else cfg.adapt_steps
+    stop = budget if stop_step is None else min(stop_step, budget)
     if opt is None:
         opt = _new_optimizer(bundle)
     if metrics is None:
@@ -371,9 +380,6 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
                 writer.flush()
                 save_checkpoint(ckpt_path, bundle_state(
                     bundle, opt, s + 1, metrics.cond_ema, metrics.cond_seen))
-                if log:
-                    log(f"step {s + 1}/{stop} l_diff={l_diff:.4f} "
-                        f"l_repa={l_repa:+.4f}")
     finally:
         T.clear_tape()  # a step abandoned by an error leaves its nodes behind
         writer.close()
@@ -404,71 +410,52 @@ def _summary_extras(bundle: ModelBundle, metrics: RunMetrics) -> dict:
     }
 
 
-def _train_run(bundle: ModelBundle, out_dir, start_step: int = 0,
-               opt: AdamW | None = None, metrics: RunMetrics | None = None,
-               log=None) -> tuple:
-    """Lock ``out_dir``, write the bundle's config, build the bank and train.
-
-    Diversion runs draw from ``dataset_size`` base images; adaptation runs
-    from ``adapt_images`` few-shot images, for ``adapt_steps`` steps (the
-    config file keeps the ``steps`` it was given).
-    """
+def _image_bank(bundle: ModelBundle) -> DatasetBank:
+    """The run's training images: diversion draws from ``dataset_size`` base
+    images, the adaptation modes from ``adapt_images`` few-shot images."""
     cfg = bundle.cfg
-    with run_lock(out_dir):
-        write_resolved_config(out_dir, resolved_text(cfg))
-        if cfg.mode == "diversion":
-            bank = DatasetBank(cfg.seed, cfg.dataset_size, bundle.specs,
-                               cfg.image_size)
-        else:
-            bank = DatasetBank(cfg.seed, cfg.adapt_images, bundle.specs,
-                               cfg.image_size, image_stream="adapt-image")
-            bundle.cfg = cfg.replace(steps=cfg.adapt_steps)
-        return train_steps(bundle, bank, out_dir, start_step=start_step,
-                           opt=opt, metrics=metrics, log=log)
+    if cfg.mode == "diversion":
+        return DatasetBank(cfg.seed, cfg.dataset_size, bundle.specs, cfg.image_size)
+    return DatasetBank(cfg.seed, cfg.adapt_images, bundle.specs, cfg.image_size,
+                       image_stream="adapt-image")
 
 
-def train_diversion(cfg: RunConfig, out_dir, resume: str | None = None,
-                    allow_config_mismatch: bool = False, log=None) -> str:
-    """Algorithm: route, compose, denoise, align, update; returns ckpt path."""
-    if cfg.mode != "diversion":
-        raise ContractError("train_diversion requires mode = diversion")
-    bundle = build_diversion_bundle(cfg)
+def train(cfg: RunConfig, out_dir, base_ckpt=None, resume=None) -> str:
+    """Train in ``cfg.mode`` into ``out_dir``; returns the checkpoint path.
+
+    ``base_ckpt`` is the diversion checkpoint an ``adapt_frozen`` run grafts
+    fresh tailors onto; the other modes start from random weights and take
+    none. ``resume`` continues the run from one of its own checkpoints,
+    bit-exactly.
+    """
+    if (base_ckpt is not None) != (cfg.mode == "adapt_frozen"):
+        raise ContractError("a base checkpoint is given exactly when "
+                            f"mode = adapt_frozen (mode is {cfg.mode})")
+    bundle = _fresh_bundle(cfg) if base_ckpt is None else build_adapt_bundle(cfg, base_ckpt)
     start, opt, metrics = 0, None, None
     if resume is not None:
         state = load_checkpoint(resume)
-        if state.config_digest != config_digest(cfg) and not allow_config_mismatch:
+        if state.config_digest != config_digest(cfg):
             raise ContractError(
-                "resume checkpoint was written under a different config; "
-                "pass --allow-config-mismatch to continue anyway")
+                "resume checkpoint was written under a different config")
         opt = _new_optimizer(bundle)
         load_bundle_arrays(bundle, state, opt)
         start = state.step
         metrics = RunMetrics(cond_ema=_block(state, "metrics/cond_ema"),
                              cond_seen=_block(state, "metrics/cond_seen"))
-    return _train_run(bundle, out_dir, start, opt, metrics, log)[0]
+    bank = _image_bank(bundle)
+    with run_lock(out_dir):
+        write_resolved_config(out_dir, resolved_text(cfg))
+        return train_steps(bundle, bank, out_dir, start_step=start, opt=opt,
+                           metrics=metrics)[0]
 
 
-def zero_shot_route(ckpt_path_or_bundle, instruction_text: str) -> GatedCoefficients:
+def zero_shot_route(bundle: ModelBundle, instruction_text: str) -> GatedCoefficients:
     """Route a novel instruction through a trained gate; no updates."""
-    bundle = ckpt_path_or_bundle
-    if not isinstance(bundle, ModelBundle):
-        bundle = restore_bundle(bundle)
     enc = InstructionEncoder(bundle.cfg.encoder_seed, bundle.cfg.embed_dim)
     with T.no_grad():
         alpha = route(bundle.gate, enc.encode(instruction_text))
         return topk_select(alpha, bundle.gate)
-
-
-def adapt_few_shot(cfg: RunConfig, base_ckpt, out_dir, log=None) -> str:
-    """Train fresh tailors on a high-shift condition; everything else frozen."""
-    return _train_run(build_adapt_bundle(cfg, base_ckpt), out_dir, log=log)[0]
-
-
-def train_scratch(cfg: RunConfig, out_dir, log=None) -> str:
-    """Adaptation control: same trainable set, random frozen base."""
-    if cfg.mode != "scratch":
-        raise ContractError("train_scratch requires mode = scratch")
-    return _train_run(_fresh_bundle(cfg), out_dir, log=log)[0]
 
 
 # ----------------------------------------------------------------------
@@ -549,8 +536,7 @@ def _l_diff(run_dir) -> list:
     return [row[col] for row in rows]
 
 
-def run_ablation(cfg: RunConfig, out_dir, eval_samples: int | None = None,
-                 log=None) -> dict:
+def run_ablation(cfg: RunConfig, out_dir, eval_samples: int | None = None) -> dict:
     """Train the three ablation arms under identical seeds and batches."""
     arm_cfgs = {arm: ablation_arm_config(cfg, arm) for arm in ABLATION_ARMS}
     if not audit_batch_streams(list(arm_cfgs.values())):
@@ -559,10 +545,7 @@ def run_ablation(cfg: RunConfig, out_dir, eval_samples: int | None = None,
               "arms": {}}
     for arm, arm_cfg in arm_cfgs.items():
         arm_dir = os.path.join(out_dir, arm)
-        if log:
-            log(f"[ablation] training arm '{arm}'")
-        bundle = build_diversion_bundle(arm_cfg)
-        _train_run(bundle, arm_dir, log=log)
+        bundle = restore_bundle(train(arm_cfg, arm_dir))
         l_diff = _l_diff(arm_dir)
         arm_out = {
             "final_100_mean_l_diff": float(np.mean(l_diff[-100:])),
@@ -574,7 +557,7 @@ def run_ablation(cfg: RunConfig, out_dir, eval_samples: int | None = None,
     return report
 
 
-def sweep_repa(cfg: RunConfig, depths, lambdas, out_dir, log=None) -> dict:
+def sweep_repa(cfg: RunConfig, depths, lambdas, out_dir) -> dict:
     """Short run per (alignment depth, weight) cell; marks the argmin cell.
 
     The best cell is reported as observed at this scale and carries no
@@ -590,10 +573,7 @@ def sweep_repa(cfg: RunConfig, depths, lambdas, out_dir, log=None) -> dict:
     best, best_key = None, None
     for d, lam, cell_cfg in cells:
         cell_dir = os.path.join(out_dir, f"depth{d}_lambda{lam}")
-        if log:
-            log(f"[sweep] depth={d} lambda={lam}")
-        bundle = build_diversion_bundle(cell_cfg)
-        _train_run(bundle, cell_dir, log=log)
+        bundle = restore_bundle(train(cell_cfg, cell_dir))
         final = float(np.mean(_l_diff(cell_dir)[-100:]))
         ev = evaluate_bundle(bundle, n_samples=min(32, cfg.eval_samples),
                              sample_images=False)

@@ -1,6 +1,6 @@
-"""Run lifecycle at micro scale: resume after a crash, missing checkpoint
-blocks, the non-finite guard, the per-step loss arithmetic and the
-sweep's up-front config check."""
+"""Run lifecycle at micro scale: resume after a crash in every mode, the
+base-checkpoint contract, missing checkpoint blocks, the non-finite guard,
+the per-step loss arithmetic and the sweep's up-front config check."""
 
 import json
 import os
@@ -12,7 +12,6 @@ import pytest
 from divcontrol import tensor as T
 from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint, save_checkpoint
-from divcontrol.conditions import DatasetBank
 from divcontrol.errors import CheckpointError, ConfigError, ContractError, NumericError
 from divcontrol.optim import lr_at
 from divcontrol.runio import read_metrics
@@ -22,24 +21,37 @@ from divcontrol.verify import micro_config
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     cfg = micro_config(0).replace(steps=3)
-    return cfg, training.train_diversion(cfg, tmp_path_factory.mktemp("run"))
+    return cfg, training.train(cfg, tmp_path_factory.mktemp("run"))
 
 
-def test_resume_after_crash_matches_straight_run(tmp_path):
-    cfg = micro_config(0).replace(steps=160)
-    straight = training.train_diversion(cfg, tmp_path / "straight")
+@pytest.mark.parametrize("mode", ["diversion", "adapt_frozen", "scratch"])
+def test_resume_after_crash_matches_straight_run(trained, tmp_path, monkeypatch, mode):
+    cfg = micro_config(0).replace(mode=mode, steps=160, adapt_steps=160,
+                                  adapt_images=4, adapt_n_tailor=2, adapt_top_k=1)
+    base = trained[1] if mode == "adapt_frozen" else None
+    straight = training.train(cfg, tmp_path / "straight", base_ckpt=base)
 
     # a run checkpoints at step 100, goes on to step 150 and dies there
     run = tmp_path / "crashed"
-    bundle = training.build_diversion_bundle(cfg)
-    bank = DatasetBank(cfg.seed, cfg.dataset_size, bundle.specs, cfg.image_size)
+    bundle = (training.build_adapt_bundle(cfg, base) if base
+              else training._fresh_bundle(cfg))
+    bank = training._image_bank(bundle)
     opt = training._new_optimizer(bundle)
     ckpt, metrics = training.train_steps(bundle, bank, run, stop_step=100, opt=opt)
     shutil.copy(ckpt, tmp_path / "step100.divc")
     training.train_steps(bundle, bank, run, start_step=100, stop_step=150,
                          opt=opt, metrics=metrics)
     assert len(read_metrics(run)[1]) == 150
-    resumed = training.train_diversion(cfg, run, resume=str(tmp_path / "step100.divc"))
+    starts, train_steps = [], training.train_steps
+
+    def spy(*args, start_step, **kw):
+        starts.append(start_step)
+        return train_steps(*args, start_step=start_step, **kw)
+
+    monkeypatch.setattr(training, "train_steps", spy)
+    resumed = training.train(cfg, run, base_ckpt=base,
+                             resume=str(tmp_path / "step100.divc"))
+    assert starts == [100]   # steps 1..100 come from the checkpoint, not a rerun
 
     assert (run / "metrics.csv").read_text() == \
         (tmp_path / "straight" / "metrics.csv").read_text()
@@ -71,7 +83,7 @@ def test_resume_without_metrics_block_raises_checkpoint_error(trained, tmp_path,
     del state.arrays[key]
     save_checkpoint(tmp_path / "ckpt.divc", state)
     with pytest.raises(CheckpointError, match=key):
-        training.train_diversion(cfg, tmp_path / "run", resume=str(tmp_path / "ckpt.divc"))
+        training.train(cfg, tmp_path / "run", resume=str(tmp_path / "ckpt.divc"))
 
 
 @pytest.mark.parametrize("loss_name", ["diffusion_loss", "repa_loss"])
@@ -83,7 +95,7 @@ def test_non_finite_logged_loss_stops_the_run(tmp_path, monkeypatch, loss_name):
     cfg = micro_config(0).replace(steps=3, lambda_repa=0.0)
     try:
         with pytest.raises(NumericError):
-            training.train_diversion(cfg, tmp_path)
+            training.train(cfg, tmp_path)
         assert T.tape_size() == 0   # the abandoned step's nodes are freed
     finally:
         T.clear_tape()
@@ -93,7 +105,7 @@ def test_non_finite_logged_loss_stops_the_run(tmp_path, monkeypatch, loss_name):
 def test_logged_l_total_is_l_diff_plus_weighted_l_repa(tmp_path):
     for lam in (0.05, 0.0):
         run = tmp_path / f"lambda{lam}"
-        training.train_diversion(micro_config(0).replace(steps=5, lambda_repa=lam), run)
+        training.train(micro_config(0).replace(steps=5, lambda_repa=lam), run)
         header, rows = read_metrics(run)
         col = {name: i for i, name in enumerate(header)}
         for row in rows:
@@ -107,7 +119,7 @@ def test_alignment_head_only_decays_at_lambda_zero(tmp_path):
     # the decoupled weight decay moves the parameters
     cfg = micro_config(0).replace(steps=40, dropout=0.1, lambda_repa=0.0)
     init = training.build_diversion_bundle(cfg).params()
-    state = load_checkpoint(training.train_diversion(cfg, tmp_path))
+    state = load_checkpoint(training.train(cfg, tmp_path))
     sched = cfg.schedule()
     names = [name for name in init if name.startswith("repa.")]
     assert names
@@ -124,11 +136,14 @@ def test_adaptation_needs_a_diversion_base_and_scratch_mode(trained, tmp_path):
     cfg, ckpt = trained
     acfg = cfg.replace(mode="adapt_frozen", adapt_steps=2, adapt_images=4,
                        adapt_n_tailor=2, adapt_top_k=1)
-    adapted = training.adapt_few_shot(acfg, ckpt, tmp_path / "adapt")
+    adapted = training.train(acfg, tmp_path / "adapt", base_ckpt=ckpt)
     with pytest.raises(ContractError, match="diversion-mode base"):
         training.build_adapt_bundle(acfg, adapted)
-    with pytest.raises(ContractError, match="mode = scratch"):
-        training.train_scratch(cfg, tmp_path / "scratch")
+    # a base checkpoint is given exactly when mode = adapt_frozen
+    for mode, base in [("diversion", ckpt), ("scratch", ckpt), ("adapt_frozen", None)]:
+        with pytest.raises(ContractError, match=f"mode is {mode}"):
+            training.train(acfg.replace(mode=mode), tmp_path / mode, base_ckpt=base)
+        assert not os.path.exists(tmp_path / mode)
 
 
 def test_adaptation_refuses_a_config_that_reshapes_the_base(trained, tmp_path):
@@ -138,7 +153,7 @@ def test_adaptation_refuses_a_config_that_reshapes_the_base(trained, tmp_path):
     acfg = cfg.replace(mode="adapt_frozen", n_learngene=6, adapt_steps=2,
                        adapt_images=4, adapt_n_tailor=2, adapt_top_k=1)
     with pytest.raises(ContractError, match="n_learngene = 6 .base: 4."):
-        training.adapt_few_shot(acfg, ckpt, tmp_path / "adapt")
+        training.train(acfg, tmp_path / "adapt", base_ckpt=ckpt)
     assert not os.path.exists(tmp_path / "adapt" / "checkpoint.divc")
 
 

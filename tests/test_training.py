@@ -6,6 +6,7 @@ tolerance, 1e-12 + 1e-8 * |ref|, and any change to the loss trajectory
 shows up here.
 """
 
+import json
 import os
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint
-from divcontrol.config import resolved_text
+from divcontrol.config import config_digest, resolve_config, resolved_text
 from divcontrol.runio import read_metrics
 from divcontrol.verify import micro_config
 
@@ -69,9 +70,18 @@ def column(run_dir, name):
     return [row[header.index(name)] for row in rows]
 
 
+def assert_one_config(run_dir, ckpt_path):
+    # the checkpoint, resolved-config.txt and summary.json record one config
+    digest = load_checkpoint(ckpt_path).config_digest
+    text = (run_dir / "resolved-config.txt").read_text()
+    assert config_digest(resolve_config(text)) == digest
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert bytes.fromhex(summary["config_digest"]) == digest
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Run the three training entry points and keep the bundle each trained."""
+    """Train in the three modes and keep the bundle each run trained."""
     root = tmp_path_factory.mktemp("runs")
     trained = {}
     train_steps = training.train_steps
@@ -83,11 +93,10 @@ def runs(tmp_path_factory):
     cfg = micro()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "train_steps", spy)
-        ckpt = {"diversion": training.train_diversion(cfg, root / "diversion")}
-        ckpt["adapt"] = training.adapt_few_shot(
-            cfg.replace(mode="adapt_frozen"), ckpt["diversion"], root / "adapt")
-        ckpt["scratch"] = training.train_scratch(cfg.replace(mode="scratch"),
-                                                 root / "scratch")
+        ckpt = {"diversion": training.train(cfg, root / "diversion")}
+        ckpt["adapt"] = training.train(cfg.replace(mode="adapt_frozen"),
+                                       root / "adapt", base_ckpt=ckpt["diversion"])
+        ckpt["scratch"] = training.train(cfg.replace(mode="scratch"), root / "scratch")
     return root, ckpt, trained
 
 
@@ -99,6 +108,7 @@ def test_train_diversion_trajectory_and_run_files(runs):
     assert_pinned(float(np.mean(l_total)), REF["diversion_mean_l_total"])
     assert (root / "diversion" / "resolved-config.txt").read_text() == resolved_text(micro())
     assert load_checkpoint(ckpt["diversion"]).step == STEPS
+    assert_one_config(root / "diversion", ckpt["diversion"])
 
 
 @pytest.mark.parametrize("name, mode", [("adapt", "adapt_frozen"),
@@ -113,6 +123,7 @@ def test_adaptation_runs_trajectory_and_run_files(runs, name, mode):
     assert (root / name / "resolved-config.txt").read_text() == \
         resolved_text(micro(mode=mode))
     assert load_checkpoint(ckpt[name]).step == ADAPT_STEPS
+    assert_one_config(root / name, ckpt[name])
 
 
 @pytest.mark.parametrize("name", ["diversion", "adapt", "scratch"])
@@ -155,13 +166,16 @@ def test_optimizer_arrays_share_no_memory(runs, source):
 
 def test_zero_shot_route_pinned(runs):
     _, ckpt, _ = runs
-    coeffs = training.zero_shot_route(ckpt["diversion"], "sobel edge outline")
+    bundle = training.restore_bundle(ckpt["diversion"])
+    gate = bundle.gate
+    before = [gate.balance_bias.copy(), gate.usage_count.copy(), gate.batch_count.copy()]
+    coeffs = training.zero_shot_route(bundle, "sobel edge outline")
     assert coeffs.active_set == REF["route_active_set"]
     for value, ref in zip(coeffs.g.data, REF["route_g"], strict=True):
         assert_pinned(float(value), ref)
-    again = training.zero_shot_route(training.restore_bundle(ckpt["diversion"]),
-                                     "sobel edge outline")
-    assert np.array_equal(again.g.data, coeffs.g.data)
+    # routing a novel instruction updates nothing
+    after = [gate.balance_bias, gate.usage_count, gate.batch_count]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_run_ablation_pinned(tmp_path):
