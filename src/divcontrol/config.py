@@ -75,6 +75,24 @@ class RunConfig:
                 raise ConfigError(f"'{f.name}' must be {f.type}, not {value!r}")
         if self.mode not in ("diversion", "adapt_frozen", "scratch"):
             raise ConfigError(f"unknown mode '{self.mode}'")
+        # values a run cannot use (NaN included) fail here, before a run
+        # directory is made
+        if not self.lr > 0:
+            raise ConfigError("lr must be > 0")
+        if not 0 < self.lr_factor <= 1:
+            raise ConfigError("lr_factor must lie in (0, 1]")
+        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
+            raise ConfigError("adam_beta1 and adam_beta2 must lie in (0, 1)")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight_decay must be >= 0")
+        if not 0 <= self.dropout < 1:
+            raise ConfigError("dropout must lie in [0, 1)")
+        if min(self.steps, self.adapt_steps) < 0:
+            raise ConfigError("steps and adapt_steps must be >= 0")
+        if min(self.batch_size, self.dataset_size, self.adapt_images,
+               self.eval_samples) < 1:
+            raise ConfigError("batch_size, dataset_size, adapt_images and "
+                              "eval_samples must be >= 1")
         if self.lambda_repa < 0:
             raise ConfigError("lambda_repa must be >= 0")
         if self.image_size % self.patch_size != 0:

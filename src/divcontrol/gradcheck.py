@@ -2,8 +2,14 @@
 
 ``finite_diff_check`` compares the tape's analytic gradients against
 central differences coordinate by coordinate and reports the worst
-relative error. The registered case list below covers every
-differentiable primitive plus composite paths; ``run_op_suite`` runs it.
+relative error.
+
+``OP_CASES`` is the table of registered cases: one row per case, naming
+its inputs in draw order and its loss. Together the rows record every
+function in ``tensor`` that puts a node on the tape, plus composite
+paths. ``build_case`` turns a row into a loss closure and the inputs that
+need a gradient, drawing the inputs from the case's own stream;
+``run_op_suite`` checks every row.
 """
 
 from __future__ import annotations
@@ -91,215 +97,112 @@ def finite_diff_check(f, params, h: float = 1e-5, tol: float = 1e-5,
 # registered differentiable-op cases
 # ----------------------------------------------------------------------
 
-def _rand(rngen, *shape):
-    return Tensor(rngen.standard_normal(shape), requires_grad=True)
+def _leaf(make):
+    """An input drawn by ``make(stream)`` that needs a gradient."""
+    return lambda rngen: Tensor(make(rngen), requires_grad=True)
 
 
-def _case_elementwise(rngen):
-    a = _rand(rngen, 3, 4)
-    b = _rand(rngen, 3, 4)
-    c = _rand(rngen, 4)
-
-    def f():
-        y = (a * b + c - a / (T.exp(b) + 2.0)) * 0.5
-        return T.sum_(y * y)
-
-    return f, {"a": a, "b": b, "c": c}
+def _const(*shape):
+    """A standard-normal input that needs no gradient."""
+    return lambda rngen: Tensor(rngen.standard_normal(shape))
 
 
-def _case_matmul(rngen):
-    a = _rand(rngen, 3, 4)
-    b = _rand(rngen, 4, 5)
-
-    def f():
-        return T.sum_(T.matmul(a, b))
-
-    return f, {"a": a, "b": b}
+def _sq(y):
+    return y * y
 
 
-def _case_batched_matmul(rngen):
-    a = _rand(rngen, 2, 3, 4)
-    b = _rand(rngen, 4, 5)
-    c = _rand(rngen, 2, 5, 3)
+# tailor 1 is inactive in every row of the factorized_linear case's
+# per-row coefficients, and tailor 2 in one row
+_ACTIVE = np.array([[[1.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]]])
 
-    def f():
-        y = T.matmul(T.matmul(a, b), c)
-        return T.mean_(y * y)
-
-    return f, {"a": a, "b": b, "c": c}
-
-
-def _case_linear(rngen):
-    x = _rand(rngen, 2, 5, 4)
-    w = _rand(rngen, 3, 4)
-
-    def f():
-        return T.sum_(T.tanh(T.linear(x, w)))
-
-    return f, {"x": x, "w": w}
-
-
-def _case_softmax_dot(rngen):
-    z = _rand(rngen, 6)
-    v = _rand(rngen, 6)
-
-    def f():
-        return T.dot(T.softmax(z), v)
-
-    return f, {"z": z, "v": v}
-
-
-def _case_softmax_axes(rngen):
-    z = _rand(rngen, 2, 3, 4)
-    w = _rand(rngen, 2, 3, 4)
-
-    def f():
-        return T.sum_(T.softmax(z, axis=-1) * w)
-
-    return f, {"z": z, "w": w}
-
-
-def _case_layer_norm(rngen):
-    x = _rand(rngen, 3, 5)
-    g = Tensor(1.0 + 0.1 * rngen.standard_normal(5), requires_grad=True)
-    b = _rand(rngen, 5)
-
-    def f():
-        y = T.layer_norm(x, g, b)
-        return T.sum_(y * y)
-
-    return f, {"x": x, "g": g, "b": b}
-
-
-def _case_gelu(rngen):
-    x = _rand(rngen, 4, 4)
-
-    def f():
-        return T.mean_(T.gelu(x))
-
-    return f, {"x": x}
-
-
-def _case_reductions(rngen):
-    x = _rand(rngen, 3, 4)
-
-    def f():
-        a = T.sum_(x, axis=0)
-        m = T.mean_(x, axis=1, keepdims=True)
-        return T.sum_(a) + T.sum_(x * m)
-
-    return f, {"x": x}
-
-
-def _case_shape_ops(rngen):
-    x = _rand(rngen, 2, 6)
-    y = _rand(rngen, 3, 4)
-
-    def f():
-        r = T.reshape(x, (3, 4))
-        c = T.concat([r, y], axis=0)
-        return T.sum_(T.transpose2(c) * 0.5)
-
-    return f, {"x": x, "y": y}
-
-
-def _case_gather(rngen):
-    table = _rand(rngen, 5, 3)
-    idx = np.array([0, 2, 2, 4])
-
-    def f():
-        rows = T.gather_rows(table, idx)
-        return T.sum_(rows * rows)
-
-    return f, {"table": table}
-
-
-def _case_sqrt_log_clamp(rngen):
-    x = Tensor(np.abs(rngen.standard_normal((3, 3))) + 0.5, requires_grad=True)
-
-    def f():
-        return T.sum_(T.sqrt(x) + T.log(x) + T.clamp_min(x, 0.1))
-
-    return f, {"x": x}
-
-
-def _case_chain(rngen):
+# name -> (inputs in draw order, loss). An input is a shape, drawn as a
+# standard-normal leaf that needs a gradient, or a callable that makes its
+# tensor from the case's stream. The loss takes the inputs by name.
+OP_CASES = {
+    "elementwise": (
+        {"a": (3, 4), "b": (3, 4), "c": (4,)},
+        lambda a, b, c: T.sum_(_sq((a * b + c - a / (T.exp(b) + 2.0)) * 0.5))),
+    "neg": (
+        {"x": (3, 4), "w": _const(3, 4)},
+        lambda x, w: T.sum_(T.neg(x) * w)),
+    "matmul": (
+        {"a": (3, 4), "b": (4, 5)},
+        lambda a, b: T.sum_(T.matmul(a, b))),
+    "batched_matmul": (
+        {"a": (2, 3, 4), "b": (4, 5), "c": (2, 5, 3)},
+        lambda a, b, c: T.mean_(_sq(T.matmul(T.matmul(a, b), c)))),
+    "linear": (
+        {"x": (2, 5, 4), "w": (3, 4)},
+        lambda x, w: T.sum_(T.tanh(T.linear(x, w)))),
+    "softmax_dot": (
+        {"z": (6,), "v": (6,)},
+        lambda z, v: T.dot(T.softmax(z), v)),
+    "softmax_axes": (
+        {"z": (2, 3, 4), "w": (2, 3, 4)},
+        lambda z, w: T.sum_(T.softmax(z, axis=-1) * w)),
+    "layer_norm": (
+        {"x": (3, 5), "g": _leaf(lambda r: 1.0 + 0.1 * r.standard_normal(5)),
+         "b": (5,)},
+        lambda x, g, b: T.sum_(_sq(T.layer_norm(x, g, b)))),
+    "gelu": (
+        {"x": (4, 4)},
+        lambda x: T.mean_(T.gelu(x))),
+    "reductions": (
+        {"x": (3, 4)},
+        lambda x: (T.sum_(T.sum_(x, axis=0))
+                   + T.sum_(x * T.mean_(x, axis=1, keepdims=True)))),
+    "shape_ops": (
+        {"x": (2, 6), "y": (3, 4)},
+        lambda x, y: T.sum_(
+            T.transpose2(T.concat([T.reshape(x, (3, 4)), y], axis=0)) * 0.5)),
+    "gather_rows": (
+        {"table": (5, 3)},
+        lambda table: T.sum_(_sq(T.gather_rows(table, np.array([0, 2, 2, 4]))))),
+    "sqrt_log_clamp": (
+        {"x": _leaf(lambda r: np.abs(r.standard_normal((3, 3))) + 0.5)},
+        lambda x: T.sum_(T.sqrt(x) + T.log(x) + T.clamp_min(x, 0.1))),
     # matmul -> softmax -> dot, the classic composite
-    w = _rand(rngen, 4, 4)
-    x = Tensor(rngen.standard_normal(4))
-    v = _rand(rngen, 4)
-
-    def f():
-        z = T.matmul(T.reshape(x, (1, 4)), w)
-        return T.dot(T.softmax(T.reshape(z, (4,))), v)
-
-    return f, {"w": w, "v": v}
-
-
-def _case_factorized_linear(rngen):
-    # per-row (B, 1, n_tailor) coefficients, tailor 1 inactive in every row
-    # and tailor 2 in one row. The output is linear in each input, so a loss
-    # linear in the output makes central differences exact up to round-off.
-    x = _rand(rngen, 2, 3, 5)
-    u_g, s_g, v_g = _rand(rngen, 4, 2), _rand(rngen, 2), _rand(rngen, 5, 2)
-    u_t, s_t, v_t = _rand(rngen, 4, 3), _rand(rngen, 3), _rand(rngen, 5, 3)
-    active = np.array([[[1.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]]])
-    c = Tensor(rngen.standard_normal((2, 1, 3)) * active, requires_grad=True)
-    w = Tensor(rngen.standard_normal((2, 3, 4)))
-
-    def f():
-        y = T.factorized_linear(x, u_g, s_g, v_g, u_t, s_t, v_t, c)
-        return T.sum_(y * w)
-
-    return f, {"x": x, "u_g": u_g, "s_g": s_g, "v_g": v_g,
-               "u_t": u_t, "s_t": s_t, "v_t": v_t, "c": c}
+    "chain": (
+        {"w": (4, 4), "x": _const(4), "v": (4,)},
+        lambda w, x, v: T.dot(
+            T.softmax(T.reshape(T.matmul(T.reshape(x, (1, 4)), w), (4,))), v)),
+    # the output is linear in each input, so a loss linear in the output
+    # makes central differences exact up to round-off
+    "factorized_linear": (
+        {"x": (2, 3, 5), "u_g": (4, 2), "s_g": (2,), "v_g": (5, 2),
+         "u_t": (4, 3), "s_t": (3,), "v_t": (5, 3),
+         "c": _leaf(lambda r: r.standard_normal((2, 1, 3)) * _ACTIVE),
+         "w": _const(2, 3, 4)},
+        lambda x, u_g, s_g, v_g, u_t, s_t, v_t, c, w: T.sum_(
+            T.factorized_linear(x, u_g, s_g, v_g, u_t, s_t, v_t, c) * w)),
+    "factorized_learngene": (
+        {"x": (3, 5), "u_g": (4, 3), "s_g": (3,), "v_g": (5, 3)},
+        lambda x, u_g, s_g, v_g: T.sum_(_sq(T.factorized_linear(x, u_g, s_g, v_g)))),
+    "attention": (
+        {"q": (2, 4, 3), "k": (2, 4, 3), "v": (2, 4, 2), "w": _const(2, 4, 2)},
+        lambda q, k, v, w: T.sum_(T.attention(q, k, v, 0.7) * w)),
+}
 
 
-def _case_factorized_learngene(rngen):
-    x = _rand(rngen, 3, 5)
-    u_g, s_g, v_g = _rand(rngen, 4, 3), _rand(rngen, 3), _rand(rngen, 5, 3)
+def build_case(name: str, rngen: np.random.Generator):
+    """Draw the inputs of ``OP_CASES[name]`` from ``rngen`` in table order.
 
-    def f():
-        y = T.factorized_linear(x, u_g, s_g, v_g)
-        return T.sum_(y * y)
-
-    return f, {"x": x, "u_g": u_g, "s_g": s_g, "v_g": v_g}
-
-
-def _case_attention(rngen):
-    q, k, v = _rand(rngen, 2, 4, 3), _rand(rngen, 2, 4, 3), _rand(rngen, 2, 4, 2)
-    w = Tensor(rngen.standard_normal((2, 4, 2)))
-
-    def f():
-        return T.sum_(T.attention(q, k, v, 0.7) * w)
-
-    return f, {"q": q, "k": k, "v": v}
-
-
-OP_CASES = [
-    ("elementwise", _case_elementwise),
-    ("matmul", _case_matmul),
-    ("batched_matmul", _case_batched_matmul),
-    ("linear", _case_linear),
-    ("softmax_dot", _case_softmax_dot),
-    ("softmax_axes", _case_softmax_axes),
-    ("layer_norm", _case_layer_norm),
-    ("gelu", _case_gelu),
-    ("reductions", _case_reductions),
-    ("shape_ops", _case_shape_ops),
-    ("gather_rows", _case_gather),
-    ("sqrt_log_clamp", _case_sqrt_log_clamp),
-    ("chain", _case_chain),
-    ("factorized_linear", _case_factorized_linear),
-    ("factorized_learngene", _case_factorized_learngene),
-    ("attention", _case_attention),
-]
+    Returns ``(f, params)``: ``f()`` evaluates the case's loss on the drawn
+    inputs, and ``params`` maps each input that needs a gradient to its
+    tensor.
+    """
+    spec, loss = OP_CASES[name]
+    inputs = {k: make(rngen) if callable(make)
+              else Tensor(rngen.standard_normal(make), requires_grad=True)
+              for k, make in spec.items()}
+    params = {k: t for k, t in inputs.items() if t.requires_grad}
+    return (lambda: loss(**inputs)), params
 
 
 def run_op_suite(seed: int = 0, h: float = 1e-5, tol: float = 1e-5) -> dict:
     """Run every registered op case; returns name -> GradCheckReport."""
     out = {}
-    for name, builder in OP_CASES:
-        f, params = builder(stream(seed, "gradcheck", name))
+    for name in OP_CASES:
+        f, params = build_case(name, stream(seed, "gradcheck", name))
         out[name] = finite_diff_check(f, params, h=h, tol=tol)
     return out

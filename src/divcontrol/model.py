@@ -106,7 +106,8 @@ class DenoiserNet:
         return out
 
 
-PROJECTION_TAGS = ("q", "k", "v", "o", "in", "out")
+# the block keys of a ControlBranch layer's six factorized projections
+PROJECTION_KEYS = ("fw_q", "fw_k", "fw_v", "fw_o", "fw_in", "fw_out")
 
 
 class ControlBranch:
@@ -145,7 +146,7 @@ class ControlBranch:
 
     def factorized_weights(self):
         for blk in self.blocks:
-            for key in ("fw_q", "fw_k", "fw_v", "fw_o", "fw_in", "fw_out"):
+            for key in PROJECTION_KEYS:
                 yield blk[key]
 
     def tensors(self) -> dict:

@@ -47,6 +47,7 @@ from .model import (
     ControlBranch,
     DenoiserNet,
     NoiseSchedule,
+    PROJECTION_KEYS,
     RepaHead,
     branch_forward,
     count_parameters,
@@ -140,7 +141,7 @@ def _adaptation_surgery(base: ModelBundle, cfg: RunConfig) -> ModelBundle:
         t.requires_grad = False
     branch = base.branch
     for li, blk in enumerate(branch.blocks):
-        for key in ("fw_q", "fw_k", "fw_v", "fw_o", "fw_in", "fw_out"):
+        for key in PROJECTION_KEYS:
             blk[key] = _fresh_tailor_bank(blk[key], cfg, f"l{li}.{key}")
     branch.n_tailor = cfg.adapt_n_tailor
     gate = GateState(

@@ -57,7 +57,14 @@ def test_parsers_follow_field_annotations():
 
 def test_config_invariants():
     for bad in (dict(image_size=10, patch_size=4), dict(repa_layer=9),
-                dict(repa_layer=0), dict(mlp_hidden=32, token_dim=64)):
+                dict(repa_layer=0), dict(mlp_hidden=32, token_dim=64),
+                # values that used to fail only inside training.train
+                dict(lr=0.0), dict(lr=-1e-3), dict(lr_factor=2.0),
+                dict(lr_factor=0.0), dict(adam_beta1=1.0), dict(adam_beta1=0.0),
+                dict(adam_beta2=1.0), dict(adam_beta2=0.0),
+                dict(weight_decay=-0.1), dict(dropout=1.0), dict(dropout=-0.1),
+                dict(steps=-5), dict(adapt_steps=-1), dict(batch_size=0),
+                dict(dataset_size=0), dict(adapt_images=0), dict(eval_samples=0)):
         text = "".join(f"{k} = {v}\n" for k, v in bad.items())
         with pytest.raises(ConfigError):
             resolve_config(text)
@@ -65,6 +72,9 @@ def test_config_invariants():
             resolve_config(overrides=bad)
         with pytest.raises(ConfigError):
             resolve_config().replace(**bad)
+    # the edges of those ranges still build
+    resolve_config(overrides=dict(lr_factor=1.0, dropout=0.0, weight_decay=0.0,
+                                  steps=0, adapt_steps=0, batch_size=1))
     # callers that catch the package's contract errors still catch these
     assert issubclass(ConfigError, ContractError)
 

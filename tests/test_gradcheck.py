@@ -1,7 +1,10 @@
+import ast
+import inspect
+
 import numpy as np
 
 from divcontrol import tensor as T
-from divcontrol.gradcheck import finite_diff_check, run_op_suite
+from divcontrol.gradcheck import OP_CASES, build_case, finite_diff_check, run_op_suite
 from divcontrol.rng import stream
 from divcontrol.tensor import Tensor
 
@@ -50,17 +53,35 @@ def test_all_registered_ops_pass():
 
 
 def test_property_random_shapes_100_seeds():
-    # every differentiable op under randomized small shapes, >= 100 seeds
-    from divcontrol.gradcheck import OP_CASES
-
+    # every registered case at its fixed shapes, with input values drawn
+    # from a different stream for each of >= 100 seeds
     failures = []
     for seed in range(100):
-        name, builder = OP_CASES[seed % len(OP_CASES)]
-        f, params = builder(stream(seed, "prop", name))
+        name = list(OP_CASES)[seed % len(OP_CASES)]
+        f, params = build_case(name, stream(seed, "prop", name))
         rep = finite_diff_check(f, params, h=1e-5, tol=1e-5)
         if not rep.passed:
             failures.append((seed, name, rep.max_rel_err))
     assert not failures, failures
+
+
+def test_every_taped_primitive_has_a_case():
+    # the tensor functions that call _record, read from the module source
+    tree = ast.parse(inspect.getsource(T))
+    taped = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             and any(isinstance(n, ast.Call)
+                     and getattr(n.func, "id", None) == "_record"
+                     for n in ast.walk(fn))}
+    assert {"neg", "factorized_linear", "attention"} <= taped
+    recorded = set()
+    for name in OP_CASES:
+        f, _ = build_case(name, stream(0, "gradcheck", name))
+        T.clear_tape()
+        f()
+        # a VJP defined inside tensor.neg has __qualname__ "neg.<locals>..."
+        recorded |= {vjp.__qualname__.split(".")[0] for _, _, vjp in T._TAPE.nodes}
+        T.clear_tape()
+    assert taped - recorded == set()
 
 
 def test_coordinate_subsampling_is_deterministic():
