@@ -93,8 +93,17 @@ class RunConfig:
                self.eval_samples) < 1:
             raise ConfigError("batch_size, dataset_size, adapt_images and "
                               "eval_samples must be >= 1")
-        if self.lambda_repa < 0:
+        if min(self.timesteps, self.patch_size) < 1:
+            raise ConfigError("timesteps and patch_size must be >= 1")
+        if not self.lambda_repa >= 0:
             raise ConfigError("lambda_repa must be >= 0")
+        if min(self.n_learngene, self.n_tailor, self.adapt_n_tailor) < 0:
+            raise ConfigError("n_learngene, n_tailor and adapt_n_tailor "
+                              "must be >= 0")
+        if not (0 <= self.top_k <= self.n_tailor
+                and 0 <= self.adapt_top_k <= self.adapt_n_tailor):
+            raise ConfigError("top_k must lie in [0, n_tailor] and adapt_top_k "
+                              "in [0, adapt_n_tailor]")
         if self.image_size % self.patch_size != 0:
             raise ConfigError("image_size must be divisible by patch_size")
         if not 1 <= self.repa_layer <= self.controlnet_layers:

@@ -18,7 +18,7 @@ from . import tensor as T
 from .errors import ContractError, InvalidInputError
 from .factorized import GatedCoefficients
 from .rng import stream
-from .tensor import Tensor, cosine_similarity
+from .tensor import Tensor
 
 VOCAB_HASH_SIZE = 4096
 
@@ -176,6 +176,20 @@ def compose_multi_condition(gate: GateState, embeddings) -> GatedCoefficients:
         logits = T.add(logits, gate_logits(gate, e))
     alpha = T.softmax(T.mul(logits, 1.0 / len(embeddings)))
     return topk_select(alpha, gate)
+
+
+def cosine_similarity(a, b) -> float:
+    """Cosine of the angle between two equal-length vectors, in [-1, 1].
+
+    A pair with a zero-norm vector is defined to have similarity 0.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
+        raise ContractError("cosine_similarity expects two equal-length vectors")
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def similarity_matrix(gate: GateState, embeddings) -> np.ndarray:

@@ -5,11 +5,12 @@ central differences coordinate by coordinate and reports the worst
 relative error.
 
 ``OP_CASES`` is the table of registered cases: one row per case, naming
-its inputs in draw order and its loss. Together the rows record every
-function in ``tensor`` that puts a node on the tape, plus composite
-paths. ``build_case`` turns a row into a loss closure and the inputs that
-need a gradient, drawing the inputs from the case's own stream;
-``run_op_suite`` checks every row.
+its inputs in draw order and its loss. Together the rows record exactly
+the primitives the model records, which are all the functions in
+``tensor`` that put a node on the tape, plus composite paths.
+``build_case`` turns a row into a loss closure and the inputs that need a
+gradient, drawing the inputs from the case's own stream; ``run_op_suite``
+checks every row.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _const(*shape):
 
 
 def _sq(y):
-    return y * y
+    return T.mul(y, y)
 
 
 # tailor 1 is inactive in every row of the factorized_linear case's
@@ -121,25 +122,20 @@ _ACTIVE = np.array([[[1.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]]])
 OP_CASES = {
     "elementwise": (
         {"a": (3, 4), "b": (3, 4), "c": (4,)},
-        lambda a, b, c: T.sum_(_sq((a * b + c - a / (T.exp(b) + 2.0)) * 0.5))),
+        lambda a, b, c: T.sum_(_sq(T.mul(T.sub(
+            T.add(T.mul(a, b), c), T.div(a, T.add(T.mul(b, b), 2.0))), 0.5)))),
     "neg": (
         {"x": (3, 4), "w": _const(3, 4)},
-        lambda x, w: T.sum_(T.neg(x) * w)),
-    "matmul": (
-        {"a": (3, 4), "b": (4, 5)},
-        lambda a, b: T.sum_(T.matmul(a, b))),
-    "batched_matmul": (
-        {"a": (2, 3, 4), "b": (4, 5), "c": (2, 5, 3)},
-        lambda a, b, c: T.mean_(_sq(T.matmul(T.matmul(a, b), c)))),
+        lambda x, w: T.sum_(T.mul(T.neg(x), w))),
     "linear": (
         {"x": (2, 5, 4), "w": (3, 4)},
         lambda x, w: T.sum_(T.tanh(T.linear(x, w)))),
     "softmax_dot": (
         {"z": (6,), "v": (6,)},
-        lambda z, v: T.dot(T.softmax(z), v)),
+        lambda z, v: T.sum_(T.mul(T.softmax(z), v))),
     "softmax_axes": (
         {"z": (2, 3, 4), "w": (2, 3, 4)},
-        lambda z, w: T.sum_(T.softmax(z, axis=-1) * w)),
+        lambda z, w: T.sum_(T.mul(T.softmax(z, axis=-1), w))),
     "layer_norm": (
         {"x": (3, 5), "g": _leaf(lambda r: 1.0 + 0.1 * r.standard_normal(5)),
          "b": (5,)},
@@ -149,23 +145,22 @@ OP_CASES = {
         lambda x: T.mean_(T.gelu(x))),
     "reductions": (
         {"x": (3, 4)},
-        lambda x: (T.sum_(T.sum_(x, axis=0))
-                   + T.sum_(x * T.mean_(x, axis=1, keepdims=True)))),
+        lambda x: T.add(T.sum_(T.sum_(x, axis=0)),
+                        T.sum_(T.mul(x, T.mean_(x, axis=1, keepdims=True))))),
     "shape_ops": (
         {"x": (2, 6), "y": (3, 4)},
         lambda x, y: T.sum_(
-            T.transpose2(T.concat([T.reshape(x, (3, 4)), y], axis=0)) * 0.5)),
+            T.mul(T.concat([T.reshape(x, (3, 4)), y], axis=0), 0.5))),
     "gather_rows": (
         {"table": (5, 3)},
         lambda table: T.sum_(_sq(T.gather_rows(table, np.array([0, 2, 2, 4]))))),
-    "sqrt_log_clamp": (
+    "sqrt_clamp": (
         {"x": _leaf(lambda r: np.abs(r.standard_normal((3, 3))) + 0.5)},
-        lambda x: T.sum_(T.sqrt(x) + T.log(x) + T.clamp_min(x, 0.1))),
-    # matmul -> softmax -> dot, the classic composite
+        lambda x: T.sum_(T.add(T.sqrt(x), T.clamp_min(x, 0.1)))),
+    # linear -> softmax -> inner product, the classic composite
     "chain": (
         {"w": (4, 4), "x": _const(4), "v": (4,)},
-        lambda w, x, v: T.dot(
-            T.softmax(T.reshape(T.matmul(T.reshape(x, (1, 4)), w), (4,))), v)),
+        lambda w, x, v: T.sum_(T.mul(T.softmax(T.linear(x, w)), v))),
     # the output is linear in each input, so a loss linear in the output
     # makes central differences exact up to round-off
     "factorized_linear": (
@@ -173,14 +168,14 @@ OP_CASES = {
          "u_t": (4, 3), "s_t": (3,), "v_t": (5, 3),
          "c": _leaf(lambda r: r.standard_normal((2, 1, 3)) * _ACTIVE),
          "w": _const(2, 3, 4)},
-        lambda x, u_g, s_g, v_g, u_t, s_t, v_t, c, w: T.sum_(
-            T.factorized_linear(x, u_g, s_g, v_g, u_t, s_t, v_t, c) * w)),
+        lambda x, u_g, s_g, v_g, u_t, s_t, v_t, c, w: T.sum_(T.mul(
+            T.factorized_linear(x, u_g, s_g, v_g, u_t, s_t, v_t, c), w))),
     "factorized_learngene": (
         {"x": (3, 5), "u_g": (4, 3), "s_g": (3,), "v_g": (5, 3)},
         lambda x, u_g, s_g, v_g: T.sum_(_sq(T.factorized_linear(x, u_g, s_g, v_g)))),
     "attention": (
         {"q": (2, 4, 3), "k": (2, 4, 3), "v": (2, 4, 2), "w": _const(2, 4, 2)},
-        lambda q, k, v, w: T.sum_(T.attention(q, k, v, 0.7) * w)),
+        lambda q, k, v, w: T.sum_(T.mul(T.attention(q, k, v, 0.7), w))),
 }
 
 

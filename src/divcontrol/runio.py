@@ -106,9 +106,7 @@ def _replace_file(path, text: str) -> None:
 
 
 def write_resolved_config(run_dir, text: str) -> None:
-    with open(os.path.join(run_dir, RESOLVED_CONFIG_FILE), "w",
-              encoding="utf-8") as fh:
-        fh.write(text)
+    _replace_file(os.path.join(run_dir, RESOLVED_CONFIG_FILE), text)
 
 
 @contextmanager

@@ -7,7 +7,7 @@ gradients into ``.grad`` buffers, and frees the tape. The tape is dynamic
 (recorded per forward pass) and is always consumed by exactly one backward
 pass, which is all the training loop needs.
 
-Besides elementwise, shape, reduction and matmul ops, four fused
+Besides elementwise, shape, reduction and ``linear`` ops, four fused
 primitives carry hand-derived adjoints and record one tape node each:
 ``softmax``, ``layer_norm``, ``factorized_linear`` (a learngene/tailor
 projection, see ``factorized.py``) and single-head ``attention``.
@@ -88,37 +88,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # -- operators ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -195,18 +164,6 @@ def neg(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(-a.data)
     return _record(out, (a,), lambda g: (-g,))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
 
 
 def tanh(a) -> Tensor:
@@ -316,13 +273,6 @@ def reshape(a, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def transpose2(a) -> Tensor:
-    """Swap the last two axes."""
-    a = as_tensor(a)
-    out = Tensor(np.swapaxes(a.data, -1, -2))
-    return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
@@ -389,21 +339,6 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
 # linear algebra
 # ----------------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    """np.matmul semantics for operands of ndim >= 2, batch dims broadcast."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ContractError("matmul requires ndim >= 2 operands")
-    out = Tensor(np.matmul(a.data, b.data))
-
-    def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
-
-    return _record(out, (a, b), vjp)
-
-
 def linear(x, w) -> Tensor:
     """y = x @ w.T with weight stored (out_features, in_features)."""
     x, w = as_tensor(x), as_tensor(w)
@@ -420,19 +355,6 @@ def linear(x, w) -> Tensor:
         return gx, gw
 
     return _record(out, (x, w), vjp)
-
-
-def dot(a, b) -> Tensor:
-    """Inner product of two equal-length vectors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
-        raise ContractError("dot expects two equal-length vectors")
-    out = Tensor(np.dot(a.data, b.data))
-
-    def vjp(g):
-        return g * b.data, g * a.data
-
-    return _record(out, (a, b), vjp)
 
 
 # ----------------------------------------------------------------------
@@ -501,8 +423,8 @@ def factorized_linear(x, u_g, s_g, v_g, u_t=None, s_t=None, v_t=None,
     input gets its gradient. A tailor column whose coefficient is zero in
     every row gets exactly zero gradient in ``u_t``, ``s_t`` and ``v_t``.
 
-    Forward and gradients are bit-identical to the same expression built
-    from ``matmul``, ``mul``, ``linear`` and ``add`` nodes.
+    Forward and gradients are bit-identical to the node-by-node chain
+    ``unfused_apply`` in ``tests/test_factorized.py``.
     """
     x, u_g, s_g, v_g = (as_tensor(t) for t in (x, u_g, s_g, v_g))
     if x.ndim < 2 or x.data.shape[-1] != v_g.data.shape[0]:
@@ -557,8 +479,8 @@ def attention(q, k, v, scale: float) -> Tensor:
     two axes, as one tape node.
 
     Raises InvalidInputError when a score is non-finite, as ``softmax`` does.
-    Output and gradients are bit-identical to the same expression built from
-    ``matmul``, ``transpose2``, ``mul`` and ``softmax`` nodes.
+    Output and gradients are bit-identical to the node-by-node chain
+    ``unfused_attention`` in ``tests/test_tensor.py``.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -576,21 +498,6 @@ def attention(q, k, v, scale: float) -> Tensor:
                 _unbroadcast(gv, v.data.shape))
 
     return _record(out, (q, k, v), vjp)
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two equal-length vectors, in [-1, 1].
-
-    A pair with a zero-norm vector is defined to have similarity 0.
-    """
-    av = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=_F64)
-    bv = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=_F64)
-    if av.ndim != 1 or bv.ndim != 1 or av.size != bv.size:
-        raise ContractError("cosine_similarity expects two equal-length vectors")
-    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(av, bv) / (na * nb), -1.0, 1.0))
 
 
 # ----------------------------------------------------------------------

@@ -64,7 +64,12 @@ def test_config_invariants():
                 dict(adam_beta2=1.0), dict(adam_beta2=0.0),
                 dict(weight_decay=-0.1), dict(dropout=1.0), dict(dropout=-0.1),
                 dict(steps=-5), dict(adapt_steps=-1), dict(batch_size=0),
-                dict(dataset_size=0), dict(adapt_images=0), dict(eval_samples=0)):
+                dict(dataset_size=0), dict(adapt_images=0), dict(eval_samples=0),
+                # values that used to fail inside a run or raise the wrong error
+                dict(timesteps=0), dict(lambda_repa=float("nan")),
+                dict(patch_size=0), dict(top_k=33), dict(adapt_top_k=17),
+                dict(top_k=-1), dict(adapt_top_k=-1), dict(n_tailor=-1, top_k=0),
+                dict(n_learngene=-1), dict(adapt_n_tailor=-1, adapt_top_k=0)):
         text = "".join(f"{k} = {v}\n" for k, v in bad.items())
         with pytest.raises(ConfigError):
             resolve_config(text)
@@ -74,7 +79,9 @@ def test_config_invariants():
             resolve_config().replace(**bad)
     # the edges of those ranges still build
     resolve_config(overrides=dict(lr_factor=1.0, dropout=0.0, weight_decay=0.0,
-                                  steps=0, adapt_steps=0, batch_size=1))
+                                  steps=0, adapt_steps=0, batch_size=1,
+                                  timesteps=1, lambda_repa=0.0, n_learngene=0,
+                                  n_tailor=0, top_k=0, adapt_top_k=16))
     # callers that catch the package's contract errors still catch these
     assert issubclass(ConfigError, ContractError)
 

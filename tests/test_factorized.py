@@ -5,6 +5,7 @@ from divcontrol import tensor as T
 from divcontrol.errors import ContractError
 from divcontrol.factorized import apply_factorized, factorize, masked_gradient_apply
 from divcontrol.tensor import Tensor, backward
+from tape_oracles import matmul
 
 
 def brute_force_compose(fw, g):
@@ -151,8 +152,8 @@ def test_apply_factorized_matches_dense_twin():
 
 def unfused_apply(x, fw, rows):
     """Reference: the node-by-node chain factorized_linear replaces."""
-    y = T.linear(T.mul(T.matmul(x, fw.v_g), fw.s_g), fw.u_g)
-    t = T.mul(T.matmul(x, fw.v_t), T.mul(rows, fw.s_t))
+    y = T.linear(T.mul(matmul(x, fw.v_g), fw.s_g), fw.u_g)
+    t = T.mul(matmul(x, fw.v_t), T.mul(rows, fw.s_t))
     return T.add(y, T.linear(t, fw.u_t))
 
 

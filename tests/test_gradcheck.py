@@ -4,9 +4,12 @@ import inspect
 import numpy as np
 
 from divcontrol import tensor as T
+from divcontrol import training
+from divcontrol.gate import route
 from divcontrol.gradcheck import OP_CASES, build_case, finite_diff_check, run_op_suite
 from divcontrol.rng import stream
 from divcontrol.tensor import Tensor
+from divcontrol.verify import micro_config
 
 
 def test_linear_function_exact():
@@ -14,7 +17,7 @@ def test_linear_function_exact():
     c = Tensor(np.array([2.0, -1.0, 0.5]))
 
     def f():
-        return T.sum_(x * c)
+        return T.sum_(T.mul(x, c))
 
     report = finite_diff_check(f, {"x": x}, h=1e-5, tol=1e-9)
     assert report.passed
@@ -25,22 +28,21 @@ def test_square_at_one():
     x = Tensor(np.array([1.0]), requires_grad=True)
 
     def f():
-        return T.sum_(x * x)
+        return T.sum_(T.mul(x, x))
 
     report = finite_diff_check(f, {"x": x}, h=1e-5, tol=1e-9)
     # analytic 2 vs central diff 2 to ~1e-9
     assert report.max_rel_err < 1e-9
 
 
-def test_chain_matmul_softmax_dot():
+def test_chain_linear_softmax_dot():
     rng = np.random.default_rng(5)
     W = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
     x = Tensor(rng.standard_normal(4))
     v = Tensor(rng.standard_normal(4), requires_grad=True)
 
     def f():
-        z = T.matmul(T.reshape(x, (1, 4)), W)
-        return T.dot(T.softmax(T.reshape(z, (4,))), v)
+        return T.sum_(T.mul(T.softmax(T.linear(x, W)), v))
 
     report = finite_diff_check(f, {"W": W, "v": v}, h=1e-5, tol=1e-5)
     assert report.passed, report.per_param
@@ -65,23 +67,54 @@ def test_property_random_shapes_100_seeds():
     assert not failures, failures
 
 
-def test_every_taped_primitive_has_a_case():
-    # the tensor functions that call _record, read from the module source
+def _taped_primitives():
+    """The tensor functions that call _record, read from the module source."""
     tree = ast.parse(inspect.getsource(T))
     taped = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
              and any(isinstance(n, ast.Call)
                      and getattr(n.func, "id", None) == "_record"
                      for n in ast.walk(fn))}
     assert {"neg", "factorized_linear", "attention"} <= taped
+    return taped
+
+
+def _recorded(f):
+    """The tensor functions whose nodes ``f()`` puts on the tape."""
+    T.clear_tape()
+    f()
+    # a VJP defined inside tensor.neg has __qualname__ "neg.<locals>..."
+    names = {vjp.__qualname__.split(".")[0] for _, _, vjp in T._TAPE.nodes}
+    T.clear_tape()
+    return names
+
+
+def test_every_taped_primitive_has_a_case():
     recorded = set()
     for name in OP_CASES:
-        f, _ = build_case(name, stream(0, "gradcheck", name))
-        T.clear_tape()
-        f()
-        # a VJP defined inside tensor.neg has __qualname__ "neg.<locals>..."
-        recorded |= {vjp.__qualname__.split(".")[0] for _, _, vjp in T._TAPE.nodes}
-        T.clear_tape()
-    assert taped - recorded == set()
+        recorded |= _recorded(build_case(name, stream(0, "gradcheck", name))[0])
+    assert _taped_primitives() - recorded == set()
+
+
+def _training_step(bundle, cond_idx):
+    """Routing and objective of one step, on random images and noise."""
+    gen = np.random.default_rng(0)
+    shape = (len(cond_idx),) + (bundle.cfg.image_size,) * 2
+    rows, _ = training._routing_rows(bundle, cond_idx, record=False)
+    t_idx = gen.integers(0, bundle.cfg.timesteps, len(cond_idx))
+    training._objective(bundle, gen.random(shape), gen.random(shape), t_idx,
+                        gen.standard_normal(shape), rows)
+
+
+def test_model_records_every_taped_primitive():
+    # the converse: a primitive that no training or routing path records
+    # is dead code
+    cfg = micro_config()
+    diversion = training.build_diversion_bundle(cfg)
+    adapt = training._fresh_bundle(cfg.replace(mode="adapt_frozen"))
+    recorded = (_recorded(lambda: _training_step(diversion, np.array([0, 2, 2])))
+                | _recorded(lambda: _training_step(adapt, np.array([0, 0])))
+                | _recorded(lambda: route(diversion.gate, diversion.embeddings[1])))
+    assert _taped_primitives() - recorded == set()
 
 
 def test_coordinate_subsampling_is_deterministic():

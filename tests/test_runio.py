@@ -1,11 +1,13 @@
-"""The single-writer lock on a run directory."""
+"""Run-directory files: the single-writer lock and the resolved config."""
 
 import os
 
 import pytest
 
+from divcontrol import runio
 from divcontrol.errors import ContractError
-from divcontrol.runio import LOCK_FILE, run_lock
+from divcontrol.runio import (LOCK_FILE, RESOLVED_CONFIG_FILE, run_lock,
+                              write_resolved_config)
 
 
 def test_second_acquisition_fails_and_keeps_the_holders_lock(tmp_path):
@@ -32,3 +34,16 @@ def test_lock_file_goes_when_the_body_raises(tmp_path):
     assert not (tmp_path / LOCK_FILE).exists()
     with run_lock(tmp_path):   # and the directory can be locked again
         pass
+
+
+def test_failed_config_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    write_resolved_config(tmp_path, "seed = 1\n")
+    before = (tmp_path / RESOLVED_CONFIG_FILE).read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(runio.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_resolved_config(tmp_path, "seed = 2\n")
+    assert (tmp_path / RESOLVED_CONFIG_FILE).read_bytes() == before

@@ -3,7 +3,9 @@ import pytest
 
 from divcontrol import tensor as T
 from divcontrol.errors import ContractError, InvalidInputError
-from divcontrol.tensor import Tensor, backward, cosine_similarity, no_grad, softmax
+from divcontrol.gate import cosine_similarity
+from divcontrol.tensor import Tensor, backward, no_grad, softmax
+from tape_oracles import matmul, transpose2
 
 
 def test_softmax_uniform_on_zeros():
@@ -71,18 +73,18 @@ def test_cosine_similarity_degenerate_pair():
 
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
-    y = x * 2.0
+    y = T.mul(x, 2.0)
     with pytest.raises(ContractError):
         backward(y)
     T.clear_tape()
 
 
 def test_backward_sum_linear_matches_outer_product():
-    # loss = sum(W @ x): grad(W)[i, j] = x[j] for every row i
+    # loss = sum(x @ W.T): grad(W)[i, j] = x[j] for every row i
     rng = np.random.default_rng(3)
     W = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     x = Tensor(rng.standard_normal(3))
-    loss = T.sum_(T.matmul(W, T.reshape(x, (3, 1))))
+    loss = T.sum_(T.linear(T.reshape(x, (1, 3)), W))
     backward(loss)
     expected = np.tile(x.data, (4, 1))
     assert np.allclose(W.grad, expected, atol=1e-14)
@@ -91,7 +93,7 @@ def test_backward_sum_linear_matches_outer_product():
 def test_backward_constant_branch_gets_zero_grad():
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
-    loss = T.sum_(a * a)  # b not used
+    loss = T.sum_(T.mul(a, a))  # b not used
     backward(loss)
     assert b.grad is None  # unreachable parameter: absent grad
     assert np.allclose(a.grad, 2.0)
@@ -100,14 +102,14 @@ def test_backward_constant_branch_gets_zero_grad():
 def test_no_grad_blocks_recording():
     a = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
-        y = a * 3.0
+        y = T.mul(a, 3.0)
     assert not y.requires_grad
     assert T.tape_size() == 0
 
 
 def test_grad_accumulates_across_reuse():
     a = Tensor(np.array([2.0]), requires_grad=True)
-    loss = T.sum_(a * a + a * 3.0)
+    loss = T.sum_(T.add(T.mul(a, a), T.mul(a, 3.0)))
     backward(loss)
     assert np.allclose(a.grad, [2 * 2.0 + 3.0])
 
@@ -115,7 +117,7 @@ def test_grad_accumulates_across_reuse():
 def test_broadcast_unbroadcast_grads():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
-    loss = T.sum_(a + b)
+    loss = T.sum_(T.add(a, b))
     backward(loss)
     assert a.grad.shape == (2, 3) and np.allclose(a.grad, 1.0)
     assert b.grad.shape == (3,) and np.allclose(b.grad, 2.0)
@@ -135,7 +137,7 @@ def test_backward_gives_each_tensor_its_own_grad_buffer():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
     c = Tensor(np.ones(6), requires_grad=True)
-    y = T.add(a, b) * 2.0
+    y = T.mul(T.add(a, b), 2.0)
     backward(T.sum_(T.add(T.reshape(y, (6,)), c)))
     grads = [a.grad, b.grad, c.grad]
     for i, gi in enumerate(grads):
@@ -145,7 +147,7 @@ def test_backward_gives_each_tensor_its_own_grad_buffer():
 
 def test_tape_freed_after_backward():
     a = Tensor(np.ones(4), requires_grad=True)
-    backward(T.sum_(a * a))
+    backward(T.sum_(T.mul(a, a)))
     assert T.tape_size() == 0
 
 
@@ -179,18 +181,19 @@ def test_fused_primitives_record_one_tape_node():
     T.clear_tape()
 
 
+def unfused_attention(q, k, v, scale):
+    """Reference: the node-by-node chain attention replaces."""
+    scores = T.mul(matmul(q, transpose2(k)), scale)
+    return matmul(softmax(scores, axis=-1), v)
+
+
 def test_attention_is_bit_identical_to_softmax_composition():
     rng = np.random.default_rng(4)
     q, k, v = (Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
                for _ in range(3))
     w = rng.standard_normal((2, 5, 3))
-
-    def unfused(q, k, v, scale):
-        scores = T.mul(T.matmul(q, T.transpose2(k)), scale)
-        return T.matmul(softmax(scores, axis=-1), v)
-
     results = []
-    for attend in (T.attention, unfused):
+    for attend in (T.attention, unfused_attention):
         T.zero_grads([q, k, v])
         y = attend(q, k, v, 0.25)
         backward(T.sum_(T.mul(y, w)))
