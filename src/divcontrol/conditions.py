@@ -2,7 +2,8 @@
 
 Images are 16x16 grayscale in [-1, 1]: one to three anti-aliased
 primitives (disk, rectangle, line) over a shaded linear-gradient
-background, fully regenerable from (seed, index).
+background, fully regenerable from (seed, index). The renderer and every
+transform take and return (N, H, W) stacks; a bank calls them per 256 images.
 
 The registry pairs each condition with a fixed instruction string; the
 instructions carry the routing semantics, so related conditions share
@@ -23,6 +24,7 @@ from .rng import stream
 
 IMAGE_SIZE = 16
 _PERM_SEED = 1337  # fixed root for per-condition patch permutations
+_BLOCK = 256  # images a bank renders or transforms per call; bounds the temporaries
 
 
 # ----------------------------------------------------------------------
@@ -101,102 +103,108 @@ def _sdf_rect(xx, yy, cx, cy, hx, hy):
 def _sdf_line(xx, yy, x0, y0, x1, y1, halfwidth):
     dx, dy = x1 - x0, y1 - y0
     denom = dx * dx + dy * dy
-    t = np.clip(((xx - x0) * dx + (yy - y0) * dy) / max(denom, 1e-12), 0.0, 1.0)
+    t = np.clip(((xx - x0) * dx + (yy - y0) * dy) / np.maximum(denom, 1e-12), 0.0, 1.0)
     return np.hypot(xx - (x0 + t * dx), yy - (y0 + t * dy)) - halfwidth
 
 
-def render_components(seed: int, index: int, size: int = IMAGE_SIZE,
-                      image_stream: str = "image"):
-    """Return (image, background) for sample ``index``; both in [-1, 1]."""
-    gen = stream(seed, image_stream, index)
+_SDFS = (_sdf_disk, _sdf_rect, _sdf_line)  # indexed by primitive kind
+
+
+def render_images(seed: int, start: int, stop: int, size: int = IMAGE_SIZE,
+                  image_stream: str = "image") -> np.ndarray:
+    """Images ``start`` .. ``stop - 1`` of a stream: an (N, H, W) stack in [-1, 1].
+
+    Image ``i`` makes its draws from ``stream(seed, image_stream, i)`` in a
+    fixed order; the geometry is then evaluated for the whole stack, one
+    primitive slot and kind at a time.
+    """
+    ranges = ([(3, size - 3)] * 2 + [(2.0, 4.5)],        # disk: cx, cy, r
+              [(3, size - 3)] * 2 + [(1.5, 4.0)] * 2,    # rect: cx, cy, hx, hy
+              [(1, size - 1)] * 4 + [(0.6, 1.1)])        # line: x0, y0, x1, y1, halfwidth
+    theta, lo, hi = np.empty((3, stop - start, 1, 1))  # per image, broadcast on (H, W)
+    prims = [[[], [], []] for _ in range(3)]  # [slot][kind] -> [row, intensity, *params]
+    for row, i in enumerate(range(start, stop)):
+        gen = stream(seed, image_stream, i)
+        theta[row] = gen.uniform(0, 2 * np.pi)
+        lo[row] = low = gen.uniform(-0.9, -0.3)
+        hi[row] = low + gen.uniform(0.1, 0.5)
+        for slot in range(int(gen.integers(1, 4))):
+            kind = int(gen.integers(0, 3))
+            intensity = gen.uniform(0.2, 1.0)
+            prims[slot][kind].append(
+                [row, intensity] + [gen.uniform(a, b) for a, b in ranges[kind]])
     ii, jj = np.meshgrid(np.arange(size, dtype=float),
                          np.arange(size, dtype=float), indexing="ij")
-    theta = gen.uniform(0, 2 * np.pi)
     ramp = np.cos(theta) * ii + np.sin(theta) * jj
-    ramp = (ramp - ramp.min()) / max(ramp.max() - ramp.min(), 1e-12)
-    lo = gen.uniform(-0.9, -0.3)
-    hi = lo + gen.uniform(0.1, 0.5)
-    background = lo + (hi - lo) * ramp
-    img = background.copy()
-    for _ in range(int(gen.integers(1, 4))):
-        kind = gen.integers(0, 3)
-        intensity = gen.uniform(0.2, 1.0)
-        if kind == 0:
-            sdf = _sdf_disk(ii, jj, gen.uniform(3, size - 3), gen.uniform(3, size - 3),
-                            gen.uniform(2.0, 4.5))
-        elif kind == 1:
-            sdf = _sdf_rect(ii, jj, gen.uniform(3, size - 3), gen.uniform(3, size - 3),
-                            gen.uniform(1.5, 4.0), gen.uniform(1.5, 4.0))
-        else:
-            sdf = _sdf_line(ii, jj, gen.uniform(1, size - 1), gen.uniform(1, size - 1),
-                            gen.uniform(1, size - 1), gen.uniform(1, size - 1),
-                            gen.uniform(0.6, 1.1))
-        coverage = np.clip(0.5 - sdf, 0.0, 1.0)  # ~1px anti-aliased falloff
-        img = img * (1 - coverage) + intensity * coverage
-    return np.clip(img, -1.0, 1.0), background
-
-
-def generate_image(seed: int, index: int, size: int = IMAGE_SIZE,
-                   image_stream: str = "image") -> np.ndarray:
-    return render_components(seed, index, size, image_stream)[0]
+    r_min = ramp.min(axis=(1, 2), keepdims=True)
+    ramp = (ramp - r_min) / np.maximum(ramp.max(axis=(1, 2), keepdims=True) - r_min, 1e-12)
+    img = lo + (hi - lo) * ramp
+    for slot in prims:
+        for sdf, drawn in zip(_SDFS, slot):
+            if drawn:
+                cols = np.array(drawn).T[:, :, None, None]  # row, intensity, *params
+                rows = cols[0].ravel().astype(int)
+                coverage = np.clip(0.5 - sdf(ii, jj, *cols[2:]), 0.0, 1.0)  # ~1px anti-aliasing
+                img[rows] = img[rows] * (1 - coverage) + cols[1] * coverage
+    return np.clip(img, -1.0, 1.0)
 
 
 # ----------------------------------------------------------------------
-# transforms
+# transforms: each maps an (N, H, W) stack to an (N, H, W) stack
 # ----------------------------------------------------------------------
 
-def _conv2_symmetric(img, kernel):
+def _conv2_symmetric(imgs, kernel):
     k = kernel.shape[0] // 2
-    padded = np.pad(img, k, mode="symmetric")
-    win = np.lib.stride_tricks.sliding_window_view(padded, kernel.shape)
-    return np.einsum("ijkl,kl->ij", win, kernel)
+    padded = np.pad(imgs, ((0, 0), (k, k), (k, k)), mode="symmetric")
+    win = np.lib.stride_tricks.sliding_window_view(padded, kernel.shape, axis=(1, 2))
+    return np.einsum("nijkl,kl->nij", win, kernel)
 
 
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=float)
 _LAPLACE = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=float)
 
 
-def _edge_sobel(img, binary):
-    gx = _conv2_symmetric(img, _SOBEL_X)
-    gy = _conv2_symmetric(img, _SOBEL_X.T)
+def _edge_sobel(imgs, binary):
+    gx = _conv2_symmetric(imgs, _SOBEL_X)
+    gy = _conv2_symmetric(imgs, _SOBEL_X.T)
     mag = np.clip(np.hypot(gx, gy) / 4.0, 0.0, 1.0)
     if binary:
         return (mag > 0.25).astype(float)
     return mag
 
 
-def _edge_laplacian(img):
-    return np.clip(np.abs(_conv2_symmetric(img, _LAPLACE)) / 4.0, 0.0, 1.0)
+def _edge_laplacian(imgs):
+    return np.clip(np.abs(_conv2_symmetric(imgs, _LAPLACE)) / 4.0, 0.0, 1.0)
 
 
-def _blur_box(img, width):
+def _blur_box(imgs, width):
     kernel = np.full((width, width), 1.0 / (width * width))
-    return _conv2_symmetric(img, kernel)
+    return _conv2_symmetric(imgs, kernel)
 
 
-def _pixelate(img):
+def _pixelate(imgs):
     block = 4
-    h, w = img.shape
-    blocks = img.reshape(h // block, block, w // block, block)
-    means = blocks.mean(axis=(1, 3), keepdims=True)
-    return np.broadcast_to(means, blocks.shape).reshape(h, w).copy()
+    n, h, w = imgs.shape
+    blocks = imgs.reshape(n, h // block, block, w // block, block)
+    means = blocks.mean(axis=(2, 4), keepdims=True)
+    return np.broadcast_to(means, blocks.shape).reshape(n, h, w).copy()
 
 
-def _mask_border(img, keep):
+def _mask_border(imgs, keep):
     width = 3
-    out = np.zeros_like(img)
+    out = np.zeros_like(imgs)
     if keep == "border":
-        out[:] = img
-        out[width:-width, width:-width] = 0.0
+        out[:] = imgs
+        out[:, width:-width, width:-width] = 0.0
     elif keep == "center":
-        out[width:-width, width:-width] = img[width:-width, width:-width]
+        out[:, width:-width, width:-width] = imgs[:, width:-width, width:-width]
     else:
         raise ConfigError(f"mask_border keep='{keep}' not recognized")
     return out
 
 
-def _posterize(img, levels):
-    unit = (img + 1.0) / 2.0
+def _posterize(imgs, levels):
+    unit = (imgs + 1.0) / 2.0
     q = np.round(unit * (levels - 1)) / (levels - 1)
     return q * 2.0 - 1.0
 
@@ -205,41 +213,44 @@ def _patch_permutation(condition_id: str, n_patches: int) -> np.ndarray:
     return stream(_PERM_SEED, "perm", condition_id).permutation(n_patches)
 
 
-def _shuffle_patches(img, condition_id):
+def _shuffle_patches(imgs, condition_id):
     block = 4
-    h, w = img.shape
+    n, h, w = imgs.shape
     nh, nw = h // block, w // block
-    patches = img.reshape(nh, block, nw, block).transpose(0, 2, 1, 3)
-    flat = patches.reshape(nh * nw, block, block)
+    patches = imgs.reshape(n, nh, block, nw, block).transpose(0, 1, 3, 2, 4)
+    flat = patches.reshape(n, nh * nw, block, block)
     perm = _patch_permutation(condition_id, nh * nw)
-    shuffled = flat[perm].reshape(nh, nw, block, block).transpose(0, 2, 1, 3)
-    return shuffled.reshape(h, w).copy()
+    shuffled = flat[:, perm].reshape(n, nh, nw, block, block).transpose(0, 1, 3, 2, 4)
+    return shuffled.reshape(n, h, w)
 
 
-def _checker_mask(img):
-    ii, jj = np.indices(img.shape)
+def _checker_mask(imgs):
+    ii, jj = np.indices(imgs.shape[1:])
     mask = ((ii // 2 + jj // 2) % 2 == 0).astype(float)
-    return img * mask
+    return imgs * mask
 
 
-# transform_kind -> f(image, spec)
+# transform_kind -> f(images, spec)
 _TRANSFORMS = {
-    "edge_sobel": lambda img, spec: _edge_sobel(img, spec.params.get("binary", False)),
-    "edge_laplacian": lambda img, spec: _edge_laplacian(img),
-    "blur_box3": lambda img, spec: _blur_box(img, 3),
-    "blur_box5": lambda img, spec: _blur_box(img, 5),
-    "pixelate4": lambda img, spec: _pixelate(img),
-    "mask_border": lambda img, spec: _mask_border(img, spec.params.get("keep", "border")),
-    "posterize4": lambda img, spec: _posterize(img, 4),
-    "invert_gray": lambda img, spec: -img,
-    "shuffle_patches": lambda img, spec: _shuffle_patches(img, spec.condition_id),
-    "checker_mask": lambda img, spec: _checker_mask(img),
+    "edge_sobel": lambda imgs, spec: _edge_sobel(imgs, spec.params.get("binary", False)),
+    "edge_laplacian": lambda imgs, spec: _edge_laplacian(imgs),
+    "blur_box3": lambda imgs, spec: _blur_box(imgs, 3),
+    "blur_box5": lambda imgs, spec: _blur_box(imgs, 5),
+    "pixelate4": lambda imgs, spec: _pixelate(imgs),
+    "mask_border": lambda imgs, spec: _mask_border(imgs, spec.params.get("keep", "border")),
+    "posterize4": lambda imgs, spec: _posterize(imgs, 4),
+    "invert_gray": lambda imgs, spec: -imgs,
+    "shuffle_patches": lambda imgs, spec: _shuffle_patches(imgs, spec.condition_id),
+    "checker_mask": lambda imgs, spec: _checker_mask(imgs),
 }
 
 
-def apply_condition(image: np.ndarray, spec: ConditionSpec) -> np.ndarray:
-    """Produce the condition image for ``spec``; same shape, range [-1, 1]."""
-    return _TRANSFORMS[spec.transform_kind](np.asarray(image, dtype=np.float64), spec)
+def apply_condition(images: np.ndarray, spec: ConditionSpec) -> np.ndarray:
+    """Condition images for ``spec`` of an (N, H, W) stack; same shape, range [-1, 1]."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 3:
+        raise ContractError(f"apply_condition expects an (N, H, W) stack, got {images.shape}")
+    return _TRANSFORMS[spec.transform_kind](images, spec)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +268,11 @@ class Batch:
 
 
 class DatasetBank:
-    """Regenerable image bank with per-condition transform caches."""
+    """Regenerable image bank with lazy per-condition transform caches.
+
+    ``images`` and each ``condition_images(c)`` (made on first use) are
+    (size, H, W) stacks, filled ``_BLOCK`` = 256 images per call.
+    """
 
     def __init__(self, seed: int, size: int, specs: list,
                  image_size: int = IMAGE_SIZE, image_stream: str = "image"):
@@ -268,15 +283,19 @@ class DatasetBank:
         self.specs = list(specs)
         self.image_size = image_size
         self.image_stream = image_stream
-        self.images = np.stack([
-            generate_image(seed, i, image_size, image_stream) for i in range(size)])
+        self.images = np.empty((size, image_size, image_size))
+        for a in range(0, size, _BLOCK):
+            self.images[a:a + _BLOCK] = render_images(
+                seed, a, min(a + _BLOCK, size), image_size, image_stream)
         self._cond_cache: dict = {}
 
     def condition_images(self, cond_idx: int) -> np.ndarray:
         if cond_idx not in self._cond_cache:
             spec = self.specs[cond_idx]
-            self._cond_cache[cond_idx] = np.stack(
-                [apply_condition(img, spec) for img in self.images])
+            out = np.empty_like(self.images)
+            for a in range(0, self.size, _BLOCK):
+                out[a:a + _BLOCK] = apply_condition(self.images[a:a + _BLOCK], spec)
+            self._cond_cache[cond_idx] = out
         return self._cond_cache[cond_idx]
 
 

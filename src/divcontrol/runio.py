@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -100,26 +100,52 @@ def export_metrics(run_dir, extra: dict | None = None) -> dict:
 def _replace_file(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file and an atomic rename."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_resolved_config(run_dir, text: str) -> None:
     _replace_file(os.path.join(run_dir, RESOLVED_CONFIG_FILE), text)
 
 
+def _holder_is_dead(path) -> bool:
+    """True when the lock file names a pid that no live process has."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            os.kill(int(fh.read()), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError):   # gone, pid not yet written, or another user's
+        return False
+    return False
+
+
 @contextmanager
 def run_lock(run_dir):
-    """Single-writer lock on a run directory (O_EXCL lock file)."""
+    """Single-writer lock on a run directory (O_EXCL lock file with the pid).
+
+    A lock whose pid is no live process, left by a run that was killed, is
+    taken over; a lock held by a live process raises ``ContractError``.
+    """
     os.makedirs(run_dir, exist_ok=True)
     path = os.path.join(run_dir, LOCK_FILE)
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ContractError(
-            f"run directory '{run_dir}' is locked by another writer "
-            f"(remove {LOCK_FILE} if that run is dead)") from None
+    for attempt in range(2):
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _holder_is_dead(path):
+                raise ContractError(
+                    f"run directory '{run_dir}' is locked by another writer "
+                    f"(the pid in {LOCK_FILE} is alive or unreadable)") from None
+            with suppress(FileNotFoundError):
+                os.unlink(path)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .conditions import apply_condition, default_registry, generate_image
+from .conditions import apply_condition, default_registry, render_images
 from .config import resolve_config
 from .gradcheck import GradCheckReport, finite_diff_check
 from .rng import stream
@@ -33,10 +33,10 @@ def build_e2e_case(seed: int = 0):
     bundle = build_diversion_bundle(cfg)
     registry = default_registry()
     gen = stream(seed, "e2e-data")
-    x0 = np.stack([generate_image(seed, i, cfg.image_size) for i in range(2)])
+    x0 = render_images(seed, 0, 2, cfg.image_size)
     cond_idx = np.array([0, 2])
-    x_cond = np.stack([apply_condition(img, registry[c])
-                       for img, c in zip(x0, cond_idx)])
+    x_cond = np.concatenate([apply_condition(x0[i:i + 1], registry[c])
+                             for i, c in enumerate(cond_idx)])
     t_idx = gen.integers(0, cfg.timesteps, 2)
     eps = gen.standard_normal(x0.shape)
     # make routing non-uniform so selection is meaningful, then freeze it

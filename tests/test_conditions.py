@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
+import condition_oracles as oracle
 from divcontrol.conditions import (
+    _BLOCK,
     NOVEL_LOW_SIBLINGS,
     Batch,
     DatasetBank,
@@ -12,10 +14,9 @@ from divcontrol.conditions import (
     basic_conditions,
     default_registry,
     find_condition,
-    generate_image,
     metric_encoder_sim,
     metric_ssim,
-    render_components,
+    render_images,
 )
 from divcontrol.errors import ConfigError, ContractError
 
@@ -51,10 +52,42 @@ def test_unknown_condition_and_kind_rejected():
 
 
 def test_generate_deterministic_and_in_range():
-    a = np.stack([generate_image(SEED, i) for i in range(8)])
-    b = np.stack([generate_image(SEED, i) for i in range(8)])
+    a = render_images(SEED, 0, 8)
+    b = render_images(SEED, 0, 8)
     assert a.tobytes() == b.tobytes()
     assert a.min() >= -1.0 and a.max() <= 1.0
+
+
+@pytest.fixture(scope="module")
+def oracle_banks():
+    """Per-image oracle images and condition images, ``_BLOCK + 1`` per stream."""
+    n, registry = _BLOCK + 1, default_registry()
+    banks = {}
+    for image_stream in ("image", "adapt-image", "eval"):
+        images = [oracle.render_components(SEED, i, image_stream=image_stream)[0]
+                  for i in range(n)]
+        banks[image_stream] = (np.stack(images), [
+            np.stack([oracle.apply_condition(img, spec) for img in images])
+            for spec in registry])
+    return banks
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("image_stream", ["image", "adapt-image", "eval"])
+def test_bank_is_byte_equal_to_the_per_image_oracle(oracle_banks, image_stream, size):
+    images, conditions = oracle_banks[image_stream]
+    bank = DatasetBank(SEED, size, default_registry(), image_stream=image_stream)
+    assert bank.images.dtype == images.dtype
+    assert bank.images.tobytes() == images[:size].tobytes()
+    for c, expected in enumerate(conditions):
+        got = bank.condition_images(c)
+        assert got.shape == (size, 16, 16) and got.dtype == expected.dtype
+        assert got.tobytes() == expected[:size].tobytes(), bank.specs[c].condition_id
+
+
+def test_apply_condition_rejects_a_single_image():
+    with pytest.raises(ContractError, match=r"\(N, H, W\) stack"):
+        apply_condition(np.zeros((16, 16)), find_condition("edge"))
 
 
 def test_generate_rejects_bad_n():
@@ -65,7 +98,7 @@ def test_generate_rejects_bad_n():
 def test_foreground_coverage_in_band():
     fracs = []
     for i in range(1000):
-        img, bg = render_components(SEED, i)
+        img, bg = oracle.render_components(SEED, i)
         fracs.append((np.abs(img - bg) > 0.02).mean())
     mean = float(np.mean(fracs))
     assert 0.10 <= mean <= 0.60, mean
@@ -73,13 +106,13 @@ def test_foreground_coverage_in_band():
 
 def test_sobel_on_constant_is_zero():
     spec = find_condition("edge")
-    out = apply_condition(np.full((16, 16), 0.37), spec)
-    assert np.array_equal(out, np.zeros((16, 16)))
+    out = apply_condition(np.full((1, 16, 16), 0.37), spec)
+    assert np.array_equal(out, np.zeros((1, 16, 16)))
 
 
 def test_blur_preserves_mean_with_reflective_padding():
     rng = np.random.default_rng(1)
-    img = rng.uniform(-1, 1, (16, 16))
+    img = rng.uniform(-1, 1, (1, 16, 16))
     for cid in ("blur", "blur-wide"):
         out = apply_condition(img, find_condition(cid))
         assert abs(out.mean() - img.mean()) < 1e-12
@@ -87,7 +120,7 @@ def test_blur_preserves_mean_with_reflective_padding():
 
 def test_pixelate_idempotent():
     rng = np.random.default_rng(2)
-    img = rng.uniform(-1, 1, (16, 16))
+    img = rng.uniform(-1, 1, (1, 16, 16))
     spec = find_condition("pixel")
     once = apply_condition(img, spec)
     twice = apply_condition(once, spec)
@@ -96,7 +129,7 @@ def test_pixelate_idempotent():
 
 def test_all_transforms_stay_in_range_and_are_deterministic():
     rng = np.random.default_rng(3)
-    img = rng.uniform(-1, 1, (16, 16))
+    img = rng.uniform(-1, 1, (1, 16, 16))
     for spec in default_registry():
         out1 = apply_condition(img, spec)
         out2 = apply_condition(img, spec)
@@ -106,16 +139,16 @@ def test_all_transforms_stay_in_range_and_are_deterministic():
 
 
 def test_mask_conditions_complementary_regions():
-    img = np.ones((16, 16))
-    border = apply_condition(img, find_condition("outpaint"))
-    center = apply_condition(img, find_condition("window"))
+    img = np.ones((1, 16, 16))
+    border = apply_condition(img, find_condition("outpaint"))[0]
+    center = apply_condition(img, find_condition("window"))[0]
     assert border[8, 8] == 0.0 and border[0, 0] == 1.0
     assert center[8, 8] == 1.0 and center[0, 0] == 0.0
 
 
 def test_shuffle_is_a_fixed_permutation():
     rng = np.random.default_rng(4)
-    img = rng.uniform(-1, 1, (16, 16))
+    img = rng.uniform(-1, 1, (1, 16, 16))
     spec = find_condition("shuffle")
     out = apply_condition(img, spec)
     assert not np.array_equal(out, img)
@@ -128,8 +161,8 @@ def test_sample_record_regenerable():
     batch = _build_batch(bank, 4, SEED, 3)
     for i, c, x, x_cond, cid in zip(batch.image_idx, batch.cond_idx, batch.x,
                                     batch.x_cond, batch.condition_ids):
-        assert np.array_equal(x, generate_image(SEED, int(i)))
-        assert np.array_equal(x_cond, apply_condition(x, bank.specs[c]))
+        assert np.array_equal(x, render_images(SEED, int(i), int(i) + 1)[0])
+        assert np.array_equal(x_cond, apply_condition(x[None], bank.specs[c])[0])
         assert cid == bank.specs[c].condition_id
 
 
@@ -207,7 +240,7 @@ def test_encoder_sim_identity_and_range():
     from divcontrol.model import RepaHead
 
     head = RepaHead(resolve_config(), seed=0, encoder_seed=7)
-    img = generate_image(SEED, 0)
+    img = render_images(SEED, 0, 1)[0]
     assert metric_encoder_sim(head, img, img) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -227,7 +260,7 @@ def test_encoder_sim_rank_correlates_with_ssim():
     rng = np.random.default_rng(8)
     ssims, encs = [], []
     for i in range(100):
-        base = generate_image(SEED, i)
+        base = render_images(SEED, i, i + 1)[0]
         noisy = np.clip(base + rng.uniform(0.05, 1.0) * rng.standard_normal(base.shape),
                         -1, 1)
         ssims.append(metric_ssim(base, noisy))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from divcontrol import tensor as T
-from divcontrol.conditions import apply_condition, find_condition, generate_image
+from divcontrol.conditions import apply_condition, find_condition, render_images
 from divcontrol.config import resolve_config
 from divcontrol.errors import ContractError
 from divcontrol.factorized import factorize
@@ -210,7 +210,7 @@ def test_gradient_flow_repa_and_branch():
     den, branch, head = build_parts(cfg)
     rng = np.random.default_rng(11)
     x0 = rng.uniform(-1, 1, (2, 8, 8))
-    xc = np.stack([apply_condition(img, find_condition("edge")) for img in x0])
+    xc = apply_condition(x0, find_condition("edge"))
     sched = NoiseSchedule.linear(cfg)
     eps = rng.standard_normal(x0.shape)
     t_idx = np.array([2, 5])
@@ -232,7 +232,7 @@ def test_gradient_flow_repa_and_branch():
 
 def test_repa_encode_contracts():
     head = RepaHead(CFG, SEED, encoder_seed=7)
-    img = generate_image(SEED, 0)
+    img = render_images(SEED, 0, 1)[0]
     e1 = head.encode(img)
     e2 = head.encode(img)
     assert np.array_equal(e1, e2)

@@ -1,6 +1,9 @@
 """Run-directory files: the single-writer lock and the resolved config."""
 
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +50,35 @@ def test_failed_config_write_keeps_the_previous_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         write_resolved_config(tmp_path, "seed = 2\n")
     assert (tmp_path / RESOLVED_CONFIG_FILE).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [RESOLVED_CONFIG_FILE]
+
+
+_HOLD_LOCK = """
+import sys, time
+from divcontrol.runio import run_lock
+with run_lock(sys.argv[1]):
+    print("locked", flush=True)
+    time.sleep(60)
+"""
+
+
+def test_lock_of_a_killed_run_is_taken_over(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runio.__file__)))
+    child = subprocess.Popen([sys.executable, "-c", _HOLD_LOCK, str(tmp_path)],
+                             stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert child.stdout.readline() == "locked\n"
+        with pytest.raises(ContractError, match="locked by another writer"):
+            with run_lock(tmp_path):   # the holder is alive
+                pass
+        child.send_signal(signal.SIGKILL)
+        assert child.wait(timeout=10) == -signal.SIGKILL
+    finally:
+        child.kill()
+        child.stdout.close()
+    lock = tmp_path / LOCK_FILE
+    assert lock.read_text() == str(child.pid)   # the killed run left its lock
+    with run_lock(tmp_path):
+        assert lock.read_text() == str(os.getpid())
+    assert not lock.exists()
