@@ -104,24 +104,33 @@ def save_checkpoint(path, state: CheckpointState) -> None:
         raise
 
 
+_U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))
+
+
 class _Reader:
+    """Reads a checkpoint's bytes in order, through views of one buffer."""
+
     def __init__(self, data: bytes, path):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.path = path
 
-    def read(self, n: int, what: str) -> bytes:
+    def read(self, n: int, what: str, block: str | None = None) -> memoryview:
         if self.pos + n > len(self.data):
+            if block is not None:
+                what = f"{what} of block '{block}'"
             raise CheckpointError(f"{self.path}: truncated while reading {what}")
         out = self.data[self.pos:self.pos + n]
         self.pos += n
         return out
 
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))[0]
+    def unpack(self, fmt: struct.Struct, what: str, block: str | None = None):
+        return fmt.unpack(self.read(fmt.size, what, block))[0]
 
 
 def load_checkpoint(path) -> CheckpointState:
+    """Read a checkpoint. Its arrays are read-only views of the file's bytes,
+    so a caller that keeps or changes one copies it."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -130,46 +139,46 @@ def load_checkpoint(path) -> CheckpointState:
     r = _Reader(data, path)
     if r.read(4, "magic") != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    version = r.unpack("<I", "version")
+    version = r.unpack(_U32, "version")
     if version > FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {version} is newer than this build "
             f"({FORMAT_VERSION})")
-    digest = r.read(32, "config digest")
-    step = r.unpack("<Q", "step")
-    n_blocks = r.unpack("<I", "block count")
+    digest = bytes(r.read(32, "config digest"))
+    step = r.unpack(_U64, "step")
+    n_blocks = r.unpack(_U32, "block count")
     state = CheckpointState(step=step, config_digest=digest)
     for _ in range(n_blocks):
-        name_len = r.unpack("<H", "block name length")
+        name_len = r.unpack(_U16, "block name length")
         try:
-            name = r.read(name_len, "block name").decode("utf-8")
+            name = str(r.read(name_len, "block name"), "utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(
                 f"{path}: block name is not UTF-8 (corrupt data)") from e
-        tag = r.unpack("<B", f"dtype of block '{name}'")
+        tag = r.unpack(_U8, "dtype", name)
         if tag not in (_DTYPE_F64, _DTYPE_I64, _DTYPE_BYTES):
             raise CheckpointError(f"{path}: block '{name}' has unknown dtype tag {tag}")
         shape = None
         if tag != _DTYPE_BYTES:
-            ndim = r.unpack("<B", f"ndim of block '{name}'")
-            shape = tuple(r.unpack("<Q", f"shape of block '{name}'")
-                          for _ in range(ndim))
-        nbytes = r.unpack("<Q", f"length of block '{name}'")
-        payload = r.read(nbytes, f"payload of block '{name}'")
-        crc = r.unpack("<I", f"checksum of block '{name}'")
+            ndim = r.unpack(_U8, "ndim", name)
+            shape = struct.unpack(f"<{ndim}Q", r.read(8 * ndim, "shape", name))
+        nbytes = r.unpack(_U64, "length", name)
+        payload = r.read(nbytes, "payload", name)
+        crc = r.unpack(_U32, "checksum", name)
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise CheckpointError(
                 f"{path}: block '{name}' failed its checksum (corrupt data)")
         if tag == _DTYPE_BYTES:
-            state.meta[name.removeprefix("meta/")] = payload.decode("utf-8")
+            state.meta[name.removeprefix("meta/")] = str(payload, "utf-8")
             continue
-        wire = "<f8" if tag == _DTYPE_F64 else "<i8"
         expected = 8 * math.prod(shape)
         if len(payload) != expected:
             raise CheckpointError(
                 f"{path}: block '{name}' length {len(payload)} != expected {expected}")
+        wire, native = (("<f8", np.float64) if tag == _DTYPE_F64
+                        else ("<i8", np.int64))
         arr = np.frombuffer(payload, dtype=wire).reshape(shape)
-        state.arrays[name] = arr.astype(np.float64 if tag == _DTYPE_F64 else np.int64)
+        state.arrays[name] = arr.astype(native, copy=False)
     if r.pos != len(data):
         raise CheckpointError(f"{path}: {len(data) - r.pos} trailing bytes")
     return state

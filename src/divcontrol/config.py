@@ -93,8 +93,14 @@ class RunConfig:
                self.eval_samples) < 1:
             raise ConfigError("batch_size, dataset_size, adapt_images and "
                               "eval_samples must be >= 1")
-        if min(self.timesteps, self.patch_size) < 1:
-            raise ConfigError("timesteps and patch_size must be >= 1")
+        if min(self.timesteps, self.patch_size, self.image_size, self.token_dim,
+               self.embed_dim, self.repa_dim, self.repa_hidden) < 1:
+            raise ConfigError("timesteps, patch_size, image_size, token_dim, "
+                              "embed_dim, repa_dim and repa_hidden must be >= 1")
+        if not (0 < self.beta_start < 1 and 0 < self.beta_end < 1):
+            raise ConfigError("beta_start and beta_end must lie in (0, 1)")
+        if not self.adam_eps > 0:
+            raise ConfigError("adam_eps must be > 0")
         if not self.lambda_repa >= 0:
             raise ConfigError("lambda_repa must be >= 0")
         if min(self.n_learngene, self.n_tailor, self.adapt_n_tailor) < 0:

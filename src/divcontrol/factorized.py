@@ -89,6 +89,11 @@ def factorize(w, n_learngene: int, n_tailor: int) -> FactorizedWeight:
     discarded, so the reconstruction error is whatever their singular
     values add up to.
     """
+    return FactorizedWeight(**svd_blocks(w, n_learngene, n_tailor))
+
+
+def svd_blocks(w, n_learngene: int, n_tailor: int) -> dict:
+    """The arrays ``factorize`` makes, by part name (``u_g`` ... ``v_t``)."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ContractError("factorize expects a matrix")
@@ -106,10 +111,11 @@ def factorize(w, n_learngene: int, n_tailor: int) -> FactorizedWeight:
             f"SVD failed to converge (shape {w.shape}, "
             f"|W|_F={np.linalg.norm(w):.3e}, max|W|={np.abs(w).max():.3e}): {e}"
         ) from e
-    blocks = []
-    for part in (slice(0, n_learngene), slice(n_learngene, rank)):
-        blocks += [u[:, part].copy(), s[part].copy(), vt[part].T.copy()]
-    return FactorizedWeight(*blocks)
+    blocks = {}
+    for tag, part in (("g", slice(0, n_learngene)), ("t", slice(n_learngene, rank))):
+        blocks.update({"u_" + tag: u[:, part].copy(), "s_" + tag: s[part].copy(),
+                       "v_" + tag: vt[part].T.copy()})
+    return blocks
 
 
 def apply_factorized(x, fw: FactorizedWeight, rows: Tensor | None) -> Tensor:

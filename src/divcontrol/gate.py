@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, InvalidInputError
 from .factorized import GatedCoefficients
-from .rng import stream
+from .rng import fresh, stream
 from .tensor import Tensor
 
 VOCAB_HASH_SIZE = 4096
@@ -101,17 +101,21 @@ class GateState:
 
     @staticmethod
     def init(embed_dim: int, n_tailor: int, k: int, seed: int,
-             bias_update_rate: float) -> "GateState":
+             bias_update_rate: float, source=fresh) -> "GateState":
         """Hidden layer Kaiming-uniform, output layer zero so routing starts
-        uniform."""
-        gen = stream(seed, "init", "gate")
+        uniform. Each parameter ``gate.<name>`` comes from ``source`` (see
+        ``rng.fresh``)."""
         bound = np.sqrt(6.0 / embed_dim)
-        w1 = Tensor(gen.uniform(-bound, bound, (embed_dim, embed_dim)),
-                    requires_grad=True)
-        b1 = Tensor(np.zeros(embed_dim), requires_grad=True)
-        w2 = Tensor(np.zeros((n_tailor, embed_dim)), requires_grad=True)
-        b2 = Tensor(np.zeros(n_tailor), requires_grad=True)
-        return GateState(w1, b1, w2, b2, k=k, bias_update_rate=bias_update_rate)
+
+        def param(name, shape, draw=None):
+            return Tensor(source("gate." + name, shape,
+                                 draw or (lambda: np.zeros(shape))), requires_grad=True)
+
+        w1 = param("w1", (embed_dim, embed_dim), lambda: stream(
+            seed, "init", "gate").uniform(-bound, bound, (embed_dim, embed_dim)))
+        return GateState(w1, param("b1", (embed_dim,)),
+                         param("w2", (n_tailor, embed_dim)), param("b2", (n_tailor,)),
+                         k=k, bias_update_rate=bias_update_rate)
 
 
 def gate_logits(gate: GateState, e: InstructionEmbedding) -> Tensor:

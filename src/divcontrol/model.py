@@ -12,6 +12,7 @@ Every network, pass and schedule takes its sizes from the run's
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,8 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .errors import ContractError
-from .factorized import FactorizedWeight, apply_factorized, factorize
-from .rng import stream
+from .factorized import FactorizedWeight, apply_factorized, svd_blocks
+from .rng import fresh, stream
 from .tensor import Tensor
 
 
@@ -51,96 +52,143 @@ def unpatchify(tokens: np.ndarray, image_size: int, patch: int) -> np.ndarray:
     return t[0] if single else t
 
 
-def _kaiming(gen, out_dim: int, in_dim: int) -> np.ndarray:
+def _kaiming_uniform(gen, out_dim: int, in_dim: int) -> np.ndarray:
     bound = np.sqrt(6.0 / in_dim)
     return gen.uniform(-bound, bound, (out_dim, in_dim))
 
 
-def _param(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
+class _Network:
+    """A network whose constructor makes its trainable parameters with the
+    methods below, each named ``prefix + name`` and taken from ``source``
+    (see ``rng.fresh``); a drawn value comes from the stream
+    ("init", prefix + name)."""
+
+    def _params_from(self, source, seed: int, prefix: str) -> None:
+        self._source, self._seed, self._prefix, self._made = source, seed, prefix, {}
+
+    def _gen(self, name: str):
+        return stream(self._seed, "init", self._prefix + name)
+
+    def _param(self, name: str, shape: tuple, draw) -> Tensor:
+        t = Tensor(self._source(self._prefix + name, shape, draw), requires_grad=True)
+        self._made[name] = t
+        return t
+
+    def _kaiming(self, name: str, out_dim: int, in_dim: int) -> Tensor:
+        return self._param(name, (out_dim, in_dim),
+                           lambda: _kaiming_uniform(self._gen(name), out_dim, in_dim))
+
+    def _normal(self, name: str, *shape) -> Tensor:
+        return self._param(name, shape,
+                           lambda: 0.02 * self._gen(name).standard_normal(shape))
+
+    def _full(self, name: str, value: float, *shape) -> Tensor:
+        return self._param(name, shape, lambda: np.full(shape, value))
+
+    def tensors(self) -> dict:
+        """The parameters by name, in the order they were made."""
+        return dict(self._made)
 
 
 # ----------------------------------------------------------------------
 # networks
 # ----------------------------------------------------------------------
 
-class DenoiserNet:
+class DenoiserNet(_Network):
     """Dense-weight denoiser backbone."""
 
-    def __init__(self, cfg: RunConfig, seed: int):
+    def __init__(self, cfg: RunConfig, seed: int, source=fresh):
         d, p, hid = cfg.token_dim, cfg.patch_dim, cfg.mlp_hidden
-
-        def g(name):
-            return stream(seed, "init", "den." + name)
-
-        self.patch_w = _param(_kaiming(g("patch_w"), d, p))
-        self.patch_b = _param(np.zeros(d))
-        self.pos = _param(0.02 * g("pos").standard_normal((cfg.n_patches, d)))
-        self.time_table = _param(0.02 * g("time").standard_normal((cfg.timesteps, d)))
+        self._params_from(source, seed, "den.")
+        self.patch_w = self._kaiming("patch_w", d, p)
+        self.patch_b = self._full("patch_b", 0.0, d)
+        self.pos = self._normal("pos", cfg.n_patches, d)
+        self.time_table = self._normal("time", cfg.timesteps, d)
         self.blocks = []
         for l in range(cfg.layers):
             blk = {
-                "ln1_g": _param(np.ones(d)), "ln1_b": _param(np.zeros(d)),
-                "wq": _param(_kaiming(g(f"l{l}.wq"), d, d)),
-                "wk": _param(_kaiming(g(f"l{l}.wk"), d, d)),
-                "wv": _param(_kaiming(g(f"l{l}.wv"), d, d)),
-                "wo": _param(_kaiming(g(f"l{l}.wo"), d, d)),
-                "ln2_g": _param(np.ones(d)), "ln2_b": _param(np.zeros(d)),
-                "w_in": _param(_kaiming(g(f"l{l}.w_in"), hid, d)),
-                "w_out": _param(_kaiming(g(f"l{l}.w_out"), d, hid)),
+                "ln1_g": self._full(f"l{l}.ln1_g", 1.0, d),
+                "ln1_b": self._full(f"l{l}.ln1_b", 0.0, d),
+                "wq": self._kaiming(f"l{l}.wq", d, d),
+                "wk": self._kaiming(f"l{l}.wk", d, d),
+                "wv": self._kaiming(f"l{l}.wv", d, d),
+                "wo": self._kaiming(f"l{l}.wo", d, d),
+                "ln2_g": self._full(f"l{l}.ln2_g", 1.0, d),
+                "ln2_b": self._full(f"l{l}.ln2_b", 0.0, d),
+                "w_in": self._kaiming(f"l{l}.w_in", hid, d),
+                "w_out": self._kaiming(f"l{l}.w_out", d, hid),
             }
             self.blocks.append(blk)
-        self.lnf_g = _param(np.ones(d))
-        self.lnf_b = _param(np.zeros(d))
-        self.head_w = _param(_kaiming(g("head_w"), p, d))
-        self.head_b = _param(np.zeros(p))
-
-    def tensors(self) -> dict:
-        out = {"patch_w": self.patch_w, "patch_b": self.patch_b,
-               "pos": self.pos, "time": self.time_table}
-        for l, blk in enumerate(self.blocks):
-            for k, t in blk.items():
-                out[f"l{l}.{k}"] = t
-        out.update({"lnf_g": self.lnf_g, "lnf_b": self.lnf_b,
-                    "head_w": self.head_w, "head_b": self.head_b})
-        return out
+        self.lnf_g = self._full("lnf_g", 1.0, d)
+        self.lnf_b = self._full("lnf_b", 0.0, d)
+        self.head_w = self._kaiming("head_w", p, d)
+        self.head_b = self._full("head_b", 0.0, p)
 
 
 # the block keys of a ControlBranch layer's six factorized projections
 PROJECTION_KEYS = ("fw_q", "fw_k", "fw_v", "fw_o", "fw_in", "fw_out")
 
 
-class ControlBranch:
-    """Condition encoder with factorized projections and zero-init injections."""
+def _adapter_tailors(gen, out_dim: int, in_dim: int, n_t: int) -> dict:
+    """Fresh tailor components for adaptation: unit-norm random u/v
+    columns at zero sigma, so they leave the composed weight untouched until
+    training moves the scales."""
+    u = gen.standard_normal((out_dim, n_t))
+    u /= np.linalg.norm(u, axis=0, keepdims=True)
+    v = gen.standard_normal((in_dim, n_t))
+    v /= np.linalg.norm(v, axis=0, keepdims=True)
+    return {"u_t": u, "s_t": np.zeros(n_t), "v_t": v}
+
+
+class ControlBranch(_Network):
+    """Condition encoder with factorized projections and zero-init injections.
+
+    Each projection is the SVD of a Kaiming draw, split into ``n_learngene``
+    learngene and ``n_tailor`` tailor components. In the adaptation modes
+    (``cfg.mode`` other than diversion) it keeps that learngene block and
+    takes ``cfg.adapt_n_tailor`` fresh tailors from ``_adapter_tailors``.
+    """
 
     def __init__(self, cfg: RunConfig, seed: int,
-                 n_learngene: int, n_tailor: int):
+                 n_learngene: int, n_tailor: int, source=fresh):
         d, p, hid = cfg.token_dim, cfg.patch_dim, cfg.mlp_hidden
+        adapting = cfg.mode != "diversion"
         self.n_learngene = n_learngene
-        self.n_tailor = n_tailor
+        self.n_tailor = n_t = cfg.adapt_n_tailor if adapting else n_tailor
+        self._params_from(source, seed, "br.")
 
-        def g(name):
-            return stream(seed, "init", "br." + name)
+        def make_fw(l, key, w_name, out_dim, in_dim):
+            # one SVD makes every block, and it runs only if one is drawn
+            svd = functools.cache(lambda: svd_blocks(
+                _kaiming_uniform(self._gen(f"l{l}.{w_name}"), out_dim, in_dim),
+                n_learngene, n_tailor))
+            adapter = functools.cache(lambda: _adapter_tailors(
+                stream(seed, "init", f"adapt.l{l}.{key}"), out_dim, in_dim, n_t))
+            shapes = {"u_g": (out_dim, n_learngene), "s_g": (n_learngene,),
+                      "v_g": (in_dim, n_learngene), "u_t": (out_dim, n_t),
+                      "s_t": (n_t,), "v_t": (in_dim, n_t)}
+            return FactorizedWeight(*(
+                self._param(f"l{l}.{key}.{part}", shape, lambda part=part: (
+                    adapter if adapting and part.endswith("_t") else svd)()[part])
+                for part, shape in shapes.items()))
 
-        def make_fw(name, out_dim, in_dim):
-            return factorize(_kaiming(g(name), out_dim, in_dim),
-                             n_learngene, n_tailor)
-
-        self.patch_w = _param(_kaiming(g("patch_w"), d, p))
-        self.patch_b = _param(np.zeros(d))
-        self.time_table = _param(0.02 * g("time").standard_normal((cfg.timesteps, d)))
+        self.patch_w = self._kaiming("patch_w", d, p)
+        self.patch_b = self._full("patch_b", 0.0, d)
+        self.time_table = self._normal("time", cfg.timesteps, d)
         self.blocks = []
         for l in range(cfg.controlnet_layers):
             blk = {
-                "ln1_g": _param(np.ones(d)), "ln1_b": _param(np.zeros(d)),
-                "fw_q": make_fw(f"l{l}.wq", d, d),
-                "fw_k": make_fw(f"l{l}.wk", d, d),
-                "fw_v": make_fw(f"l{l}.wv", d, d),
-                "fw_o": make_fw(f"l{l}.wo", d, d),
-                "ln2_g": _param(np.ones(d)), "ln2_b": _param(np.zeros(d)),
-                "fw_in": make_fw(f"l{l}.w_in", hid, d),
-                "fw_out": make_fw(f"l{l}.w_out", d, hid),
-                "inj_w": _param(np.zeros((d, d))),
+                "ln1_g": self._full(f"l{l}.ln1_g", 1.0, d),
+                "ln1_b": self._full(f"l{l}.ln1_b", 0.0, d),
+                "fw_q": make_fw(l, "fw_q", "wq", d, d),
+                "fw_k": make_fw(l, "fw_k", "wk", d, d),
+                "fw_v": make_fw(l, "fw_v", "wv", d, d),
+                "fw_o": make_fw(l, "fw_o", "wo", d, d),
+                "ln2_g": self._full(f"l{l}.ln2_g", 1.0, d),
+                "ln2_b": self._full(f"l{l}.ln2_b", 0.0, d),
+                "fw_in": make_fw(l, "fw_in", "w_in", hid, d),
+                "fw_out": make_fw(l, "fw_out", "w_out", d, hid),
+                "inj_w": self._full(f"l{l}.inj_w", 0.0, d, d),
             }
             self.blocks.append(blk)
 
@@ -149,20 +197,8 @@ class ControlBranch:
             for key in PROJECTION_KEYS:
                 yield blk[key]
 
-    def tensors(self) -> dict:
-        out = {"patch_w": self.patch_w, "patch_b": self.patch_b,
-               "time": self.time_table}
-        for l, blk in enumerate(self.blocks):
-            for k, item in blk.items():
-                if isinstance(item, FactorizedWeight):
-                    for part, t in item.tensors().items():
-                        out[f"l{l}.{k}.{part}"] = t
-                else:
-                    out[f"l{l}.{k}"] = item
-        return out
 
-
-class RepaHead:
+class RepaHead(_Network):
     """Trainable alignment MLP plus a frozen seeded patch encoder.
 
     The encoder projects each patch with a fixed (semi-)orthogonal matrix
@@ -170,17 +206,15 @@ class RepaHead:
     pretrained vision model. It never receives gradients.
     """
 
-    def __init__(self, cfg: RunConfig, seed: int, encoder_seed: int):
+    def __init__(self, cfg: RunConfig, seed: int, encoder_seed: int,
+                 source=fresh):
         d, p = cfg.token_dim, cfg.patch_dim
         hid, out = cfg.repa_hidden, cfg.repa_dim
-
-        def g(name):
-            return stream(seed, "init", "repa." + name)
-
-        self.a1 = _param(_kaiming(g("a1"), hid, d))
-        self.a1b = _param(np.zeros(hid))
-        self.a2 = _param(_kaiming(g("a2"), out, hid))
-        self.a2b = _param(np.zeros(out))
+        self._params_from(source, seed, "repa.")
+        self.a1 = self._kaiming("a1", hid, d)
+        self.a1b = self._full("a1b", 0.0, hid)
+        self.a2 = self._kaiming("a2", out, hid)
+        self.a2b = self._full("a2b", 0.0, out)
         enc_gen = stream(encoder_seed, "vision-encoder")
         if out >= p:
             q, _ = np.linalg.qr(enc_gen.standard_normal((out, p)))
@@ -189,9 +223,6 @@ class RepaHead:
             q, _ = np.linalg.qr(enc_gen.standard_normal((p, out)))
             self.enc_w = q.T  # orthonormal rows: projection
         self.patch_size = cfg.patch_size
-
-    def tensors(self) -> dict:
-        return {"a1": self.a1, "a1b": self.a1b, "a2": self.a2, "a2b": self.a2b}
 
     def encode(self, x_cond: np.ndarray) -> np.ndarray:
         """Patchify, project with the frozen matrix, L2-normalize per patch.

@@ -52,3 +52,11 @@ def stream_seed(seed: int, *parts) -> int:
 def stream(seed: int, *parts) -> np.random.Generator:
     """Return the generator for a named stream rooted at ``seed``."""
     return np.random.Generator(np.random.PCG64(stream_seed(seed, *parts)))
+
+
+def fresh(name: str, shape: tuple, draw) -> np.ndarray:
+    """The parameter source of a new network. A network takes each
+    parameter's array from ``source(name, shape, draw)``, where ``draw()``
+    makes its initial value; a source that reads stored values never calls it.
+    """
+    return draw()

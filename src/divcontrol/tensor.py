@@ -123,7 +123,8 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (lambda: _unbroadcast(g, a.data.shape),
+                lambda: _unbroadcast(g, b.data.shape))
 
     return _record(out, (a, b), vjp)
 
@@ -133,7 +134,8 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (lambda: _unbroadcast(g, a.data.shape),
+                lambda: _unbroadcast(-g, b.data.shape))
 
     return _record(out, (a, b), vjp)
 
@@ -143,8 +145,8 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (lambda: _unbroadcast(g * b.data, a.data.shape),
+                lambda: _unbroadcast(g * a.data, b.data.shape))
 
     return _record(out, (a, b), vjp)
 
@@ -154,8 +156,8 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / b.data)
 
     def vjp(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * out.data / b.data, b.data.shape))
+        return (lambda: _unbroadcast(g / b.data, a.data.shape),
+                lambda: _unbroadcast(-g * out.data / b.data, b.data.shape))
 
     return _record(out, (a, b), vjp)
 
@@ -348,11 +350,9 @@ def linear(x, w) -> Tensor:
     out = Tensor(np.matmul(x.data, w.data.T))
 
     def vjp(g):
-        gx = np.matmul(g, w.data)
-        g2 = g.reshape(-1, w.data.shape[0])
-        x2 = x.data.reshape(-1, w.data.shape[1])
-        gw = g2.T @ x2
-        return gx, gw
+        return (lambda: np.matmul(g, w.data),
+                lambda: g.reshape(-1, w.data.shape[0]).T
+                @ x.data.reshape(-1, w.data.shape[1]))
 
     return _record(out, (x, w), vjp)
 
@@ -400,14 +400,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     d = x.data.shape[-1]
 
     def vjp(g):
-        gxhat = g * gain.data
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gxhat - m1 - xhat * m2)
-        axes = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=axes) if axes else g * xhat
-        gbias = g.sum(axis=axes) if axes else g
-        return gx, ggain.reshape(gain.data.shape), gbias.reshape(bias.data.shape)
+        axes = tuple(range(g.ndim - 1))  # none for 1-D x: sum is a copy
+
+        def gx():
+            gxhat = g * gain.data
+            m1 = gxhat.mean(axis=-1, keepdims=True)
+            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+            return inv * (gxhat - m1 - xhat * m2)
+
+        return (gx, lambda: (g * xhat).sum(axis=axes).reshape(gain.data.shape),
+                lambda: g.sum(axis=axes).reshape(bias.data.shape))
 
     return _record(out, (x, gain, bias), vjp)
 
@@ -435,7 +437,8 @@ def factorized_linear(x, u_g, s_g, v_g, u_t=None, s_t=None, v_t=None,
     y = np.matmul(a_g, u_g.data.T)
     if u_t is None:
         def vjp(g):
-            return _factor_block_vjp(g, x, u_g, v_g, h_g, a_g, s_g.data)
+            return _factor_block_vjp(g, x, u_g, v_g, h_g, a_g, s_g.data,
+                                     s_g.requires_grad)
 
         return _record(Tensor(y), (x, u_g, s_g, v_g), vjp)
 
@@ -446,11 +449,12 @@ def factorized_linear(x, u_g, s_g, v_g, u_t=None, s_t=None, v_t=None,
     y = y + np.matmul(a_t, u_t.data.T)
 
     def vjp_tailored(g):
-        gx_t, gu_t, gcs, gv_t = _factor_block_vjp(g, x, u_t, v_t, h_t, a_t, cs)
-        gc = _unbroadcast(gcs * s_t.data, c.data.shape)
-        gs_t = _unbroadcast(gcs * c.data, s_t.data.shape)
-        return (gx_t, gu_t, gs_t, gv_t, gc) + _factor_block_vjp(
-            g, x, u_g, v_g, h_g, a_g, s_g.data)
+        gx_t, gu_t, gcs, gv_t = _factor_block_vjp(
+            g, x, u_t, v_t, h_t, a_t, cs, s_t.requires_grad or c.requires_grad)
+        return (gx_t, gu_t, lambda: _unbroadcast(gcs * c.data, s_t.data.shape),
+                gv_t, lambda: _unbroadcast(gcs * s_t.data, c.data.shape)
+                ) + _factor_block_vjp(g, x, u_g, v_g, h_g, a_g, s_g.data,
+                                      s_g.requires_grad)
 
     # x is listed once per block: backward adds the tailor block's part of
     # x.grad and then the learngene block's, so the float sums into x.grad
@@ -458,14 +462,18 @@ def factorized_linear(x, u_g, s_g, v_g, u_t=None, s_t=None, v_t=None,
     return _record(Tensor(y), (x, u_t, s_t, v_t, c, x, u_g, s_g, v_g), vjp_tailored)
 
 
-def _factor_block_vjp(g, x, u, v, h, a, scale):
+def _factor_block_vjp(g, x, u, v, h, a, scale, scale_grad: bool):
     """Gradients of ``a @ u.T`` with ``a = h * scale`` and ``h = x @ v``:
-    for x, u, scale and v, in that order (None where none is needed)."""
-    ga = np.matmul(g, u.data)
-    gu = gv = gx = None
+    for x, u, scale and v, in that order (None where none is needed, and
+    for scale unless ``scale_grad``)."""
+    gx = gu = gscale = gv = None
     if u.requires_grad:
         gu = g.reshape(-1, g.shape[-1]).T @ a.reshape(-1, a.shape[-1])
-    gscale = _unbroadcast(ga * h, np.shape(scale))
+    if not (scale_grad or v.requires_grad or x.requires_grad):
+        return gx, gu, gscale, gv
+    ga = np.matmul(g, u.data)
+    if scale_grad:
+        gscale = _unbroadcast(ga * h, np.shape(scale))
     gh = ga * scale
     if v.requires_grad:
         gv = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gh), v.data.shape)
@@ -508,7 +516,10 @@ def backward(loss: Tensor) -> None:
     """Populate ``.grad`` of every reachable requires_grad tensor.
 
     ``loss`` must be a scalar. The tape is freed afterwards, so each
-    recorded forward supports exactly one backward pass.
+    recorded forward supports exactly one backward pass. A VJP gives each
+    input's gradient as an array, None, or a function of no arguments that
+    computes it; backward calls that function only for an input that
+    requires grad, so frozen parameters and constants cost no gradient.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ContractError("backward expects a scalar Tensor loss")
@@ -522,6 +533,8 @@ def backward(loss: Tensor) -> None:
         for inp, gi in zip(inputs, grads):
             if gi is None or not inp.requires_grad:
                 continue
+            if callable(gi):
+                gi = gi()
             if inp.grad is None:
                 # an array the vjp just made is kept; g itself and views are
                 # copied, so no two tensors share a gradient buffer

@@ -34,7 +34,7 @@ from .conditions import (
 )
 from .config import RunConfig, config_digest, resolve_config, resolved_text
 from .errors import CheckpointError, ContractError, NumericError
-from .factorized import FactorizedWeight, GatedCoefficients, masked_gradient_apply
+from .factorized import GatedCoefficients, masked_gradient_apply
 from .gate import (
     GateState,
     InstructionEncoder,
@@ -47,7 +47,6 @@ from .model import (
     ControlBranch,
     DenoiserNet,
     NoiseSchedule,
-    PROJECTION_KEYS,
     RepaHead,
     branch_forward,
     count_parameters,
@@ -59,7 +58,7 @@ from .model import (
     sample_batch,
 )
 from .optim import AdamW, lr_at
-from .rng import stream
+from .rng import fresh, stream
 from .runio import (
     MetricsWriter,
     export_metrics,
@@ -67,7 +66,6 @@ from .runio import (
     run_lock,
     write_resolved_config,
 )
-from .tensor import Tensor
 
 
 @dataclass
@@ -98,69 +96,50 @@ def _embed_all(cfg: RunConfig, specs) -> list:
     return [enc.encode(s.instruction, s.condition_id) for s in specs]
 
 
+def _adapter(name: str) -> bool:
+    """Whether an adaptation run trains parameter ``name``: the branch's
+    tailor blocks and the gate's output layer. It freezes all the others."""
+    return name.endswith((".u_t", ".s_t", ".v_t")) or name in ("gate.w2", "gate.b2")
+
+
+def _bundle(cfg: RunConfig, source) -> ModelBundle:
+    """The bundle of ``cfg.mode``, each parameter taken from ``source``
+    (see ``rng.fresh``).
+
+    Diversion routes the basic registry. The adaptation modes route
+    ``adapt_condition`` through fresh tailors and a fresh gate output layer
+    on a frozen base.
+    """
+    adapting = cfg.mode != "diversion"
+    if adapting:
+        specs = [find_condition(cfg.adapt_condition)]
+        if specs[0].shift_class != "novel_high":
+            raise ContractError(
+                f"few-shot adaptation targets high-shift conditions; "
+                f"'{specs[0].condition_id}' is {specs[0].shift_class}")
+    else:
+        specs = basic_conditions()
+    n_tailor, top_k = ((cfg.adapt_n_tailor, cfg.adapt_top_k) if adapting
+                       else (cfg.n_tailor, cfg.top_k))
+    bundle = ModelBundle(
+        cfg=cfg, den=DenoiserNet(cfg, cfg.seed, source),
+        branch=ControlBranch(cfg, cfg.seed, cfg.n_learngene, cfg.n_tailor, source),
+        gate=GateState.init(cfg.embed_dim, n_tailor, top_k, cfg.seed,
+                            cfg.gate_bias_rate, source),
+        repa=RepaHead(cfg, cfg.seed, cfg.encoder_seed, source),
+        sched=NoiseSchedule.linear(cfg), specs=specs,
+        embeddings=_embed_all(cfg, specs))
+    if adapting:
+        for name, t in bundle.params().items():
+            t.requires_grad = _adapter(name)
+    return bundle
+
+
 def build_diversion_bundle(cfg: RunConfig) -> ModelBundle:
     """Fresh model for multi-condition training on the basic registry."""
-    specs = basic_conditions()
-    den = DenoiserNet(cfg, cfg.seed)
-    branch = ControlBranch(cfg, cfg.seed, cfg.n_learngene, cfg.n_tailor)
-    gate = GateState.init(cfg.embed_dim, cfg.n_tailor, cfg.top_k, cfg.seed,
-                          bias_update_rate=cfg.gate_bias_rate)
-    repa = RepaHead(cfg, cfg.seed, cfg.encoder_seed)
-    return ModelBundle(cfg=cfg, den=den, branch=branch, gate=gate, repa=repa,
-                       sched=NoiseSchedule.linear(cfg), specs=specs,
-                       embeddings=_embed_all(cfg, specs))
-
-
-def _fresh_tailor_bank(fw: FactorizedWeight, cfg: RunConfig,
-                       name: str) -> FactorizedWeight:
-    """Keep the (frozen) learngene block; replace the tailor block with
-    randomly initialized trainable components.
-
-    New u/v columns are unit-norm random directions and sigma starts at
-    zero, so the swapped-in bank leaves the composed weight untouched
-    until training moves the scales.
-    """
-    n_t = cfg.adapt_n_tailor
-    gen = stream(cfg.seed, "init", "adapt." + name)
-    u = gen.standard_normal((fw.out_dim, n_t))
-    u /= np.linalg.norm(u, axis=0, keepdims=True)
-    v = gen.standard_normal((fw.in_dim, n_t))
-    v /= np.linalg.norm(v, axis=0, keepdims=True)
-    return FactorizedWeight(fw.u_g, fw.s_g, fw.v_g, u, np.zeros(n_t), v)
-
-
-def _adaptation_surgery(base: ModelBundle, cfg: RunConfig) -> ModelBundle:
-    """Freeze the transferred model and graft fresh tailors plus a fresh
-    gate output row set for a single novel condition."""
-    new_spec = find_condition(cfg.adapt_condition)
-    if new_spec.shift_class != "novel_high":
-        raise ContractError(
-            f"few-shot adaptation targets high-shift conditions; "
-            f"'{new_spec.condition_id}' is {new_spec.shift_class}")
-    for t in base.params().values():
-        t.requires_grad = False
-    branch = base.branch
-    for li, blk in enumerate(branch.blocks):
-        for key in PROJECTION_KEYS:
-            blk[key] = _fresh_tailor_bank(blk[key], cfg, f"l{li}.{key}")
-    branch.n_tailor = cfg.adapt_n_tailor
-    gate = GateState(
-        w1=base.gate.w1, b1=base.gate.b1,  # frozen above
-        w2=Tensor(np.zeros((cfg.adapt_n_tailor, cfg.embed_dim)), requires_grad=True),
-        b2=Tensor(np.zeros(cfg.adapt_n_tailor), requires_grad=True),
-        k=cfg.adapt_top_k, bias_update_rate=cfg.gate_bias_rate)
-    specs = [new_spec]
-    return ModelBundle(cfg=cfg, den=base.den, branch=branch, gate=gate,
-                       repa=base.repa, sched=NoiseSchedule.linear(cfg),
-                       specs=specs, embeddings=_embed_all(cfg, specs))
-
-
-def _fresh_bundle(cfg: RunConfig) -> ModelBundle:
-    """Random bundle shaped for ``cfg.mode`` (adaptation modes: frozen base)."""
-    bundle = build_diversion_bundle(cfg)
     if cfg.mode != "diversion":
-        bundle = _adaptation_surgery(bundle, cfg)
-    return bundle
+        raise ContractError("a diversion bundle requires mode = diversion")
+    return _bundle(cfg, fresh)
 
 
 # Keys that set a parameter shape of the diversion base. An adaptation
@@ -171,22 +150,31 @@ _BASE_SHAPE_KEYS = ("image_size", "patch_size", "token_dim", "mlp_hidden",
                     "n_tailor", "embed_dim", "repa_dim", "repa_hidden")
 
 
-def build_adapt_bundle(cfg: RunConfig, base_ckpt_path) -> ModelBundle:
-    """Few-shot bundle: transferred parameters frozen, fresh routing path."""
+def _on_base(cfg: RunConfig, base_ckpt_path):
+    """Parameter source of an adaptation on a diversion base checkpoint:
+    the adapter is drawn and every other parameter read from the base."""
     if cfg.mode != "adapt_frozen":
         raise ContractError("adaptation requires mode = adapt_frozen")
-    base = restore_bundle(base_ckpt_path)
-    if base.cfg.mode != "diversion":
+    state = load_checkpoint(base_ckpt_path)
+    base_cfg = resolve_config(state.config_text)
+    if base_cfg.mode != "diversion":
         raise ContractError(
             f"adaptation needs a diversion-mode base checkpoint; "
-            f"'{base_ckpt_path}' was written in mode {base.cfg.mode}")
-    differ = [f"{k} = {getattr(cfg, k)} (base: {getattr(base.cfg, k)})"
-              for k in _BASE_SHAPE_KEYS if getattr(cfg, k) != getattr(base.cfg, k)]
+            f"'{base_ckpt_path}' was written in mode {base_cfg.mode}")
+    differ = [f"{k} = {getattr(cfg, k)} (base: {getattr(base_cfg, k)})"
+              for k in _BASE_SHAPE_KEYS if getattr(cfg, k) != getattr(base_cfg, k)]
     if differ:
         raise ContractError(
             f"adaptation config disagrees with base checkpoint '{base_ckpt_path}' "
             f"on parameter shapes: {', '.join(differ)}")
-    return _adaptation_surgery(base, cfg)
+    base = _stored(state)
+    return lambda name, shape, draw: (draw() if _adapter(name)
+                                      else base(name, shape, draw))
+
+
+def build_adapt_bundle(cfg: RunConfig, base_ckpt_path) -> ModelBundle:
+    """Few-shot bundle: transferred parameters frozen, fresh routing path."""
+    return _bundle(cfg, _on_base(cfg, base_ckpt_path))
 
 
 # ----------------------------------------------------------------------
@@ -227,10 +215,15 @@ def _block(state: CheckpointState, key: str, shape=None) -> np.ndarray:
     return arr.copy()
 
 
+def _stored(state: CheckpointState):
+    """Parameter source that reads each parameter from its ``param/`` block."""
+    return lambda name, shape, draw: _block(state, "param/" + name, shape)
+
+
 def load_bundle_arrays(bundle: ModelBundle, state: CheckpointState,
                        opt: AdamW | None = None) -> None:
-    for name, t in bundle.params().items():
-        t.data = _block(state, "param/" + name, t.data.shape)
+    """Load the gate state and, given ``opt``, the optimizer moments of a
+    bundle built from ``_stored(state)``."""
     bundle.gate.balance_bias = _block(state, "gate/balance_bias")
     bundle.gate.usage_count = _block(state, "gate/usage")
     bundle.gate.batch_count = _block(state, "gate/batch")
@@ -244,7 +237,7 @@ def load_bundle_arrays(bundle: ModelBundle, state: CheckpointState,
 def restore_bundle(ckpt_path) -> ModelBundle:
     """Rebuild the bundle a checkpoint was written from, in its mode."""
     state = load_checkpoint(ckpt_path)
-    bundle = _fresh_bundle(resolve_config(state.config_text))
+    bundle = _bundle(resolve_config(state.config_text), _stored(state))
     load_bundle_arrays(bundle, state)
     return bundle
 
@@ -421,6 +414,19 @@ def _image_bank(bundle: ModelBundle) -> DatasetBank:
                        image_stream="adapt-image")
 
 
+def _resumed(cfg: RunConfig, resume) -> tuple:
+    """(bundle, step, optimizer, RunMetrics) as checkpoint ``resume`` holds them."""
+    state = load_checkpoint(resume)
+    if state.config_digest != config_digest(cfg):
+        raise ContractError("resume checkpoint was written under a different config")
+    bundle = _bundle(cfg, _stored(state))
+    opt = _new_optimizer(bundle)
+    load_bundle_arrays(bundle, state, opt)
+    return bundle, state.step, opt, RunMetrics(
+        cond_ema=_block(state, "metrics/cond_ema"),
+        cond_seen=_block(state, "metrics/cond_seen"))
+
+
 def train(cfg: RunConfig, out_dir, base_ckpt=None, resume=None) -> str:
     """Train in ``cfg.mode`` into ``out_dir``; returns the checkpoint path.
 
@@ -432,18 +438,13 @@ def train(cfg: RunConfig, out_dir, base_ckpt=None, resume=None) -> str:
     if (base_ckpt is not None) != (cfg.mode == "adapt_frozen"):
         raise ContractError("a base checkpoint is given exactly when "
                             f"mode = adapt_frozen (mode is {cfg.mode})")
-    bundle = _fresh_bundle(cfg) if base_ckpt is None else build_adapt_bundle(cfg, base_ckpt)
-    start, opt, metrics = 0, None, None
-    if resume is not None:
-        state = load_checkpoint(resume)
-        if state.config_digest != config_digest(cfg):
-            raise ContractError(
-                "resume checkpoint was written under a different config")
-        opt = _new_optimizer(bundle)
-        load_bundle_arrays(bundle, state, opt)
-        start = state.step
-        metrics = RunMetrics(cond_ema=_block(state, "metrics/cond_ema"),
-                             cond_seen=_block(state, "metrics/cond_seen"))
+    if resume is None:
+        bundle = _bundle(cfg, fresh if base_ckpt is None else _on_base(cfg, base_ckpt))
+        start, opt, metrics = 0, None, None
+    else:
+        if base_ckpt is not None:
+            _on_base(cfg, base_ckpt)  # checked as for a new run, values unused
+        bundle, start, opt, metrics = _resumed(cfg, resume)
     bank = _image_bank(bundle)
     with run_lock(out_dir):
         write_resolved_config(out_dir, resolved_text(cfg))

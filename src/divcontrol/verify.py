@@ -3,8 +3,9 @@
 Differentiates the objective training runs on, ``training._objective``
 (denoising MSE through the gated factorized branch, plus weighted
 alignment), at one-layer scale, small enough that every coordinate can be
-finite-differenced, and checks the tape's gradients against central
-differences.
+finite-differenced, and checks the tape's gradients against extrapolated
+central differences (see ``gradcheck.finite_diff_check``). At the default
+step every coordinate passes.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def build_e2e_case(seed: int = 0):
     return loss, bundle.params()
 
 
-def run_e2e_gradcheck(seed: int = 0, h: float = 1e-5, tol: float = 1e-5,
+def run_e2e_gradcheck(seed: int = 0, h: float = 4e-3, tol: float = 1e-5,
                       max_coords_per_param: int | None = None) -> GradCheckReport:
     loss, params = build_e2e_case(seed)
     rng = np.random.default_rng(seed)

@@ -69,7 +69,13 @@ def test_config_invariants():
                 dict(timesteps=0), dict(lambda_repa=float("nan")),
                 dict(patch_size=0), dict(top_k=33), dict(adapt_top_k=17),
                 dict(top_k=-1), dict(adapt_top_k=-1), dict(n_tailor=-1, top_k=0),
-                dict(n_learngene=-1), dict(adapt_n_tailor=-1, adapt_top_k=0)):
+                dict(n_learngene=-1), dict(adapt_n_tailor=-1, adapt_top_k=0),
+                # sizes and schedule values that fail inside a run
+                dict(image_size=0), dict(token_dim=0, mlp_hidden=0),
+                dict(embed_dim=0), dict(repa_dim=0), dict(repa_hidden=0),
+                dict(beta_start=0.0), dict(beta_end=2.0), dict(beta_end=1.0),
+                dict(beta_start=float("nan")), dict(beta_end=float("nan")),
+                dict(adam_eps=0.0), dict(adam_eps=float("nan"))):
         text = "".join(f"{k} = {v}\n" for k, v in bad.items())
         with pytest.raises(ConfigError):
             resolve_config(text)
@@ -81,7 +87,9 @@ def test_config_invariants():
     resolve_config(overrides=dict(lr_factor=1.0, dropout=0.0, weight_decay=0.0,
                                   steps=0, adapt_steps=0, batch_size=1,
                                   timesteps=1, lambda_repa=0.0, n_learngene=0,
-                                  n_tailor=0, top_k=0, adapt_top_k=16))
+                                  n_tailor=0, top_k=0, adapt_top_k=16,
+                                  image_size=4, beta_start=0.5, beta_end=0.5,
+                                  adam_eps=1e-300))
     # callers that catch the package's contract errors still catch these
     assert issubclass(ConfigError, ContractError)
 
@@ -113,7 +121,7 @@ def test_override_types_follow_field_annotations():
     cfg = resolve_config(overrides={"lr": 1})
     assert type(cfg.lr) is float
     assert config_digest(resolve_config(resolved_text(cfg))) == config_digest(cfg)
-    assert type(resolve_config().replace(beta_end=1).beta_end) is float
+    assert type(resolve_config().replace(lr_factor=1).lr_factor) is float
     for bad in (dict(steps="100"), dict(steps=True), dict(steps=100.0),
                 dict(lr="0.1"), dict(lr=True), dict(mode=3),
                 dict(lr_milestones=[10]), dict(lr_milestones=(1.5,))):

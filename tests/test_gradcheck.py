@@ -7,7 +7,7 @@ from divcontrol import tensor as T
 from divcontrol import training
 from divcontrol.gate import route
 from divcontrol.gradcheck import OP_CASES, build_case, finite_diff_check, run_op_suite
-from divcontrol.rng import stream
+from divcontrol.rng import fresh, stream
 from divcontrol.tensor import Tensor
 from divcontrol.verify import micro_config
 
@@ -95,14 +95,15 @@ def test_every_taped_primitive_has_a_case():
     assert _taped_primitives() - recorded == set()
 
 
-def _training_step(bundle, cond_idx):
-    """Routing and objective of one step, on random images and noise."""
+def _training_step(bundle, cond_idx, drop_gen=None):
+    """Routing and objective of one step, on random images and noise;
+    returns l_total."""
     gen = np.random.default_rng(0)
     shape = (len(cond_idx),) + (bundle.cfg.image_size,) * 2
     rows, _ = training._routing_rows(bundle, cond_idx, record=False)
     t_idx = gen.integers(0, bundle.cfg.timesteps, len(cond_idx))
-    training._objective(bundle, gen.random(shape), gen.random(shape), t_idx,
-                        gen.standard_normal(shape), rows)
+    return training._objective(bundle, gen.random(shape), gen.random(shape), t_idx,
+                               gen.standard_normal(shape), rows, drop_gen)[2]
 
 
 def test_model_records_every_taped_primitive():
@@ -110,11 +111,37 @@ def test_model_records_every_taped_primitive():
     # is dead code
     cfg = micro_config()
     diversion = training.build_diversion_bundle(cfg)
-    adapt = training._fresh_bundle(cfg.replace(mode="adapt_frozen"))
+    adapt = training._bundle(cfg.replace(mode="adapt_frozen"), fresh)
     recorded = (_recorded(lambda: _training_step(diversion, np.array([0, 2, 2])))
                 | _recorded(lambda: _training_step(adapt, np.array([0, 0])))
                 | _recorded(lambda: route(diversion.gate, diversion.embeddings[1])))
     assert _taped_primitives() - recorded == set()
+
+
+def test_frozen_tensors_get_no_gradient_and_trainable_ones_are_unchanged():
+    # backward computes no gradient for frozen parameters, constant inputs
+    # or dropout masks; the gradients it does compute are bit-identical to
+    # those of a pass in which every parameter needs one
+    cfg = micro_config().replace(mode="adapt_frozen", dropout=0.5)
+    bundle = training._bundle(cfg, fresh)
+    params = bundle.params()
+    trainable = set(bundle.trainable_params())
+
+    def grads():
+        T.zero_grads(params)
+        T.backward(_training_step(bundle, np.array([0, 0]), stream(0, "drop")))
+        return {k: p.grad for k, p in params.items()}
+
+    skipped = grads()
+    assert trainable and trainable != set(params)
+    for p in params.values():
+        p.requires_grad = True
+    full = grads()
+    for k in params:
+        if k in trainable:
+            assert np.array_equal(skipped[k], full[k]), k
+        else:
+            assert skipped[k] is None and full[k] is not None, k
 
 
 def test_coordinate_subsampling_is_deterministic():

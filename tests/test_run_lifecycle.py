@@ -14,6 +14,7 @@ from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint, save_checkpoint
 from divcontrol.errors import CheckpointError, ConfigError, ContractError, NumericError
 from divcontrol.optim import lr_at
+from divcontrol.rng import fresh
 from divcontrol.runio import read_metrics
 from divcontrol.verify import micro_config
 
@@ -34,7 +35,7 @@ def test_resume_after_crash_matches_straight_run(trained, tmp_path, monkeypatch,
     # a run checkpoints at step 100, goes on to step 150 and dies there
     run = tmp_path / "crashed"
     bundle = (training.build_adapt_bundle(cfg, base) if base
-              else training._fresh_bundle(cfg))
+              else training._bundle(cfg, fresh))
     bank = training._image_bank(bundle)
     opt = training._new_optimizer(bundle)
     ckpt, metrics = training.train_steps(bundle, bank, run, stop_step=100, opt=opt)
@@ -66,14 +67,34 @@ def test_resume_after_crash_matches_straight_run(trained, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("prefix", ["param/", "gate/", "opt/m/", "opt/v/", "opt/t"])
-def test_missing_block_raises_checkpoint_error(trained, prefix):
+def test_missing_block_raises_checkpoint_error(trained, tmp_path, prefix):
     cfg, ckpt = trained
     state = load_checkpoint(ckpt)
     dropped = next(k for k in state.arrays if k.startswith(prefix))
     del state.arrays[dropped]
-    bundle = training.build_diversion_bundle(cfg)
-    with pytest.raises(CheckpointError, match="missing block"):
-        training.load_bundle_arrays(bundle, state, training._new_optimizer(bundle))
+    save_checkpoint(tmp_path / "ckpt.divc", state)
+    with pytest.raises(CheckpointError, match=f"missing block '{dropped}'"):
+        training.train(cfg, tmp_path / "run", resume=str(tmp_path / "ckpt.divc"))
+    if prefix in ("param/", "gate/"):
+        with pytest.raises(CheckpointError, match=f"missing block '{dropped}'"):
+            training.restore_bundle(tmp_path / "ckpt.divc")
+
+
+@pytest.mark.parametrize("mode", ["diversion", "adapt_frozen"])
+def test_wrongly_shaped_param_block_raises_checkpoint_error(trained, tmp_path, mode):
+    cfg, ckpt = trained
+    if mode == "adapt_frozen":
+        # the adaptation reads its frozen base blocks from the base checkpoint
+        acfg = cfg.replace(mode=mode, adapt_n_tailor=2, adapt_top_k=1)
+        path, key, build = ckpt, "param/br.l0.fw_q.u_g", (
+            lambda p: training.build_adapt_bundle(acfg, p))
+    else:
+        path, key, build = ckpt, "param/den.l0.wq", training.restore_bundle
+    state = load_checkpoint(path)
+    state.arrays[key] = state.arrays[key][:-1]
+    save_checkpoint(tmp_path / "ckpt.divc", state)
+    with pytest.raises(CheckpointError, match=f"block '{key}' shape"):
+        build(tmp_path / "ckpt.divc")
 
 
 @pytest.mark.parametrize("key", ["metrics/cond_ema", "metrics/cond_seen"])

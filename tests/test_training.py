@@ -8,6 +8,7 @@ shows up here.
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint
 from divcontrol.config import config_digest, resolve_config, resolved_text
+from divcontrol.rng import fresh
 from divcontrol.runio import read_metrics
 from divcontrol.verify import micro_config
 
@@ -126,10 +128,7 @@ def test_adaptation_runs_trajectory_and_run_files(runs, name, mode):
     assert_one_config(root / name, ckpt[name])
 
 
-@pytest.mark.parametrize("name", ["diversion", "adapt", "scratch"])
-def test_restore_bundle_matches_trained_bundle(runs, name):
-    _, ckpt, trained = runs
-    ref, bundle = trained[name], training.restore_bundle(ckpt[name])
+def assert_same_bundle(bundle, ref):
     assert bundle.cfg == ref.cfg
     assert [s.condition_id for s in bundle.specs] == [s.condition_id for s in ref.specs]
     assert list(bundle.params()) == list(ref.params())
@@ -143,23 +142,70 @@ def test_restore_bundle_matches_trained_bundle(runs, name):
     assert np.array_equal(bundle.gate.batch_count, ref.gate.batch_count)
 
 
+def no_svd(*args, **kwargs):
+    raise AssertionError("a checkpointed weight was factorized again")
+
+
+@pytest.mark.parametrize("name", ["diversion", "adapt", "scratch"])
+def test_restore_bundle_matches_trained_bundle(runs, name, tmp_path, monkeypatch):
+    # restoring, resuming and adapting take every parameter from a
+    # checkpoint or a fresh draw, and factorize no weight
+    _, ckpt, trained = runs
+    cfg = micro(mode={"adapt": "adapt_frozen"}.get(name, name))
+    base = ckpt["diversion"] if name == "adapt" else None
+    adapter_init = training._bundle(cfg, fresh) if name == "adapt" else None
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+
+    assert_same_bundle(training.restore_bundle(ckpt[name]), trained[name])
+
+    # resuming at the last step trains nothing and rewrites the checkpoint
+    resumed, train_steps = [], training.train_steps
+
+    def spy(bundle, bank, out_dir, **kw):
+        resumed.append((bundle, kw["opt"]))
+        return train_steps(bundle, bank, out_dir, **kw)
+
+    monkeypatch.setattr(training, "train_steps", spy)
+    out = training.train(cfg, tmp_path / "resumed", base_ckpt=base, resume=ckpt[name])
+    (bundle, opt), = resumed
+    assert_same_bundle(bundle, trained[name])
+    state = load_checkpoint(ckpt[name])
+    for key in opt.params:
+        assert np.array_equal(opt.m[key], state.arrays["opt/m/" + key]), key
+        assert np.array_equal(opt.v[key], state.arrays["opt/v/" + key]), key
+    assert Path(out).read_bytes() == Path(ckpt[name]).read_bytes()
+
+    if name == "adapt":
+        # the frozen base is the trained diversion bundle's, the adapter
+        # what a fresh adaptation bundle draws
+        bundle = training.build_adapt_bundle(cfg, base)
+        div = trained["diversion"].params()
+        for key, t in adapter_init.params().items():
+            if not t.requires_grad:
+                t.data = div[key].data
+        assert_same_bundle(bundle, adapter_init)
+
+
 @pytest.mark.parametrize("source", ["fresh", "adapt", "loaded"])
 def test_optimizer_arrays_share_no_memory(runs, source):
     # AdamW updates parameters and moments in place, so two trainable
-    # tensors that share memory would receive each other's updates
+    # tensors that share memory would receive each other's updates, and a
+    # restored one must not be a view of the checkpoint file's bytes
     _, ckpt, _ = runs
     if source == "adapt":
         bundle = training.build_adapt_bundle(micro(mode="adapt_frozen"), ckpt["diversion"])
+        opt = training._new_optimizer(bundle)
+    elif source == "loaded":
+        bundle, _, opt, _ = training._resumed(micro(), ckpt["diversion"])
     else:
         bundle = training.build_diversion_bundle(micro())
-    opt = training._new_optimizer(bundle)
-    if source == "loaded":
-        training.load_bundle_arrays(bundle, load_checkpoint(ckpt["diversion"]), opt)
+        opt = training._new_optimizer(bundle)
     arrays = [(f"param/{k}", p.data) for k, p in opt.params.items()]
     arrays += [(f"opt/m/{k}", a) for k, a in opt.m.items()]
     arrays += [(f"opt/v/{k}", a) for k, a in opt.v.items()]
     assert list(opt.params) == list(bundle.trainable_params())
     for i, (name_a, a) in enumerate(arrays):
+        assert a.flags.owndata and a.flags.writeable, name_a
         for name_b, b in arrays[i + 1:]:
             assert not np.shares_memory(a, b), (name_a, name_b)
 
