@@ -15,8 +15,8 @@ Layout (all integers little-endian):
         ...  payload (f64/i64 stored little-endian)
         u32  CRC-32 of the payload
 
-Numeric payloads round-trip bit-exactly on any platform. Writes go to a
-temp file in the target directory followed by an atomic rename.
+Numeric payloads round-trip bit-exactly on any platform. Saves go
+through ``runio.replace_file``, a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ import io
 import math
 import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CheckpointError
+from .runio import replace_file
 
 MAGIC = b"DIVC"
 FORMAT_VERSION = 1
@@ -91,17 +91,8 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     for name, text in state.meta.items():
         _write_block(buf, "meta/" + name, text.encode("utf-8"), _DTYPE_BYTES)
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".divc.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    replace_file(path, buf.getvalue())
 
 
 _U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))

@@ -259,12 +259,10 @@ def apply_condition(images: np.ndarray, spec: ConditionSpec) -> np.ndarray:
 
 @dataclass
 class Batch:
-    index: int
     image_idx: np.ndarray
     cond_idx: np.ndarray
     x: np.ndarray        # (B, H, W)
     x_cond: np.ndarray   # (B, H, W)
-    condition_ids: list
 
 
 class DatasetBank:
@@ -310,9 +308,7 @@ def _build_batch(bank: DatasetBank, batch_size: int, seed: int, b: int) -> Batch
     x = bank.images[image_idx]
     x_cond = np.stack([bank.condition_images(int(c))[int(i)]
                        for i, c in zip(image_idx, cond_idx)])
-    return Batch(index=b, image_idx=image_idx, cond_idx=cond_idx, x=x,
-                 x_cond=x_cond,
-                 condition_ids=[bank.specs[int(c)].condition_id for c in cond_idx])
+    return Batch(image_idx=image_idx, cond_idx=cond_idx, x=x, x_cond=x_cond)
 
 
 # ----------------------------------------------------------------------

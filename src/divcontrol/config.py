@@ -13,8 +13,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
-from .optim import LrSchedule
+from .errors import ConfigError, ContractError
 
 
 def _intlist(text: str) -> tuple:
@@ -125,9 +124,12 @@ class RunConfig:
     def patch_dim(self) -> int:
         return self.patch_size ** 2
 
-    def schedule(self) -> LrSchedule:
-        return LrSchedule(base_lr=self.lr, milestones=self.lr_milestones,
-                          factor=self.lr_factor)
+    def lr_at(self, step: int) -> float:
+        """Piecewise-constant decay: lr * lr_factor^(#lr_milestones <= step)."""
+        if step < 0:
+            raise ContractError("step must be >= 0")
+        hits = sum(1 for m in self.lr_milestones if m <= step)
+        return self.lr * self.lr_factor ** hits
 
     def replace(self, **kw) -> "RunConfig":
         unknown = set(kw) - set(CONFIG_KEYS)

@@ -1,6 +1,6 @@
 """Projection matrices stored as rank-1 components with a shared/gated split.
 
-``factorize`` takes one SVD of a weight matrix W (out_dim x in_dim) and
+``svd_blocks`` takes one SVD of a weight matrix W (out_dim x in_dim) and
 keeps its leading rank-1 triples (u_i, sigma_i, v_i). The first
 ``n_learngene`` (largest sigma) are shared across every condition and
 always carry coefficient 1; the next ``n_tailor`` are scaled per
@@ -81,24 +81,20 @@ class FactorizedWeight:
                 "u_t": self.u_t, "s_t": self.s_t, "v_t": self.v_t}
 
 
-def factorize(w, n_learngene: int, n_tailor: int) -> FactorizedWeight:
-    """Factorize a dense matrix by SVD into learngene and tailor blocks.
+def svd_blocks(w, n_learngene: int, n_tailor: int) -> dict:
+    """Factorize a dense matrix by SVD into learngene and tailor blocks, the
+    arrays of a ``FactorizedWeight`` by part name (``u_g`` ... ``v_t``).
 
     The learngene block takes the ``n_learngene`` largest-sigma components
     and the tailor block the next ``n_tailor``. Components past both are
     discarded, so the reconstruction error is whatever their singular
     values add up to.
     """
-    return FactorizedWeight(**svd_blocks(w, n_learngene, n_tailor))
-
-
-def svd_blocks(w, n_learngene: int, n_tailor: int) -> dict:
-    """The arrays ``factorize`` makes, by part name (``u_g`` ... ``v_t``)."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
-        raise ContractError("factorize expects a matrix")
+        raise ContractError("svd_blocks expects a matrix")
     if not np.isfinite(w).all():
-        raise ContractError("factorize input must be finite")
+        raise ContractError("svd_blocks input must be finite")
     rank = n_learngene + n_tailor
     if n_learngene < 0 or n_tailor < 0 or not 1 <= rank <= min(w.shape):
         raise ContractError(

@@ -23,13 +23,6 @@ from .tensor import Tensor
 VOCAB_HASH_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class InstructionEmbedding:
-    condition_id: str
-    text: str
-    e_txt: np.ndarray  # unit-norm, frozen
-
-
 def _token_index(token: str) -> int:
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") % VOCAB_HASH_SIZE
@@ -40,12 +33,11 @@ class InstructionEncoder:
     table, mean-pool, L2-normalize."""
 
     def __init__(self, encoder_seed: int, embed_dim: int):
-        self.encoder_seed = int(encoder_seed)
-        self.embed_dim = int(embed_dim)
         gen = stream(encoder_seed, "embed-table")
         self.table = gen.standard_normal((VOCAB_HASH_SIZE, embed_dim))
 
-    def encode(self, text: str, condition_id: str = "") -> InstructionEmbedding:
+    def encode(self, text: str) -> np.ndarray:
+        """The instruction's unit-norm embedding, shape (embed_dim,)."""
         tokens = text.lower().split()
         if not tokens:
             raise InvalidInputError("instruction text is empty")
@@ -54,8 +46,7 @@ class InstructionEncoder:
         norm = np.linalg.norm(pooled)
         if norm > 0:
             pooled = pooled / norm
-        return InstructionEmbedding(condition_id=condition_id, text=text,
-                                    e_txt=pooled)
+        return pooled
 
 
 @dataclass
@@ -118,15 +109,14 @@ class GateState:
                          k=k, bias_update_rate=bias_update_rate)
 
 
-def gate_logits(gate: GateState, e: InstructionEmbedding) -> Tensor:
-    if e.e_txt.size != gate.embed_dim:
-        raise ContractError(
-            f"embedding dim {e.e_txt.size} != gate dim {gate.embed_dim}")
-    h = T.tanh(T.add(T.linear(Tensor(e.e_txt.reshape(1, -1)), gate.w1), gate.b1))
+def gate_logits(gate: GateState, e: np.ndarray) -> Tensor:
+    if e.size != gate.embed_dim:
+        raise ContractError(f"embedding dim {e.size} != gate dim {gate.embed_dim}")
+    h = T.tanh(T.add(T.linear(Tensor(e.reshape(1, -1)), gate.w1), gate.b1))
     return T.reshape(T.add(T.linear(h, gate.w2), gate.b2), (gate.n_tailor,))
 
 
-def route(gate: GateState, e: InstructionEmbedding) -> Tensor:
+def route(gate: GateState, e: np.ndarray) -> Tensor:
     """Softmax routing weights over tailors; differentiable into the gate."""
     return T.softmax(gate_logits(gate, e))
 

@@ -6,8 +6,8 @@ everywhere). The condition branch mirrors it, but stores its six
 projections per layer as FactorizedWeight and injects its per-layer
 token features additively into the denoiser through zero-initialized
 projections, so at step 0 the condition contributes exactly nothing.
-Every network, pass and schedule takes its sizes from the run's
-``RunConfig``.
+Every network, pass and schedule takes its sizes, seeds and dropout
+rate from the run's ``RunConfig``.
 """
 
 from __future__ import annotations
@@ -97,9 +97,9 @@ class _Network:
 class DenoiserNet(_Network):
     """Dense-weight denoiser backbone."""
 
-    def __init__(self, cfg: RunConfig, seed: int, source=fresh):
+    def __init__(self, cfg: RunConfig, source=fresh):
         d, p, hid = cfg.token_dim, cfg.patch_dim, cfg.mlp_hidden
-        self._params_from(source, seed, "den.")
+        self._params_from(source, cfg.seed, "den.")
         self.patch_w = self._kaiming("patch_w", d, p)
         self.patch_b = self._full("patch_b", 0.0, d)
         self.pos = self._normal("pos", cfg.n_patches, d)
@@ -149,24 +149,22 @@ class ControlBranch(_Network):
     takes ``cfg.adapt_n_tailor`` fresh tailors from ``_adapter_tailors``.
     """
 
-    def __init__(self, cfg: RunConfig, seed: int,
-                 n_learngene: int, n_tailor: int, source=fresh):
+    def __init__(self, cfg: RunConfig, source=fresh):
         d, p, hid = cfg.token_dim, cfg.patch_dim, cfg.mlp_hidden
         adapting = cfg.mode != "diversion"
-        self.n_learngene = n_learngene
-        self.n_tailor = n_t = cfg.adapt_n_tailor if adapting else n_tailor
-        self._params_from(source, seed, "br.")
+        self.n_learngene = n_g = cfg.n_learngene
+        self.n_tailor = n_t = cfg.adapt_n_tailor if adapting else cfg.n_tailor
+        self._params_from(source, cfg.seed, "br.")
 
         def make_fw(l, key, w_name, out_dim, in_dim):
             # one SVD makes every block, and it runs only if one is drawn
             svd = functools.cache(lambda: svd_blocks(
                 _kaiming_uniform(self._gen(f"l{l}.{w_name}"), out_dim, in_dim),
-                n_learngene, n_tailor))
+                n_g, cfg.n_tailor))
             adapter = functools.cache(lambda: _adapter_tailors(
-                stream(seed, "init", f"adapt.l{l}.{key}"), out_dim, in_dim, n_t))
-            shapes = {"u_g": (out_dim, n_learngene), "s_g": (n_learngene,),
-                      "v_g": (in_dim, n_learngene), "u_t": (out_dim, n_t),
-                      "s_t": (n_t,), "v_t": (in_dim, n_t)}
+                stream(cfg.seed, "init", f"adapt.l{l}.{key}"), out_dim, in_dim, n_t))
+            shapes = {"u_g": (out_dim, n_g), "s_g": (n_g,), "v_g": (in_dim, n_g),
+                      "u_t": (out_dim, n_t), "s_t": (n_t,), "v_t": (in_dim, n_t)}
             return FactorizedWeight(*(
                 self._param(f"l{l}.{key}.{part}", shape, lambda part=part: (
                     adapter if adapting and part.endswith("_t") else svd)()[part])
@@ -206,16 +204,15 @@ class RepaHead(_Network):
     pretrained vision model. It never receives gradients.
     """
 
-    def __init__(self, cfg: RunConfig, seed: int, encoder_seed: int,
-                 source=fresh):
+    def __init__(self, cfg: RunConfig, source=fresh):
         d, p = cfg.token_dim, cfg.patch_dim
         hid, out = cfg.repa_hidden, cfg.repa_dim
-        self._params_from(source, seed, "repa.")
+        self._params_from(source, cfg.seed, "repa.")
         self.a1 = self._kaiming("a1", hid, d)
         self.a1b = self._full("a1b", 0.0, hid)
         self.a2 = self._kaiming("a2", out, hid)
         self.a2b = self._full("a2b", 0.0, out)
-        enc_gen = stream(encoder_seed, "vision-encoder")
+        enc_gen = stream(cfg.encoder_seed, "vision-encoder")
         if out >= p:
             q, _ = np.linalg.qr(enc_gen.standard_normal((out, p)))
             self.enc_w = q  # orthonormal columns: isometric on patches
@@ -303,8 +300,7 @@ def _attention(x, ln_g, ln_b, proj, d):
 
 
 def branch_forward(branch: ControlBranch, cfg: RunConfig,
-                   xc_tokens, t_idx, coeff_rows,
-                   dropout_p: float = 0.0, drop_gen=None):
+                   xc_tokens, t_idx, coeff_rows, drop_gen=None):
     """Run the condition branch.
 
     Args:
@@ -312,6 +308,8 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
         t_idx: (B,) integer timesteps.
         coeff_rows: per-item tailor coefficients, Tensor (B, n_tailor),
             or None when the branch has no tailors.
+        drop_gen: the stream ``cfg.dropout`` masks are drawn from; None
+            (eval and sampling) disables dropout.
     Returns:
         (injections, f_cond): per-layer injection tensors (B, N, D) and the
         tokens captured after ``repa_layer``.
@@ -331,7 +329,7 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
 
         x = T.add(x, _attention(x, blk["ln1_g"], blk["ln1_b"], proj, d))
         h2 = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-        hidden = _dropout(T.gelu(proj("in", h2)), dropout_p, drop_gen)
+        hidden = _dropout(T.gelu(proj("in", h2)), cfg.dropout, drop_gen)
         x = T.add(x, proj("out", hidden))
         if li + 1 == cfg.repa_layer:
             f_cond = x
@@ -340,9 +338,9 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
 
 
 def denoiser_forward(den: DenoiserNet, cfg: RunConfig,
-                     z_tokens, t_idx, injections=None,
-                     dropout_p: float = 0.0, drop_gen=None) -> Tensor:
-    """Predict noise tokens (B, N, patch_dim) from noisy-image tokens."""
+                     z_tokens, t_idx, injections=None, drop_gen=None) -> Tensor:
+    """Predict noise tokens (B, N, patch_dim) from noisy-image tokens;
+    dropout as in ``branch_forward``."""
     d = cfg.token_dim
     x = T.add(T.linear(Tensor(z_tokens), den.patch_w), den.patch_b)
     x = T.add(x, den.pos)
@@ -357,7 +355,7 @@ def denoiser_forward(den: DenoiserNet, cfg: RunConfig,
 
         x = T.add(x, _attention(x, blk["ln1_g"], blk["ln1_b"], proj, d))
         h2 = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-        hidden = _dropout(T.gelu(T.linear(h2, blk["w_in"])), dropout_p, drop_gen)
+        hidden = _dropout(T.gelu(T.linear(h2, blk["w_in"])), cfg.dropout, drop_gen)
         x = T.add(x, T.linear(hidden, blk["w_out"]))
     y = T.layer_norm(x, den.lnf_g, den.lnf_b)
     return T.add(T.linear(y, den.head_w), den.head_b)
@@ -369,11 +367,9 @@ def denoiser_forward(den: DenoiserNet, cfg: RunConfig,
 
 def diffusion_loss(eps, eps_hat) -> Tensor:
     """Mean squared error over every element."""
-    eps_t = eps if isinstance(eps, Tensor) else Tensor(eps)
-    hat_t = eps_hat if isinstance(eps_hat, Tensor) else Tensor(eps_hat)
-    if eps_t.shape != hat_t.shape:
+    if eps.shape != eps_hat.shape:
         raise ContractError("diffusion_loss shapes differ")
-    diff = T.sub(eps_t, hat_t)
+    diff = T.sub(eps, eps_hat)
     return T.mean_(T.mul(diff, diff))
 
 
@@ -402,8 +398,8 @@ def repa_loss(f_cond: Tensor, e_img: np.ndarray, head: RepaHead) -> Tensor:
 def sample_batch(den: DenoiserNet, branch: ControlBranch,
                  cfg: RunConfig, sched: NoiseSchedule,
                  x_cond: np.ndarray, coeff_rows: Tensor | None,
-                 seed: int, sample_indices=None) -> np.ndarray:
-    """Ancestral DDPM sampling for a batch; deterministic per (seed, index).
+                 sample_indices=None) -> np.ndarray:
+    """Ancestral DDPM sampling for a batch; deterministic per (cfg.seed, index).
 
     ``coeff_rows`` are the tailor coefficients ``branch_forward`` takes.
     Image ``i`` draws its initial noise and all step noises from the
@@ -413,7 +409,7 @@ def sample_batch(den: DenoiserNet, branch: ControlBranch,
     hw = (cfg.image_size, cfg.image_size)
     if sample_indices is None:
         sample_indices = range(b)
-    gens = [stream(seed, "sample", i) for i in sample_indices]
+    gens = [stream(cfg.seed, "sample", i) for i in sample_indices]
     z = np.stack([g.standard_normal(hw) for g in gens])
     xc_tokens = patchify(x_cond, cfg.patch_size)
     with T.no_grad():

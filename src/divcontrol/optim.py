@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay, and a multi-step LR schedule."""
+"""AdamW with decoupled weight decay."""
 
 from __future__ import annotations
 
@@ -7,29 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-
-
-@dataclass
-class LrSchedule:
-    """Piecewise-constant decay: lr(step) = base_lr * factor^(#milestones <= step)."""
-
-    base_lr: float
-    milestones: tuple = ()
-    factor: float = 1.0
-
-    def __post_init__(self):
-        self.milestones = tuple(sorted(int(m) for m in self.milestones))
-        if self.base_lr <= 0:
-            raise ContractError("base_lr must be positive")
-        if not (0 < self.factor <= 1):
-            raise ContractError("factor must lie in (0, 1]")
-
-
-def lr_at(schedule: LrSchedule, step: int) -> float:
-    if step < 0:
-        raise ContractError("step must be >= 0")
-    hits = sum(1 for m in schedule.milestones if m <= step)
-    return schedule.base_lr * schedule.factor ** hits
 
 
 @dataclass

@@ -16,11 +16,6 @@ RESOLVED_CONFIG_FILE = "resolved-config.txt"
 LOCK_FILE = ".divc-lock"
 
 
-def metrics_header(condition_ids) -> list:
-    return ["step", "l_diff", "l_repa", "l_total", "lr"] + \
-        [f"cond_{c}" for c in condition_ids]
-
-
 class MetricsWriter:
     """Append-only CSV stream; one row per optimizer step.
 
@@ -31,18 +26,18 @@ class MetricsWriter:
 
     def __init__(self, run_dir, condition_ids, resume_step: int = 0):
         self.path = os.path.join(run_dir, METRICS_FILE)
-        self.header = metrics_header(condition_ids)
         if resume_step > 0 and os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
             kept = lines[:1] + [ln for ln in lines[1:] if ln.endswith("\n")
                                 and int(ln.split(",", 1)[0]) <= resume_step]
             if len(kept) < len(lines):
-                _replace_file(self.path, "".join(kept))
+                replace_file(self.path, "".join(kept))
             self._fh = open(self.path, "a", encoding="utf-8")
         else:
             self._fh = open(self.path, "w", encoding="utf-8")
-            self._fh.write(",".join(self.header) + "\n")
+            self._fh.write(",".join(["step", "l_diff", "l_repa", "l_total", "lr"]
+                                    + [f"cond_{c}" for c in condition_ids]) + "\n")
 
     def write(self, step: int, l_diff: float, l_repa: float, l_total: float,
               lr: float, per_condition) -> None:
@@ -93,16 +88,19 @@ def export_metrics(run_dir, extra: dict | None = None) -> dict:
         idx = {name: i for i, name in enumerate(header)}
         summary["final_100_mean_l_diff"] = float(
             np.mean([r[idx["l_diff"]] for r in tail]))
-    _replace_file(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    replace_file(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
-def _replace_file(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and an atomic rename."""
-    tmp = path + ".tmp"
+def replace_file(path, data) -> None:
+    """Write ``data`` (bytes, or text as UTF-8) to ``path`` through the temp
+    file ``<path>.tmp`` and an atomic rename; an error removes the temp file."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
@@ -111,7 +109,7 @@ def _replace_file(path, text: str) -> None:
 
 
 def write_resolved_config(run_dir, text: str) -> None:
-    _replace_file(os.path.join(run_dir, RESOLVED_CONFIG_FILE), text)
+    replace_file(os.path.join(run_dir, RESOLVED_CONFIG_FILE), text)
 
 
 def _holder_is_dead(path) -> bool:

@@ -57,7 +57,7 @@ from .model import (
     repa_loss,
     sample_batch,
 )
-from .optim import AdamW, lr_at
+from .optim import AdamW
 from .rng import fresh, stream
 from .runio import (
     MetricsWriter,
@@ -93,7 +93,7 @@ class ModelBundle:
 
 def _embed_all(cfg: RunConfig, specs) -> list:
     enc = InstructionEncoder(cfg.encoder_seed, cfg.embed_dim)
-    return [enc.encode(s.instruction, s.condition_id) for s in specs]
+    return [enc.encode(s.instruction) for s in specs]
 
 
 def _adapter(name: str) -> bool:
@@ -122,11 +122,10 @@ def _bundle(cfg: RunConfig, source) -> ModelBundle:
     n_tailor, top_k = ((cfg.adapt_n_tailor, cfg.adapt_top_k) if adapting
                        else (cfg.n_tailor, cfg.top_k))
     bundle = ModelBundle(
-        cfg=cfg, den=DenoiserNet(cfg, cfg.seed, source),
-        branch=ControlBranch(cfg, cfg.seed, cfg.n_learngene, cfg.n_tailor, source),
+        cfg=cfg, den=DenoiserNet(cfg, source), branch=ControlBranch(cfg, source),
         gate=GateState.init(cfg.embed_dim, n_tailor, top_k, cfg.seed,
                             cfg.gate_bias_rate, source),
-        repa=RepaHead(cfg, cfg.seed, cfg.encoder_seed, source),
+        repa=RepaHead(cfg, source),
         sched=NoiseSchedule.linear(cfg), specs=specs,
         embeddings=_embed_all(cfg, specs))
     if adapting:
@@ -224,14 +223,15 @@ def load_bundle_arrays(bundle: ModelBundle, state: CheckpointState,
                        opt: AdamW | None = None) -> None:
     """Load the gate state and, given ``opt``, the optimizer moments of a
     bundle built from ``_stored(state)``."""
-    bundle.gate.balance_bias = _block(state, "gate/balance_bias")
-    bundle.gate.usage_count = _block(state, "gate/usage")
-    bundle.gate.batch_count = _block(state, "gate/batch")
+    n_t = (bundle.gate.n_tailor,)
+    bundle.gate.balance_bias = _block(state, "gate/balance_bias", n_t)
+    bundle.gate.usage_count = _block(state, "gate/usage", n_t)
+    bundle.gate.batch_count = _block(state, "gate/batch", n_t)
     if opt is not None:
         for name, p in opt.params.items():
             opt.m[name] = _block(state, "opt/m/" + name, p.data.shape)
             opt.v[name] = _block(state, "opt/v/" + name, p.data.shape)
-        opt.step_count = int(_block(state, "opt/t")[0])
+        opt.step_count = int(_block(state, "opt/t", (1,))[0])
 
 
 def restore_bundle(ckpt_path) -> ModelBundle:
@@ -298,9 +298,9 @@ def _objective(bundle: ModelBundle, x, x_cond, t_idx, eps, rows,
     patch = cfg.patch_size
     z_t = forward_noise(x, t_idx, eps, bundle.sched)
     inj, f_cond = branch_forward(bundle.branch, cfg, patchify(x_cond, patch),
-                                 t_idx, rows, cfg.dropout, drop_gen)
+                                 t_idx, rows, drop_gen)
     eps_hat = denoiser_forward(bundle.den, cfg, patchify(z_t, patch), t_idx,
-                               inj, cfg.dropout, drop_gen)
+                               inj, drop_gen)
     eps_tok = patchify(eps, patch)
     l_diff = diffusion_loss(eps_tok, eps_hat)
     l_repa = repa_loss(f_cond, bundle.repa.encode(x_cond), bundle.repa)
@@ -318,7 +318,6 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
     Returns (checkpoint_path, RunMetrics).
     """
     cfg = bundle.cfg
-    lr_sched = cfg.schedule()
     budget = cfg.steps if cfg.mode == "diversion" else cfg.adapt_steps
     stop = budget if stop_step is None else min(stop_step, budget)
     if opt is None:
@@ -363,11 +362,11 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
             if bundle.branch.n_tailor:
                 for fw in bundle.branch.factorized_weights():
                     masked_gradient_apply(fw, active_union)
-            opt.step(lr=lr_at(lr_sched, s))
+            lr = cfg.lr_at(s)
+            opt.step(lr=lr)
             opt.zero_grad()
             update_biases(bundle.gate)
-            writer.write(s + 1, l_diff, l_repa, l_total, lr_at(lr_sched, s),
-                         metrics.cond_ema)
+            writer.write(s + 1, l_diff, l_repa, l_total, lr, metrics.cond_ema)
             if (s + 1) % 100 == 0:
                 metrics.seconds_per_100.append(time.monotonic() - t_block)
                 t_block = time.monotonic()
@@ -423,8 +422,8 @@ def _resumed(cfg: RunConfig, resume) -> tuple:
     opt = _new_optimizer(bundle)
     load_bundle_arrays(bundle, state, opt)
     return bundle, state.step, opt, RunMetrics(
-        cond_ema=_block(state, "metrics/cond_ema"),
-        cond_seen=_block(state, "metrics/cond_seen"))
+        cond_ema=_block(state, "metrics/cond_ema", (len(bundle.specs),)),
+        cond_seen=_block(state, "metrics/cond_seen", (len(bundle.specs),)))
 
 
 def train(cfg: RunConfig, out_dir, base_ckpt=None, resume=None) -> str:
@@ -486,7 +485,7 @@ def evaluate_bundle(bundle: ModelBundle, n_samples: int | None = None,
            "n_samples": n}
     if sample_images:
         samples = sample_batch(bundle.den, bundle.branch, cfg, bundle.sched,
-                               x_cond, rows, cfg.seed,
+                               x_cond, rows,
                                sample_indices=[f"eval-{i}" for i in range(n)])
         out["eval_ssim"] = float(np.mean(
             [metric_ssim(a, b) for a, b in zip(samples, x)]))
@@ -538,7 +537,7 @@ def _l_diff(run_dir) -> list:
     return [row[col] for row in rows]
 
 
-def run_ablation(cfg: RunConfig, out_dir, eval_samples: int | None = None) -> dict:
+def run_ablation(cfg: RunConfig, out_dir) -> dict:
     """Train the three ablation arms under identical seeds and batches."""
     arm_cfgs = {arm: ablation_arm_config(cfg, arm) for arm in ABLATION_ARMS}
     if not audit_batch_streams(list(arm_cfgs.values())):
@@ -554,7 +553,7 @@ def run_ablation(cfg: RunConfig, out_dir, eval_samples: int | None = None) -> di
             "first_100_mean_l_diff": float(np.mean(l_diff[:100])),
             "config_digest": config_digest(arm_cfg).hex(),
         }
-        arm_out.update(evaluate_bundle(bundle, n_samples=eval_samples))
+        arm_out.update(evaluate_bundle(bundle))
         report["arms"][arm] = arm_out
     return report
 

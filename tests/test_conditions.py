@@ -159,11 +159,10 @@ def test_shuffle_is_a_fixed_permutation():
 def test_sample_record_regenerable():
     bank = DatasetBank(SEED, 16, basic_conditions())
     batch = _build_batch(bank, 4, SEED, 3)
-    for i, c, x, x_cond, cid in zip(batch.image_idx, batch.cond_idx, batch.x,
-                                    batch.x_cond, batch.condition_ids):
+    for i, c, x, x_cond in zip(batch.image_idx, batch.cond_idx, batch.x,
+                               batch.x_cond):
         assert np.array_equal(x, render_images(SEED, int(i), int(i) + 1)[0])
         assert np.array_equal(x_cond, apply_condition(x[None], bank.specs[c])[0])
-        assert cid == bank.specs[c].condition_id
 
 
 def test_build_batch_uniform_conditions():
@@ -197,7 +196,6 @@ def test_build_batch_suffix_regenerable():
     fresh = DatasetBank(SEED, 32, basic_conditions())
     for b in (7, 5, 6):
         a, c = full[b], _build_batch(fresh, 4, SEED, b)
-        assert a.index == c.index == b
         assert np.array_equal(a.x, c.x)
         assert np.array_equal(a.x_cond, c.x_cond)
         assert np.array_equal(a.cond_idx, c.cond_idx)
@@ -239,7 +237,7 @@ def test_encoder_sim_identity_and_range():
     from divcontrol.config import resolve_config
     from divcontrol.model import RepaHead
 
-    head = RepaHead(resolve_config(), seed=0, encoder_seed=7)
+    head = RepaHead(resolve_config(overrides={"encoder_seed": 7}))
     img = render_images(SEED, 0, 1)[0]
     assert metric_encoder_sim(head, img, img) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(7)
@@ -256,7 +254,7 @@ def test_encoder_sim_rank_correlates_with_ssim():
     from divcontrol.config import resolve_config
     from divcontrol.model import RepaHead
 
-    head = RepaHead(resolve_config(), seed=0, encoder_seed=7)
+    head = RepaHead(resolve_config(overrides={"encoder_seed": 7}))
     rng = np.random.default_rng(8)
     ssims, encs = [], []
     for i in range(100):

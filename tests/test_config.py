@@ -1,7 +1,9 @@
+import inspect
 from dataclasses import fields
 
 import pytest
 
+from divcontrol import model, training
 from divcontrol.config import (
     CONFIG_KEYS,
     RunConfig,
@@ -129,3 +131,19 @@ def test_override_types_follow_field_annotations():
             resolve_config(overrides=bad)
         with pytest.raises(ConfigError):
             resolve_config().replace(**bad)
+
+
+def test_run_values_come_only_from_the_config():
+    # a function or class that takes a RunConfig reads every run value from
+    # it, so no parameter can shadow a key the config digest covers
+    checked = 0
+    for module in (model, training):
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__ or not callable(obj):
+                continue
+            params = inspect.signature(obj).parameters.values()
+            if any(p.annotation in ("RunConfig", RunConfig) for p in params):
+                checked += 1
+                shadowed = [p.name for p in params if p.name in CONFIG_KEYS]
+                assert not shadowed, (obj.__qualname__, shadowed)
+    assert checked >= 10

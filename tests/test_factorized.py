@@ -3,9 +3,14 @@ import pytest
 
 from divcontrol import tensor as T
 from divcontrol.errors import ContractError
-from divcontrol.factorized import apply_factorized, factorize, masked_gradient_apply
+from divcontrol.factorized import (FactorizedWeight, apply_factorized,
+                                   masked_gradient_apply, svd_blocks)
 from divcontrol.tensor import Tensor, backward
 from tape_oracles import matmul
+
+
+def factorize(w, n_g, n_t):
+    return FactorizedWeight(**svd_blocks(w, n_g, n_t))
 
 
 def brute_force_compose(fw, g):

@@ -5,7 +5,7 @@ from divcontrol import tensor as T
 from divcontrol.conditions import apply_condition, find_condition, render_images
 from divcontrol.config import resolve_config
 from divcontrol.errors import ContractError
-from divcontrol.factorized import factorize
+from divcontrol.factorized import FactorizedWeight, svd_blocks
 from divcontrol.model import (
     ControlBranch,
     DenoiserNet,
@@ -83,10 +83,9 @@ def test_posterior_recovers_z0_at_final_step():
 
 
 def build_parts(cfg, n_g=4, n_t=4, seed=SEED):
-    den = DenoiserNet(cfg, seed)
-    branch = ControlBranch(cfg, seed, n_g, n_t)
-    head = RepaHead(cfg, seed, encoder_seed=7)
-    return den, branch, head
+    cfg = cfg.replace(seed=seed, encoder_seed=7, n_learngene=n_g, n_tailor=n_t,
+                      top_k=min(cfg.top_k, n_t))
+    return DenoiserNet(cfg), ControlBranch(cfg), RepaHead(cfg)
 
 
 def test_zero_init_condition_contributes_nothing():
@@ -164,7 +163,7 @@ def test_diffusion_loss_values():
 
 def test_repa_loss_canonical_values():
     cfg = small_cfg()
-    head = RepaHead(cfg, SEED, encoder_seed=7)
+    head = RepaHead(cfg.replace(seed=SEED, encoder_seed=7))
     n, d = 2, cfg.repa_dim
     e = np.zeros((1, n, d))
     e[0, 0, 0] = 1.0
@@ -231,7 +230,7 @@ def test_gradient_flow_repa_and_branch():
 
 
 def test_repa_encode_contracts():
-    head = RepaHead(CFG, SEED, encoder_seed=7)
+    head = RepaHead(CFG.replace(seed=SEED, encoder_seed=7))
     img = render_images(SEED, 0, 1)[0]
     e1 = head.encode(img)
     e2 = head.encode(img)
@@ -277,7 +276,7 @@ def test_factorized_branch_matches_dense_twin():
                 fw = blk["fw_" + tag]
                 w = sum(u.data * s.data @ v.data.T for u, s, v in (
                     (fw.u_g, fw.s_g, fw.v_g), (fw.u_t, fw.s_t, fw.v_t)))
-                dense["fw_" + tag] = factorize(w, min(w.shape), 0)
+                dense["fw_" + tag] = FactorizedWeight(**svd_blocks(w, min(w.shape), 0))
             twin.blocks.append(dense)
         inj_d, fc_d = branch_forward(twin, cfg, xc, t_idx, None)
     assert np.abs(fc_f.data - fc_d.data).max() < 1e-10
@@ -298,8 +297,8 @@ def test_sampling_deterministic_and_clamped():
     xc = rng.uniform(-1, 1, (8, 8))
     rows = Tensor(np.array([[0.5, 0.5, 0, 0.0]]))
     sched = NoiseSchedule.linear(cfg)
-    img1 = sample_batch(den, branch, cfg, sched, xc[None], rows, seed=99)[0]
-    img2 = sample_batch(den, branch, cfg, sched, xc[None], rows, seed=99)[0]
+    img1 = sample_batch(den, branch, cfg.replace(seed=99), sched, xc[None], rows)[0]
+    img2 = sample_batch(den, branch, cfg.replace(seed=99), sched, xc[None], rows)[0]
     assert np.array_equal(img1, img2)
     assert img1.min() >= -1.0 and img1.max() <= 1.0
 
@@ -309,8 +308,8 @@ def test_untrained_sample_statistics_near_noise():
     den, branch, _ = build_parts(cfg, n_t=0)
     sched = NoiseSchedule.linear(cfg)
     imgs = np.stack([
-        sample_batch(den, branch, cfg, sched, np.zeros((1, 8, 8)), None,
-                     seed=100 + i)[0]
+        sample_batch(den, branch, cfg.replace(seed=100 + i), sched,
+                     np.zeros((1, 8, 8)), None)[0]
         for i in range(8)])
     # untrained: outputs spread widely instead of collapsing to a constant
     assert imgs.std() > 0.3

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from divcontrol.config import RunConfig
 from divcontrol.errors import ContractError
-from divcontrol.optim import AdamW, LrSchedule, lr_at
+from divcontrol.optim import AdamW
 from divcontrol.tensor import Tensor
 
 
@@ -128,22 +129,22 @@ def test_adamw_in_place_is_bit_identical_to_rebinding_update():
 
 
 def test_lr_at_paper_values():
-    sched = LrSchedule(base_lr=1.25e-5, milestones=(300000,), factor=0.4)
-    assert lr_at(sched, 0) == pytest.approx(1.25e-5)
-    assert lr_at(sched, 299999) == pytest.approx(1.25e-5)
-    assert lr_at(sched, 300000) == pytest.approx(5e-6)
-    assert lr_at(sched, 449999) == pytest.approx(5e-6)
+    cfg = RunConfig(lr=1.25e-5, lr_milestones=(300000,), lr_factor=0.4)
+    assert cfg.lr_at(0) == pytest.approx(1.25e-5)
+    assert cfg.lr_at(299999) == pytest.approx(1.25e-5)
+    assert cfg.lr_at(300000) == pytest.approx(5e-6)
+    assert cfg.lr_at(449999) == pytest.approx(5e-6)
 
 
 def test_lr_at_no_milestones_constant():
-    sched = LrSchedule(base_lr=1e-3)
+    cfg = RunConfig(lr=1e-3, lr_milestones=(), lr_factor=1.0)
     for s in (0, 10, 10 ** 7):
-        assert lr_at(sched, s) == 1e-3
+        assert cfg.lr_at(s) == 1e-3
 
 
 def test_lr_at_monotone_non_increasing():
-    sched = LrSchedule(base_lr=1.0, milestones=(3, 7, 9), factor=0.5)
-    values = [lr_at(sched, s) for s in range(15)]
+    cfg = RunConfig(lr=1.0, lr_milestones=(3, 7, 9), lr_factor=0.5)
+    values = [cfg.lr_at(s) for s in range(15)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     with pytest.raises(ContractError):
-        lr_at(sched, -1)
+        cfg.lr_at(-1)

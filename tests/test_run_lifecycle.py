@@ -13,7 +13,6 @@ from divcontrol import tensor as T
 from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint, save_checkpoint
 from divcontrol.errors import CheckpointError, ConfigError, ContractError, NumericError
-from divcontrol.optim import lr_at
 from divcontrol.rng import fresh
 from divcontrol.runio import read_metrics
 from divcontrol.verify import micro_config
@@ -97,6 +96,23 @@ def test_wrongly_shaped_param_block_raises_checkpoint_error(trained, tmp_path, m
         build(tmp_path / "ckpt.divc")
 
 
+@pytest.mark.parametrize("key", ["gate/balance_bias", "gate/usage", "gate/batch",
+                                 "opt/t", "metrics/cond_ema", "metrics/cond_seen"])
+def test_wrongly_shaped_state_block_fails_before_the_run_starts(trained, tmp_path, key):
+    # restore and resume check the shape of every block they read, so a cut
+    # block is named before the run directory is made
+    cfg, ckpt = trained
+    state = load_checkpoint(ckpt)
+    state.arrays[key] = state.arrays[key][:-1]
+    save_checkpoint(tmp_path / "ckpt.divc", state)
+    with pytest.raises(CheckpointError, match=f"block '{key}' shape"):
+        training.train(cfg, tmp_path / "run", resume=str(tmp_path / "ckpt.divc"))
+    assert not os.path.exists(tmp_path / "run")
+    if key.startswith("gate/"):
+        with pytest.raises(CheckpointError, match=f"block '{key}' shape"):
+            training.restore_bundle(tmp_path / "ckpt.divc")
+
+
 @pytest.mark.parametrize("key", ["metrics/cond_ema", "metrics/cond_seen"])
 def test_resume_without_metrics_block_raises_checkpoint_error(trained, tmp_path, key):
     cfg, ckpt = trained
@@ -141,13 +157,12 @@ def test_alignment_head_only_decays_at_lambda_zero(tmp_path):
     cfg = micro_config(0).replace(steps=40, dropout=0.1, lambda_repa=0.0)
     init = training.build_diversion_bundle(cfg).params()
     state = load_checkpoint(training.train(cfg, tmp_path))
-    sched = cfg.schedule()
     names = [name for name in init if name.startswith("repa.")]
     assert names
     for name in names:
         expected = init[name].data.copy()
         for s in range(cfg.steps):
-            expected *= 1.0 - lr_at(sched, s) * cfg.weight_decay
+            expected *= 1.0 - cfg.lr_at(s) * cfg.weight_decay
         assert np.array_equal(state.arrays["param/" + name], expected), name
         assert not state.arrays["opt/m/" + name].any(), name
         assert not state.arrays["opt/v/" + name].any(), name

@@ -1,5 +1,6 @@
 """Run-directory files: the single-writer lock and the resolved config."""
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -8,9 +9,10 @@ import sys
 import pytest
 
 from divcontrol import runio
+from divcontrol.checkpoint import CheckpointState, save_checkpoint
 from divcontrol.errors import ContractError
-from divcontrol.runio import (LOCK_FILE, RESOLVED_CONFIG_FILE, run_lock,
-                              write_resolved_config)
+from divcontrol.runio import (LOCK_FILE, METRICS_FILE, RESOLVED_CONFIG_FILE,
+                              export_metrics, run_lock, write_resolved_config)
 
 
 def test_second_acquisition_fails_and_keeps_the_holders_lock(tmp_path):
@@ -51,6 +53,26 @@ def test_failed_config_write_keeps_the_previous_file(tmp_path, monkeypatch):
         write_resolved_config(tmp_path, "seed = 2\n")
     assert (tmp_path / RESOLVED_CONFIG_FILE).read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [RESOLVED_CONFIG_FILE]
+
+
+def test_failed_checkpoint_and_summary_writes_keep_the_previous_files(
+        tmp_path, monkeypatch):
+    state = CheckpointState(step=1, config_digest=bytes(32), meta={"k": "v"})
+    save_checkpoint(tmp_path / "checkpoint.divc", state)
+    (tmp_path / METRICS_FILE).write_text("step,l_diff\n1,0.5\n")
+    export_metrics(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(runio.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tmp_path / "checkpoint.divc", dataclasses.replace(state, step=2))
+    with pytest.raises(OSError, match="disk full"):
+        export_metrics(tmp_path, extra={"k": "v"})
+    # the old files are intact and no temp file is left behind
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 _HOLD_LOCK = """

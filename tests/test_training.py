@@ -225,7 +225,7 @@ def test_zero_shot_route_pinned(runs):
 
 
 def test_run_ablation_pinned(tmp_path):
-    report = training.run_ablation(micro(), tmp_path, eval_samples=4)
+    report = training.run_ablation(micro(), tmp_path)
     assert set(report["arms"]) == set(REF["ablation"])
     for arm, ref in REF["ablation"].items():
         assert report["arms"][arm]["n_samples"] == 4
