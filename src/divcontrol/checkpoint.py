@@ -21,7 +21,6 @@ through ``runio.replace_file``, a temp file and an atomic rename.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
@@ -53,31 +52,23 @@ class CheckpointState:
         return self.meta.get("config_text", "")
 
 
-def _write_block(buf, name: str, payload: bytes, dtype: int, shape=None):
+def _block(name: str, payload, dtype: int, shape=()) -> tuple:
+    """A block's chunks: its header, ``payload`` (a byte sequence) and CRC."""
     encoded = name.encode("utf-8")
-    buf.write(struct.pack("<H", len(encoded)))
-    buf.write(encoded)
-    buf.write(struct.pack("<B", dtype))
+    head = struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", dtype)
     if dtype != _DTYPE_BYTES:
-        buf.write(struct.pack("<B", len(shape)))
-        for dim in shape:
-            buf.write(struct.pack("<Q", dim))
-    buf.write(struct.pack("<Q", len(payload)))
-    buf.write(payload)
-    buf.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        head += struct.pack(f"<B{len(shape)}Q", len(shape), *shape)
+    head += struct.pack("<Q", len(payload))
+    return head, payload, struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
 def save_checkpoint(path, state: CheckpointState) -> None:
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
     digest = state.config_digest
     if len(digest) != 32:
         raise CheckpointError("config digest must be 32 bytes")
-    buf.write(digest)
-    buf.write(struct.pack("<Q", state.step))
     n_blocks = len(state.arrays) + len(state.meta)
-    buf.write(struct.pack("<I", n_blocks))
+    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION), digest,
+              struct.pack("<QI", state.step, n_blocks)]
     for name, arr in state.arrays.items():
         arr = np.asarray(arr)
         if arr.dtype == np.float64:
@@ -87,12 +78,15 @@ def save_checkpoint(path, state: CheckpointState) -> None:
         else:
             raise CheckpointError(
                 f"block '{name}': unsupported dtype {arr.dtype} (use f64/i64)")
-        _write_block(buf, name, arr.astype(wire).tobytes(), tag, arr.shape)
+        # a view of the array's own bytes wherever it is already C-ordered
+        # little-endian, so the file is written without a copy of it
+        payload = np.ascontiguousarray(arr, wire).reshape(-1).view(np.uint8)
+        chunks += _block(name, payload, tag, arr.shape)
     for name, text in state.meta.items():
-        _write_block(buf, "meta/" + name, text.encode("utf-8"), _DTYPE_BYTES)
+        chunks += _block("meta/" + name, text.encode("utf-8"), _DTYPE_BYTES)
 
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    replace_file(path, buf.getvalue())
+    replace_file(path, chunks)
 
 
 _U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))

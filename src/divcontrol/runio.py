@@ -93,14 +93,18 @@ def export_metrics(run_dir, extra: dict | None = None) -> dict:
 
 
 def replace_file(path, data) -> None:
-    """Write ``data`` (bytes, or text as UTF-8) to ``path`` through the temp
-    file ``<path>.tmp`` and an atomic rename; an error removes the temp file."""
+    """Write ``data`` (text as UTF-8, bytes, or an iterable of byte chunks
+    written in turn) to ``path`` through the temp file ``<path>.tmp`` and an
+    atomic rename; an error removes the temp file."""
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, bytes):
+        data = (data,)
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        # a buffer this size gathers a checkpoint's small chunks into few writes
+        with open(tmp, "wb", buffering=1 << 18) as fh:
+            fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,7 +304,9 @@ def _objective(bundle: ModelBundle, x, x_cond, t_idx, eps, rows,
                                inj, drop_gen)
     eps_tok = patchify(eps, patch)
     l_diff = diffusion_loss(eps_tok, eps_hat)
-    l_repa = repa_loss(f_cond, bundle.repa.encode(x_cond), bundle.repa)
+    # at lambda_repa = 0 the head would only add exact zeros to gradients
+    with T.no_grad() if cfg.lambda_repa == 0 else nullcontext():
+        l_repa = repa_loss(f_cond, bundle.repa.encode(x_cond), bundle.repa)
     l_total = T.add(l_diff, T.mul(l_repa, cfg.lambda_repa))
     return l_diff, l_repa, l_total, eps_tok, eps_hat
 

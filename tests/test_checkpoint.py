@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,23 @@ def test_non_utf8_block_name_raises(tmp_path, blob):
     data[blob.index(name)] = 0xFF
     with pytest.raises(CheckpointError, match="UTF-8"):
         load_bytes(tmp_path, bytes(data))
+
+
+def test_odd_layouts_and_zero_size_blocks_write_pinned_bytes(tmp_path):
+    # payloads are written as views of the arrays' bytes; the file must be
+    # the same whatever the layout, zero-size blocks included
+    base = np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 7
+    arrays = {"empty": np.zeros(0), "empty/2d": np.zeros((3, 0)),
+              "empty/i64": np.zeros((0, 2), np.int64), "scalar": np.array(2.5),
+              "f_order": np.asfortranarray(base), "reversed": base[::-1, :, ::-2],
+              "ints": np.array([3, -1, 2**62])}
+    path = tmp_path / "odd.divc"
+    save_checkpoint(path, CheckpointState(step=7, config_digest=bytes(range(32)),
+                                          arrays=arrays,
+                                          meta={"a": "", "config_text": "seed = 0\n"}))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5075ed47538f646ab956d1d7f9f4d8128657bd4a86ade76c2b714835979c4ea3")
+    state = load_checkpoint(path)
+    for name, arr in arrays.items():
+        assert state.arrays[name].shape == arr.shape
+        assert np.array_equal(state.arrays[name], arr), name

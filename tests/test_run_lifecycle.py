@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from divcontrol import tensor as T
-from divcontrol import training
+from divcontrol import training, verify
 from divcontrol.checkpoint import load_checkpoint, save_checkpoint
 from divcontrol.errors import CheckpointError, ConfigError, ContractError, NumericError
 from divcontrol.rng import fresh
@@ -125,8 +125,8 @@ def test_resume_without_metrics_block_raises_checkpoint_error(trained, tmp_path,
 
 @pytest.mark.parametrize("loss_name", ["diffusion_loss", "repa_loss"])
 def test_non_finite_logged_loss_stops_the_run(tmp_path, monkeypatch, loss_name):
-    # with lambda_repa = 0 a NaN alignment loss leaves l_total finite; the
-    # guard must fire on it all the same
+    # a NaN loss makes l_total NaN even at lambda_repa = 0 (NaN * 0 is NaN);
+    # the guard must fire on either loss, and the abandoned step be freed
     loss = getattr(training, loss_name)
     monkeypatch.setattr(training, loss_name, lambda *a: T.mul(loss(*a), np.nan))
     cfg = micro_config(0).replace(steps=3, lambda_repa=0.0)
@@ -166,6 +166,23 @@ def test_alignment_head_only_decays_at_lambda_zero(tmp_path):
         assert np.array_equal(state.arrays["param/" + name], expected), name
         assert not state.arrays["opt/m/" + name].any(), name
         assert not state.arrays["opt/v/" + name].any(), name
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_alignment_head_is_taped_only_when_weighted(monkeypatch, lam):
+    # at lambda_repa = 0 the head's nodes would carry exact zeros, so it is
+    # evaluated off the tape and its parameters get no gradient at all
+    monkeypatch.setattr(verify, "micro_config",
+                        lambda seed: micro_config(seed).replace(lambda_repa=lam))
+    loss, params = verify.build_e2e_case()
+    head = [p for name, p in params.items() if name.startswith("repa.")]
+    assert head
+    T.clear_tape()
+    l_total = loss()
+    taped = {id(t) for _, inputs, _ in T._TAPE.nodes for t in inputs}
+    assert any(id(p) in taped for p in head) == (lam > 0)
+    T.backward(l_total)
+    assert all((p.grad is None) == (lam == 0) for p in head)
 
 
 def test_adaptation_needs_a_diversion_base_and_scratch_mode(trained, tmp_path):

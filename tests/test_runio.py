@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from divcontrol import runio
@@ -73,6 +74,37 @@ def test_failed_checkpoint_and_summary_writes_keep_the_previous_files(
         export_metrics(tmp_path, extra={"k": "v"})
     # the old files are intact and no temp file is left behind
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class _FailsMidWrite:
+    """A file that takes half the chunks it is given, then reports a full disk."""
+
+    def __init__(self, path, mode, **kwargs):
+        self.fh = open(path, mode, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, chunks):
+        chunks = list(chunks)
+        self.fh.writelines(chunks[:len(chunks) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
+def test_checkpoint_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch):
+    arrays = {f"w{i}": np.full((4, 5), float(i)) for i in range(6)}
+    state = CheckpointState(step=1, config_digest=bytes(32), arrays=arrays)
+    save_checkpoint(tmp_path / "checkpoint.divc", state)
+    before = (tmp_path / "checkpoint.divc").read_bytes()
+    monkeypatch.setattr(runio, "open", _FailsMidWrite, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tmp_path / "checkpoint.divc", dataclasses.replace(state, step=2))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.divc"]
+    assert (tmp_path / "checkpoint.divc").read_bytes() == before
 
 
 _HOLD_LOCK = """

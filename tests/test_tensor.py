@@ -159,12 +159,38 @@ def test_gelu_argument_is_bit_identical_to_power_form():
     for start, value in enumerate((0.0, -0.0, np.nan, -np.inf, np.inf)):
         special.flat[start::6] = value
     cases = [rng.standard_normal(200_000) * s for s in (1e-3, 0.5, 1.0, 3.0, 1e3)]
-    cases += [special, special.T, rng.standard_normal((16, 16, 128))[:, ::2],
+    act = rng.standard_normal((16, 16, 128))
+    cases += [special, special.T, act[:, ::2], act[::-1, :, ::-3], np.asfortranarray(act),
+              np.array(-1.5), np.array(0.7), np.array(-0.0), np.zeros(0), np.zeros((3, 0)),
               rng.standard_normal(50) * 1e-160, rng.standard_normal(50) * 1e120]
     with np.errstate(all="ignore"):
         for x in cases:
             ref = T._GELU_C0 * (x + T._GELU_C1 * x ** 3)
-            assert np.array_equal(T._gelu_arg_of(x).view(np.int64), ref.view(np.int64))
+            got = T._gelu_arg_of(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_gelu_argument_falls_back_to_power_where_the_neighbours_disagree(monkeypatch):
+    # the argument at the two float64 neighbours of -|x|**3 brackets the one
+    # at x ** 3; these bases are those whose bracket is open, so only the
+    # power form can decide them
+    x = -np.abs(np.random.default_rng(7).standard_normal(100_000))
+    bits = np.copysign(np.abs(x) ** 3, x).view(np.int64)
+    lo, hi = (T._gelu_arg((bits + d).view(np.float64), x) for d in (-1, 1))
+    x = x[lo != hi]
+    assert x.size > 100
+    sizes = []
+    gelu_arg = T._gelu_arg
+
+    def counted(cube, x):
+        sizes.append(np.size(x))
+        return gelu_arg(cube, x)
+
+    monkeypatch.setattr(T, "_gelu_arg", counted)
+    ref = gelu_arg(x ** 3, x)
+    assert np.array_equal(T._gelu_arg_of(x).view(np.int64), ref.view(np.int64))
+    assert sizes[-1] == x.size  # power ran on every one of them
 
 
 def test_fused_primitives_record_one_tape_node():
