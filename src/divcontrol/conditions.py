@@ -25,6 +25,7 @@ from .rng import stream
 IMAGE_SIZE = 16
 _PERM_SEED = 1337  # fixed root for per-condition patch permutations
 _BLOCK = 256  # images a bank renders or transforms per call; bounds the temporaries
+TRANSFORM_BLOCK = 4  # side of the pixelate and patch-shuffle blocks
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +184,7 @@ def _blur_box(imgs, width):
 
 
 def _pixelate(imgs):
-    block = 4
+    block = TRANSFORM_BLOCK
     n, h, w = imgs.shape
     blocks = imgs.reshape(n, h // block, block, w // block, block)
     means = blocks.mean(axis=(2, 4), keepdims=True)
@@ -214,7 +215,7 @@ def _patch_permutation(condition_id: str, n_patches: int) -> np.ndarray:
 
 
 def _shuffle_patches(imgs, condition_id):
-    block = 4
+    block = TRANSFORM_BLOCK
     n, h, w = imgs.shape
     nh, nw = h // block, w // block
     patches = imgs.reshape(n, nh, block, nw, block).transpose(0, 1, 3, 2, 4)

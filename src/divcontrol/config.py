@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass, fields
 
+from .conditions import SSIM_WINDOW, TRANSFORM_BLOCK
 from .errors import ConfigError, ContractError
 
 
@@ -92,10 +93,14 @@ class RunConfig:
                self.eval_samples) < 1:
             raise ConfigError("batch_size, dataset_size, adapt_images and "
                               "eval_samples must be >= 1")
-        if min(self.timesteps, self.patch_size, self.image_size, self.token_dim,
-               self.embed_dim, self.repa_dim, self.repa_hidden) < 1:
-            raise ConfigError("timesteps, patch_size, image_size, token_dim, "
-                              "embed_dim, repa_dim and repa_hidden must be >= 1")
+        if min(self.timesteps, self.patch_size, self.token_dim, self.embed_dim,
+               self.repa_dim, self.repa_hidden) < 1:
+            raise ConfigError("timesteps, patch_size, token_dim, embed_dim, "
+                              "repa_dim and repa_hidden must be >= 1")
+        # the condition transforms work in whole blocks, and SSIM needs a window
+        if self.image_size % TRANSFORM_BLOCK or self.image_size < SSIM_WINDOW:
+            raise ConfigError(f"image_size must be a multiple of {TRANSFORM_BLOCK} "
+                              f"and >= {SSIM_WINDOW}")
         if not (0 < self.beta_start < 1 and 0 < self.beta_end < 1):
             raise ConfigError("beta_start and beta_end must lie in (0, 1)")
         if not self.adam_eps > 0:

@@ -159,43 +159,12 @@ def update_biases(gate: GateState) -> None:
     gate.batch_count = np.zeros_like(gate.batch_count)
 
 
-def compose_multi_condition(gate: GateState, embeddings) -> GatedCoefficients:
-    """Route a combination of conditions: average the gate logits, then
-    softmax and top-K select as usual."""
-    embeddings = list(embeddings)
-    if len(embeddings) < 2:
-        raise ContractError("compose_multi_condition needs at least 2 embeddings")
-    logits = gate_logits(gate, embeddings[0])
-    for e in embeddings[1:]:
-        logits = T.add(logits, gate_logits(gate, e))
-    alpha = T.softmax(T.mul(logits, 1.0 / len(embeddings)))
-    return topk_select(alpha, gate)
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two equal-length vectors, in [-1, 1].
-
-    A pair with a zero-norm vector is defined to have similarity 0.
-    """
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
-        raise ContractError("cosine_similarity expects two equal-length vectors")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
 def similarity_matrix(gate: GateState, embeddings) -> np.ndarray:
     """Pairwise cosine similarity of routing vectors; symmetric, unit diagonal."""
     embeddings = list(embeddings)
     if len(embeddings) < 2:
         raise ContractError("similarity_matrix needs at least 2 embeddings")
     with T.no_grad():
-        alphas = [route(gate, e).data for e in embeddings]
-    n = len(alphas)
-    sim = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sim[i, j] = sim[j, i] = cosine_similarity(alphas[i], alphas[j])
-    return sim
+        a = np.stack([route(gate, e).data for e in embeddings])
+    a /= np.linalg.norm(a, axis=1, keepdims=True)  # softmax rows are never zero
+    return a @ a.T

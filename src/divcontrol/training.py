@@ -12,6 +12,13 @@ from ("batch", b) and the remaining per-step randomness (timesteps, noise,
 dropout masks, in that order) from ("step", b). Together with the
 checkpointed optimizer moments and gate state this makes an interrupted
 run resume bit-exactly.
+
+The harness section checks the paper's three claims at desk scale.
+``_train_cells`` trains named configs side by side and reports each one's
+loss trajectory and evaluation; ``run_ablation`` runs it over the arms of
+``ablation_arms``, which separate knowledge diversion from representation
+alignment, and ``sweep_repa`` over a grid of alignment depths and weights.
+``zero_shot_route`` routes an unseen instruction through a trained gate.
 """
 
 from __future__ import annotations
@@ -454,14 +461,6 @@ def train(cfg: RunConfig, out_dir, base_ckpt=None, resume=None) -> str:
                            metrics=metrics)[0]
 
 
-def zero_shot_route(bundle: ModelBundle, instruction_text: str) -> GatedCoefficients:
-    """Route a novel instruction through a trained gate; no updates."""
-    enc = InstructionEncoder(bundle.cfg.encoder_seed, bundle.cfg.embed_dim)
-    with T.no_grad():
-        alpha = route(bundle.gate, enc.encode(instruction_text))
-        return topk_select(alpha, bundle.gate)
-
-
 # ----------------------------------------------------------------------
 # evaluation
 # ----------------------------------------------------------------------
@@ -498,67 +497,48 @@ def evaluate_bundle(bundle: ModelBundle, n_samples: int | None = None,
 
 
 # ----------------------------------------------------------------------
-# harnesses: ablation and alignment sweep
+# harnesses: ablation, alignment sweep and zero-shot routing
 # ----------------------------------------------------------------------
 
-ABLATION_ARMS = ("neither", "diversion_only", "both")
+def zero_shot_route(bundle: ModelBundle, instruction_text: str) -> GatedCoefficients:
+    """Route a novel instruction through a trained gate; no updates."""
+    enc = InstructionEncoder(bundle.cfg.encoder_seed, bundle.cfg.embed_dim)
+    with T.no_grad():
+        alpha = route(bundle.gate, enc.encode(instruction_text))
+        return topk_select(alpha, bundle.gate)
 
 
-def ablation_arm_config(cfg: RunConfig, arm: str) -> RunConfig:
-    if arm == "both":
-        return cfg
-    if arm == "diversion_only":
-        return cfg.replace(lambda_repa=0.0)
-    if arm == "neither":
-        return cfg.replace(lambda_repa=0.0,
-                           n_learngene=cfg.n_learngene + cfg.n_tailor,
-                           n_tailor=0, top_k=0)
-    raise ContractError(f"unknown ablation arm '{arm}'")
+def ablation_arms(cfg: RunConfig) -> dict:
+    """Arm name -> config. ``both`` is ``cfg``, ``diversion_only`` drops the
+    alignment loss, and ``neither`` also folds the tailors into learngenes."""
+    no_repa = cfg.replace(lambda_repa=0.0)
+    return {"neither": no_repa.replace(n_learngene=cfg.n_learngene + cfg.n_tailor,
+                                       n_tailor=0, top_k=0),
+            "diversion_only": no_repa, "both": cfg}
 
 
-def audit_batch_streams(configs, n_batches: int = 3) -> bool:
-    """Arms must consume identical batch sequences (same seed, same draws)."""
-    baseline = None
-    for cfg in configs:
-        bank = DatasetBank(cfg.seed, cfg.dataset_size,
-                           basic_conditions(), cfg.image_size)
-        sig = []
-        for b in range(n_batches):
-            batch = _build_batch(bank, cfg.batch_size, cfg.seed, b)
-            sig.append((batch.image_idx.tobytes(), batch.cond_idx.tobytes()))
-        if baseline is None:
-            baseline = sig
-        elif sig != baseline:
-            return False
-    return True
+def _train_cells(cells: dict, out_dir, **eval_kw) -> dict:
+    """Train each named config into ``out_dir/<name>``, restore and evaluate it.
 
-
-def _l_diff(run_dir) -> list:
-    """The l_diff column of a run's metrics.csv, bit-exact (stored as repr)."""
-    header, rows = read_metrics(run_dir)
-    col = header.index("l_diff")
-    return [row[col] for row in rows]
+    Reports per name the mean ``l_diff`` of the first and the final 100
+    steps, the config digest and ``evaluate_bundle(bundle, **eval_kw)``.
+    """
+    report = {}
+    for name, cell_cfg in cells.items():
+        cell_dir = os.path.join(out_dir, name)
+        bundle = restore_bundle(train(cell_cfg, cell_dir))
+        header, rows = read_metrics(cell_dir)  # l_diff stored as repr: bit-exact
+        l_diff = [row[header.index("l_diff")] for row in rows]
+        report[name] = {"first_100_mean_l_diff": float(np.mean(l_diff[:100])),
+                        "final_100_mean_l_diff": float(np.mean(l_diff[-100:])),
+                        "config_digest": config_digest(cell_cfg).hex(),
+                        **evaluate_bundle(bundle, **eval_kw)}
+    return report
 
 
 def run_ablation(cfg: RunConfig, out_dir) -> dict:
     """Train the three ablation arms under identical seeds and batches."""
-    arm_cfgs = {arm: ablation_arm_config(cfg, arm) for arm in ABLATION_ARMS}
-    if not audit_batch_streams(list(arm_cfgs.values())):
-        raise ContractError("seed audit failed: arms see different batches")
-    report = {"seed": cfg.seed, "seed_audit": "identical-batch-streams",
-              "arms": {}}
-    for arm, arm_cfg in arm_cfgs.items():
-        arm_dir = os.path.join(out_dir, arm)
-        bundle = restore_bundle(train(arm_cfg, arm_dir))
-        l_diff = _l_diff(arm_dir)
-        arm_out = {
-            "final_100_mean_l_diff": float(np.mean(l_diff[-100:])),
-            "first_100_mean_l_diff": float(np.mean(l_diff[:100])),
-            "config_digest": config_digest(arm_cfg).hex(),
-        }
-        arm_out.update(evaluate_bundle(bundle))
-        report["arms"][arm] = arm_out
-    return report
+    return {"seed": cfg.seed, "arms": _train_cells(ablation_arms(cfg), out_dir)}
 
 
 def sweep_repa(cfg: RunConfig, depths, lambdas, out_dir) -> dict:
@@ -571,25 +551,11 @@ def sweep_repa(cfg: RunConfig, depths, lambdas, out_dir) -> dict:
     if not depths or not lambdas:
         raise ContractError("sweep grid must be non-empty")
     # every cell's config is checked before the first cell trains
-    cells = [(d, lam, cfg.replace(repa_layer=d, lambda_repa=lam))
-             for d in depths for lam in lambdas]
-    report = {"depths": depths, "lambdas": lambdas, "cells": {}}
-    best, best_key = None, None
-    for d, lam, cell_cfg in cells:
-        cell_dir = os.path.join(out_dir, f"depth{d}_lambda{lam}")
-        bundle = restore_bundle(train(cell_cfg, cell_dir))
-        final = float(np.mean(_l_diff(cell_dir)[-100:]))
-        ev = evaluate_bundle(bundle, n_samples=min(32, cfg.eval_samples),
-                             sample_images=False)
-        key = f"depth={d},lambda={lam}"
-        report["cells"][key] = {
-            "final_100_mean_l_diff": final,
-            "eval_aligned_cosine": ev["eval_aligned_cosine"],
-            "config_digest": config_digest(cell_cfg).hex(),
-        }
-        if best is None or final < best:
-            best, best_key = final, key
-    report["argmin_cell"] = best_key
-    report["note"] = ("argmin is what this desk-scale grid observed; "
-                      "it is not claimed to transfer to other scales")
-    return report
+    cells = {f"depth={d},lambda={lam}": cfg.replace(repa_layer=d, lambda_repa=lam)
+             for d in depths for lam in lambdas}
+    report = _train_cells(cells, out_dir, n_samples=min(32, cfg.eval_samples),
+                          sample_images=False)
+    return {"depths": depths, "lambdas": lambdas, "cells": report,
+            "argmin_cell": min(report, key=lambda k: report[k]["final_100_mean_l_diff"]),
+            "note": ("argmin is what this desk-scale grid observed; "
+                     "it is not claimed to transfer to other scales")}

@@ -59,6 +59,9 @@ def test_parsers_follow_field_annotations():
 
 def test_config_invariants():
     for bad in (dict(image_size=10, patch_size=4), dict(repa_layer=9),
+                # sizes the condition transforms or SSIM cannot use
+                dict(image_size=4), dict(image_size=6, patch_size=2),
+                dict(image_size=10, patch_size=2),
                 dict(repa_layer=0), dict(mlp_hidden=32, token_dim=64),
                 # values that used to fail only inside training.train
                 dict(lr=0.0), dict(lr=-1e-3), dict(lr_factor=2.0),
@@ -90,7 +93,7 @@ def test_config_invariants():
                                   steps=0, adapt_steps=0, batch_size=1,
                                   timesteps=1, lambda_repa=0.0, n_learngene=0,
                                   n_tailor=0, top_k=0, adapt_top_k=16,
-                                  image_size=4, beta_start=0.5, beta_end=0.5,
+                                  image_size=8, beta_start=0.5, beta_end=0.5,
                                   adam_eps=1e-300))
     # callers that catch the package's contract errors still catch these
     assert issubclass(ConfigError, ContractError)

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from divcontrol import tensor as T
-from divcontrol.errors import ContractError, InvalidInputError
+from divcontrol.errors import InvalidInputError
 from divcontrol.gate import (
     GateState,
     InstructionEncoder,
-    compose_multi_condition,
-    cosine_similarity,
     gate_logits,
     record_usage,
     route,
@@ -48,8 +46,9 @@ def test_shared_token_raises_similarity():
     lineart = enc.encode("lineart edges")  # shares one token with canny
     disjoint_a = enc.encode("depth shading")
     disjoint_b = enc.encode("color palette")
-    shared = cosine_similarity(canny, lineart)
-    disjoint = cosine_similarity(disjoint_a, disjoint_b)
+    # the embeddings are unit-norm, so their dot product is their cosine
+    shared = np.dot(canny, lineart)
+    disjoint = np.dot(disjoint_a, disjoint_b)
     assert shared > disjoint
 
 
@@ -195,58 +194,6 @@ def test_routing_gradient_through_selected_coefficients():
     assert report.passed, report.per_param
 
 
-def test_multi_condition_duplicate_equals_single():
-    gate = make_gate(n_t=6, k=2)
-    gate.w2.data = np.random.default_rng(7).standard_normal(gate.w2.shape)
-    e = InstructionEncoder(SEED, 16).encode("soft box blur")
-    with T.no_grad():
-        single = topk_select(route(gate, e), gate)
-        double = compose_multi_condition(gate, [e, e])
-    assert single.active_set == double.active_set
-    assert np.allclose(single.g.data, double.g.data, atol=1e-12)
-
-
-def test_multi_condition_merges_disjoint_one_hots():
-    # craft a gate whose two inputs produce disjoint near-one-hot routings
-    gate = make_gate(n_t=4, k=2, embed_dim=4)
-    gate.w1.data = np.eye(4)
-    gate.b1.data = np.zeros(4)
-    gate.w2.data = np.array([[40.0, 0, 0, 0],
-                             [0, 40.0, 0, 0],
-                             [0, 0, 40.0, 0],
-                             [0, 0, 0, 40.0]])
-    e1 = np.array([1.0, 0, 0, 0])
-    e2 = np.array([0, 1.0, 0, 0])
-    solo_gate = GateState(gate.w1, gate.b1, gate.w2, gate.b2, k=1,
-                          bias_update_rate=gate.bias_update_rate)
-    with T.no_grad():
-        solo1 = topk_select(route(gate, e1), solo_gate)
-        solo2 = topk_select(route(gate, e2), solo_gate)
-        combined = compose_multi_condition(gate, [e1, e2])
-    assert set(solo1.active_set).isdisjoint(solo2.active_set)
-    assert set(combined.active_set) & set(solo1.active_set)
-    assert set(combined.active_set) & set(solo2.active_set)
-
-
-def test_multi_condition_permutation_invariant():
-    gate = make_gate(n_t=6, k=3)
-    gate.w2.data = np.random.default_rng(8).standard_normal(gate.w2.shape)
-    enc = InstructionEncoder(SEED, 16)
-    es = [enc.encode(t) for t in ("sobel edge map", "soft box blur", "flat color posterize")]
-    with T.no_grad():
-        a = compose_multi_condition(gate, es)
-        b = compose_multi_condition(gate, es[::-1])
-    assert a.active_set == b.active_set
-    assert np.allclose(a.g.data, b.g.data, atol=1e-12)
-
-
-def test_multi_condition_rejects_short_list():
-    gate = make_gate()
-    e = InstructionEncoder(SEED, 16).encode("solo")
-    with pytest.raises(ContractError):
-        compose_multi_condition(gate, [e])
-
-
 def test_similarity_matrix_properties():
     gate = make_gate(n_t=6, k=3)
     gate.w2.data = np.random.default_rng(9).standard_normal(gate.w2.shape)
@@ -256,6 +203,13 @@ def test_similarity_matrix_properties():
     sim = similarity_matrix(gate, es)
     assert np.allclose(np.diag(sim), 1.0, atol=1e-12)
     assert np.array_equal(sim, sim.T)
+    with T.no_grad():
+        alphas = [route(gate, e).data for e in es]
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(alphas):
+            if i != j:
+                cos = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+                assert abs(sim[i, j] - cos) <= 1e-12, (i, j)
 
 
 def test_balancing_neutral_when_rate_zero_and_bias_zero():

@@ -3,7 +3,6 @@ import pytest
 
 from divcontrol import tensor as T
 from divcontrol.errors import ContractError, InvalidInputError
-from divcontrol.gate import cosine_similarity
 from divcontrol.tensor import Tensor, backward, no_grad, softmax
 from tape_oracles import matmul, transpose2
 
@@ -53,22 +52,6 @@ def test_softmax_sum_and_permutation_equivariance_property():
         perm = rng.permutation(n)
         yp = softmax(Tensor(x[perm])).data
         assert np.allclose(yp, y[perm], rtol=1e-14, atol=0)
-
-
-def test_cosine_similarity_identity_and_antipodal():
-    v = np.array([0.3, -1.2, 4.0])
-    assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-    assert cosine_similarity(v, -v) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_cosine_similarity_analytic():
-    assert cosine_similarity([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-
-def test_cosine_similarity_degenerate_pair():
-    assert cosine_similarity([0.0, 0.0], [0.0, 0.0]) == 0.0
-    assert cosine_similarity([0.0, 0.0], [1.0, 0.0]) == 0.0
-    assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == 1.0
 
 
 def test_backward_requires_scalar():

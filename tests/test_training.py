@@ -1,7 +1,7 @@
 """Characterization tests of the training entry points at micro scale.
 
 The pinned numbers were recorded before ``training.py`` was reduced to one
-bundle-surgery path and one run path. They hold to the benchmark's
+bundle build path and one run path. They hold to the benchmark's
 tolerance, 1e-12 + 1e-8 * |ref|, and any change to the loss trajectory
 shows up here.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint
-from divcontrol.config import config_digest, resolve_config, resolved_text
+from divcontrol.config import CONFIG_KEYS, config_digest, resolve_config, resolved_text
 from divcontrol.rng import fresh
 from divcontrol.runio import read_metrics
 from divcontrol.verify import micro_config
@@ -222,6 +222,23 @@ def test_zero_shot_route_pinned(runs):
     # routing a novel instruction updates nothing
     after = [gate.balance_bias, gate.usage_count, gate.batch_count]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_ablation_arms_draw_identical_batches():
+    # the arms differ only in keys _build_batch does not read, so each arm
+    # trains on the same batch sequence
+    cfg = micro()
+    arms = training.ablation_arms(cfg)
+    for arm_cfg in arms.values():
+        differ = {k for k in CONFIG_KEYS if getattr(arm_cfg, k) != getattr(cfg, k)}
+        assert differ <= {"lambda_repa", "n_learngene", "n_tailor", "top_k"}
+    draws = []
+    for arm_cfg in arms.values():
+        bank = training._image_bank(training.build_diversion_bundle(arm_cfg))
+        batches = [training._build_batch(bank, arm_cfg.batch_size, arm_cfg.seed, s)
+                   for s in range(3)]
+        draws.append([(b.image_idx.tobytes(), b.cond_idx.tobytes()) for b in batches])
+    assert all(d == draws[0] for d in draws[1:])
 
 
 def test_run_ablation_pinned(tmp_path):
