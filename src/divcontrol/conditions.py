@@ -16,6 +16,7 @@ shuffles) rather than claiming equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -154,11 +155,12 @@ def render_images(seed: int, start: int, stop: int, size: int = IMAGE_SIZE,
 # transforms: each maps an (N, H, W) stack to an (N, H, W) stack
 # ----------------------------------------------------------------------
 
-def _conv2_symmetric(imgs, kernel):
-    k = kernel.shape[0] // 2
+def _conv2_symmetric(imgs, *kernels):
+    """The stack correlated with each same-sized kernel, from one window view."""
+    k = kernels[0].shape[0] // 2
     padded = np.pad(imgs, ((0, 0), (k, k), (k, k)), mode="symmetric")
-    win = np.lib.stride_tricks.sliding_window_view(padded, kernel.shape, axis=(1, 2))
-    return np.einsum("nijkl,kl->nij", win, kernel)
+    win = np.lib.stride_tricks.sliding_window_view(padded, kernels[0].shape, axis=(1, 2))
+    return [np.einsum("nijkl,kl->nij", win, kernel) for kernel in kernels]
 
 
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=float)
@@ -166,8 +168,7 @@ _LAPLACE = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=float)
 
 
 def _edge_sobel(imgs, binary):
-    gx = _conv2_symmetric(imgs, _SOBEL_X)
-    gy = _conv2_symmetric(imgs, _SOBEL_X.T)
+    gx, gy = _conv2_symmetric(imgs, _SOBEL_X, _SOBEL_X.T)
     mag = np.clip(np.hypot(gx, gy) / 4.0, 0.0, 1.0)
     if binary:
         return (mag > 0.25).astype(float)
@@ -175,12 +176,12 @@ def _edge_sobel(imgs, binary):
 
 
 def _edge_laplacian(imgs):
-    return np.clip(np.abs(_conv2_symmetric(imgs, _LAPLACE)) / 4.0, 0.0, 1.0)
+    return np.clip(np.abs(_conv2_symmetric(imgs, _LAPLACE)[0]) / 4.0, 0.0, 1.0)
 
 
 def _blur_box(imgs, width):
     kernel = np.full((width, width), 1.0 / (width * width))
-    return _conv2_symmetric(imgs, kernel)
+    return _conv2_symmetric(imgs, kernel)[0]
 
 
 def _pixelate(imgs):
@@ -210,8 +211,11 @@ def _posterize(imgs, levels):
     return q * 2.0 - 1.0
 
 
+@cache
 def _patch_permutation(condition_id: str, n_patches: int) -> np.ndarray:
-    return stream(_PERM_SEED, "perm", condition_id).permutation(n_patches)
+    perm = stream(_PERM_SEED, "perm", condition_id).permutation(n_patches)
+    perm.setflags(write=False)  # shared by every call
+    return perm
 
 
 def _shuffle_patches(imgs, condition_id):
@@ -267,35 +271,34 @@ class Batch:
 
 
 class DatasetBank:
-    """Regenerable image bank with lazy per-condition transform caches.
-
-    ``images`` and each ``condition_images(c)`` (made on first use) are
-    (size, H, W) stacks, filled ``_BLOCK`` = 256 images per call.
-    """
+    """Regenerable (size, H, W) stack of ``images``, rendered ``_BLOCK`` = 256
+    per call. Condition images are computed where used and never kept."""
 
     def __init__(self, seed: int, size: int, specs: list,
                  image_size: int = IMAGE_SIZE, image_stream: str = "image"):
         if size < 1 or not specs:
             raise ContractError("bank needs at least one image and one condition")
-        self.seed = seed
         self.size = size
         self.specs = list(specs)
-        self.image_size = image_size
-        self.image_stream = image_stream
         self.images = np.empty((size, image_size, image_size))
         for a in range(0, size, _BLOCK):
             self.images[a:a + _BLOCK] = render_images(
                 seed, a, min(a + _BLOCK, size), image_size, image_stream)
-        self._cond_cache: dict = {}
+
+    def conditioned(self, image_idx: np.ndarray, cond_idx: np.ndarray) -> np.ndarray:
+        """Item ``k``'s condition ``cond_idx[k]`` of image ``image_idx[k]``: a
+        (B, H, W) stack. Each condition transforms its items ``_BLOCK`` at a time."""
+        out = np.empty((len(cond_idx),) + self.images.shape[1:])
+        for c in sorted(set(cond_idx.tolist())):
+            rows = np.flatnonzero(cond_idx == c)
+            for a in range(0, len(rows), _BLOCK):
+                block = rows[a:a + _BLOCK]
+                out[block] = apply_condition(self.images[image_idx[block]], self.specs[c])
+        return out
 
     def condition_images(self, cond_idx: int) -> np.ndarray:
-        if cond_idx not in self._cond_cache:
-            spec = self.specs[cond_idx]
-            out = np.empty_like(self.images)
-            for a in range(0, self.size, _BLOCK):
-                out[a:a + _BLOCK] = apply_condition(self.images[a:a + _BLOCK], spec)
-            self._cond_cache[cond_idx] = out
-        return self._cond_cache[cond_idx]
+        """Condition ``cond_idx`` of every image, computed afresh on each call."""
+        return self.conditioned(np.arange(self.size), np.full(self.size, cond_idx))
 
 
 def _build_batch(bank: DatasetBank, batch_size: int, seed: int, b: int) -> Batch:
@@ -306,10 +309,8 @@ def _build_batch(bank: DatasetBank, batch_size: int, seed: int, b: int) -> Batch
     gen = stream(seed, "batch", b)
     image_idx = gen.integers(0, bank.size, batch_size)
     cond_idx = gen.integers(0, len(bank.specs), batch_size)
-    x = bank.images[image_idx]
-    x_cond = np.stack([bank.condition_images(int(c))[int(i)]
-                       for i, c in zip(image_idx, cond_idx)])
-    return Batch(image_idx=image_idx, cond_idx=cond_idx, x=x, x_cond=x_cond)
+    return Batch(image_idx=image_idx, cond_idx=cond_idx, x=bank.images[image_idx],
+                 x_cond=bank.conditioned(image_idx, cond_idx))
 
 
 # ----------------------------------------------------------------------

@@ -471,12 +471,9 @@ def evaluate_bundle(bundle: ModelBundle, n_samples: int | None = None,
     ``sample_images``) SSIM / encoder similarity of generated images."""
     cfg = bundle.cfg
     n = cfg.eval_samples if n_samples is None else n_samples
-    specs = bundle.specs
-    bank = DatasetBank(cfg.seed, n, specs, cfg.image_size, image_stream="eval")
-    cond_idx = np.arange(n) % len(specs)
-    x = bank.images
-    x_cond = np.stack([bank.condition_images(int(c))[i]
-                       for i, c in enumerate(cond_idx)])
+    bank = DatasetBank(cfg.seed, n, bundle.specs, cfg.image_size, image_stream="eval")
+    cond_idx = np.arange(n) % len(bundle.specs)
+    x, x_cond = bank.images, bank.conditioned(np.arange(n), cond_idx)
     gen = stream(cfg.seed, "eval-noise")
     t_idx = gen.integers(0, cfg.timesteps, n)
     eps = gen.standard_normal(x.shape)

@@ -16,6 +16,7 @@ from divcontrol.conditions import (
     find_condition,
     metric_encoder_sim,
     metric_ssim,
+    _patch_permutation,
     render_images,
 )
 from divcontrol.errors import ConfigError, ContractError
@@ -154,6 +155,11 @@ def test_shuffle_is_a_fixed_permutation():
     assert not np.array_equal(out, img)
     assert np.allclose(np.sort(out.ravel()), np.sort(img.ravel()))
     assert np.array_equal(out, apply_condition(img, spec))
+    # one read-only permutation per (condition, patch count), drawn once
+    perm = _patch_permutation("shuffle", 16)
+    assert perm is _patch_permutation("shuffle", 16) and not perm.flags.writeable
+    with pytest.raises(ValueError):
+        perm[0] = perm[1]
 
 
 def test_sample_record_regenerable():
@@ -163,6 +169,34 @@ def test_sample_record_regenerable():
                                batch.x_cond):
         assert np.array_equal(x, render_images(SEED, int(i), int(i) + 1)[0])
         assert np.array_equal(x_cond, apply_condition(x[None], bank.specs[c])[0])
+
+
+def test_build_batch_is_byte_equal_to_the_per_image_oracle(oracle_banks):
+    # each condition transforms only its own items of the batch; the result
+    # must not depend on which items share the call
+    images, conditions = oracle_banks["image"]
+    bank = DatasetBank(SEED, _BLOCK + 1, default_registry())
+    for b in range(20):
+        batch = _build_batch(bank, 32, SEED, b)
+        assert batch.x_cond.shape == (32, 16, 16)
+        for i, c, x, x_cond in zip(batch.image_idx, batch.cond_idx, batch.x,
+                                   batch.x_cond):
+            assert x.tobytes() == images[i].tobytes()
+            assert x_cond.tobytes() == conditions[c][i].tobytes(), (b, i, c)
+
+
+def test_bank_keeps_no_condition_state():
+    bank = DatasetBank(SEED, 32, default_registry())
+    attrs = dict(vars(bank))
+    images = bank.images.tobytes()
+    first, second = bank.condition_images(3), bank.condition_images(3)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == second.tobytes()
+    for b in range(3):
+        _build_batch(bank, 16, SEED, b)
+    assert vars(bank).keys() == attrs.keys()
+    assert all(vars(bank)[k] is v for k, v in attrs.items())
+    assert bank.images.tobytes() == images
 
 
 def test_build_batch_uniform_conditions():

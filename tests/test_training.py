@@ -241,6 +241,30 @@ def test_ablation_arms_draw_identical_batches():
     assert all(d == draws[0] for d in draws[1:])
 
 
+@pytest.mark.parametrize("n", [3, 11])
+def test_evaluate_bundle_condition_stack(n, monkeypatch):
+    # item i is image i under condition i % len(specs), for n below and above
+    # the number of conditions
+    cfg = micro()
+    bundle = training.build_diversion_bundle(cfg)
+    seen = []
+    objective = training._objective
+
+    def spy(bundle, x, x_cond, *args):
+        seen.append((x.copy(), x_cond.copy()))
+        return objective(bundle, x, x_cond, *args)
+
+    monkeypatch.setattr(training, "_objective", spy)
+    training.evaluate_bundle(bundle, n_samples=n, sample_images=False)
+    bank = training.DatasetBank(cfg.seed, n, bundle.specs, cfg.image_size,
+                                image_stream="eval")
+    expected = np.stack([bank.condition_images(i % len(bundle.specs))[i]
+                         for i in range(n)])
+    (x, x_cond), = seen
+    assert len(bundle.specs) < 11 and x.tobytes() == bank.images.tobytes()
+    assert x_cond.tobytes() == expected.tobytes()
+
+
 def test_run_ablation_pinned(tmp_path):
     report = training.run_ablation(micro(), tmp_path)
     assert set(report["arms"]) == set(REF["ablation"])
