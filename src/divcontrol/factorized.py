@@ -9,8 +9,11 @@ condition by gated coefficients, so the effective matrix is
     W~ = sum_{i<N_G} u_i sigma_i v_i^T  +  sum_{j active} g_j u_j sigma_j v_j^T
 
 ``apply_factorized`` computes ``x @ W~.T`` without materializing W~.
-Orthonormality and singular-value ordering hold at creation time only;
-training updates the factors freely with no re-projection.
+A weight with no tailors (``n_tailor = 0``) has an empty tailor block
+that takes (..., 0) coefficient rows and adds nothing, so it runs the
+same code as any other. Orthonormality and singular-value ordering hold
+at creation time only; training updates the factors freely with no
+re-projection.
 """
 
 from __future__ import annotations
@@ -61,24 +64,8 @@ class FactorizedWeight:
             raise ContractError("learngene and tailor blocks disagree on matrix shape")
 
     @property
-    def out_dim(self) -> int:
-        return self.u_g.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.v_g.shape[0]
-
-    @property
-    def n_learngene(self) -> int:
-        return self.s_g.size
-
-    @property
     def n_tailor(self) -> int:
         return self.s_t.size
-
-    def tensors(self) -> dict:
-        return {"u_g": self.u_g, "s_g": self.s_g, "v_g": self.v_g,
-                "u_t": self.u_t, "s_t": self.s_t, "v_t": self.v_t}
 
 
 def svd_blocks(w, n_learngene: int, n_tailor: int) -> dict:
@@ -114,16 +101,14 @@ def svd_blocks(w, n_learngene: int, n_tailor: int) -> dict:
     return blocks
 
 
-def apply_factorized(x, fw: FactorizedWeight, rows: Tensor | None) -> Tensor:
+def apply_factorized(x, fw: FactorizedWeight, rows: Tensor) -> Tensor:
     """Compute ``x @ W~.T`` without materializing W~, as one
     ``T.factorized_linear`` tape node.
 
     ``rows`` holds tailor coefficient vectors with shape (..., n_tailor),
-    broadcastable against ``x @ v_t``, or is None for the learngene block
-    alone. The gradient reaches every factor and the coefficients.
+    broadcastable against ``x @ v_t``. The gradient reaches every factor
+    and the coefficients.
     """
-    if rows is None:
-        return T.factorized_linear(x, fw.u_g, fw.s_g, fw.v_g)
     return T.factorized_linear(x, fw.u_g, fw.s_g, fw.v_g,
                                fw.u_t, fw.s_t, fw.v_t, rows)
 

@@ -70,7 +70,7 @@ class GateState:
 
     def __post_init__(self):
         n_t = self.w2.shape[0]
-        if not (0 <= self.k <= max(n_t, 1)):
+        if not (0 <= self.k <= n_t):
             raise ContractError(f"K={self.k} outside [0, {n_t}]")
         if self.balance_bias is None:
             self.balance_bias = np.zeros(n_t)
@@ -132,7 +132,7 @@ def topk_select(alpha, gate: GateState) -> GatedCoefficients:
         raise ContractError(f"alpha length {alpha_t.size} != n_tailor {n_t}")
     scores = alpha_t.data + gate.balance_bias
     order = np.argsort(-scores, kind="stable")  # stable: ties -> lower index
-    active = tuple(int(i) for i in order[:min(gate.k, n_t)])
+    active = tuple(int(i) for i in order[:gate.k])
     mask = np.zeros(n_t)
     mask[list(active)] = 1.0
     g = T.mul(alpha_t, mask)
@@ -152,9 +152,9 @@ def update_biases(gate: GateState) -> None:
     perfectly balanced batch leaves the biases untouched.
     """
     load = gate.batch_count.astype(np.float64)
-    if load.size:
-        delta = np.sign(load - load.mean())
-        gate.balance_bias = gate.balance_bias - gate.bias_update_rate * delta
+    # the sign of load_i - mean, with no division: no tailors have no mean
+    delta = np.sign(load * load.size - load.sum())
+    gate.balance_bias = gate.balance_bias - gate.bias_update_rate * delta
     gate.usage_count = gate.usage_count + gate.batch_count
     gate.batch_count = np.zeros_like(gate.batch_count)
 

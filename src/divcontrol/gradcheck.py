@@ -178,9 +178,12 @@ OP_CASES = {
          "w": _const(2, 3, 4)},
         lambda x, u_g, s_g, v_g, u_t, s_t, v_t, c, w: T.sum_(T.mul(
             T.factorized_linear(x, u_g, s_g, v_g, u_t, s_t, v_t, c), w))),
-    "factorized_learngene": (
-        {"x": (3, 5), "u_g": (4, 3), "s_g": (3,), "v_g": (5, 3)},
-        lambda x, u_g, s_g, v_g: T.sum_(_sq(T.factorized_linear(x, u_g, s_g, v_g)))),
+    # no tailors: an empty tailor block with (3, 0) coefficient rows
+    "factorized_zero_tailor": (
+        {"x": (3, 5), "u_g": (4, 3), "s_g": (3,), "v_g": (5, 3),
+         "u_t": (4, 0), "s_t": (0,), "v_t": (5, 0), "c": (3, 0)},
+        lambda x, u_g, s_g, v_g, u_t, s_t, v_t, c: T.sum_(_sq(
+            T.factorized_linear(x, u_g, s_g, v_g, u_t, s_t, v_t, c)))),
     "attention": (
         {"q": (2, 4, 3), "k": (2, 4, 3), "v": (2, 4, 2), "w": _const(2, 4, 2)},
         lambda q, k, v, w: T.sum_(T.mul(T.attention(q, k, v, 0.7), w))),

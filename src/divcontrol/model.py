@@ -6,6 +6,8 @@ everywhere). The condition branch mirrors it, but stores its six
 projections per layer as FactorizedWeight and injects its per-layer
 token features additively into the denoiser through zero-initialized
 projections, so at step 0 the condition contributes exactly nothing.
+Both networks make and run each layer with ``_Network._layer`` and
+``_block``, dense or factorized; a branch without tailors is no exception.
 Every network, pass and schedule takes its sizes, seeds and dropout
 rate from the run's ``RunConfig``.
 """
@@ -85,9 +87,28 @@ class _Network:
     def _full(self, name: str, value: float, *shape) -> Tensor:
         return self._param(name, shape, lambda: np.full(shape, value))
 
+    def _layer(self, cfg: RunConfig, l: int, projection) -> dict:
+        """Layer ``l``'s two norms and six projections, keyed ``ln1_g`` ...
+        ``ln2_b`` and by tag, in the order they are made.
+        ``projection(l, tag, out_dim, in_dim)`` makes projection ``tag``."""
+        d, hid = cfg.token_dim, cfg.mlp_hidden
+        blk = {}
+        for ln, shapes in (("ln1", {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d)}),
+                           ("ln2", {"in": (hid, d), "out": (d, hid)})):
+            blk[ln + "_g"] = self._full(f"l{l}.{ln}_g", 1.0, d)
+            blk[ln + "_b"] = self._full(f"l{l}.{ln}_b", 0.0, d)
+            for tag, shape in shapes.items():
+                blk[tag] = projection(l, tag, *shape)
+        return blk
+
     def tensors(self) -> dict:
         """The parameters by name, in the order they were made."""
         return dict(self._made)
+
+
+# a layer's projection tags and the names of their dense weights, which
+# name the denoiser's parameters and the branch's SVD draws
+_WEIGHT_NAMES = {"q": "wq", "k": "wk", "v": "wv", "o": "wo", "in": "w_in", "out": "w_out"}
 
 
 # ----------------------------------------------------------------------
@@ -98,35 +119,18 @@ class DenoiserNet(_Network):
     """Dense-weight denoiser backbone."""
 
     def __init__(self, cfg: RunConfig, source=fresh):
-        d, p, hid = cfg.token_dim, cfg.patch_dim, cfg.mlp_hidden
+        d, p = cfg.token_dim, cfg.patch_dim
         self._params_from(source, cfg.seed, "den.")
         self.patch_w = self._kaiming("patch_w", d, p)
         self.patch_b = self._full("patch_b", 0.0, d)
         self.pos = self._normal("pos", cfg.n_patches, d)
         self.time_table = self._normal("time", cfg.timesteps, d)
-        self.blocks = []
-        for l in range(cfg.layers):
-            blk = {
-                "ln1_g": self._full(f"l{l}.ln1_g", 1.0, d),
-                "ln1_b": self._full(f"l{l}.ln1_b", 0.0, d),
-                "wq": self._kaiming(f"l{l}.wq", d, d),
-                "wk": self._kaiming(f"l{l}.wk", d, d),
-                "wv": self._kaiming(f"l{l}.wv", d, d),
-                "wo": self._kaiming(f"l{l}.wo", d, d),
-                "ln2_g": self._full(f"l{l}.ln2_g", 1.0, d),
-                "ln2_b": self._full(f"l{l}.ln2_b", 0.0, d),
-                "w_in": self._kaiming(f"l{l}.w_in", hid, d),
-                "w_out": self._kaiming(f"l{l}.w_out", d, hid),
-            }
-            self.blocks.append(blk)
+        self.blocks = [self._layer(cfg, l, lambda l, tag, *shape: self._kaiming(
+            f"l{l}.{_WEIGHT_NAMES[tag]}", *shape)) for l in range(cfg.layers)]
         self.lnf_g = self._full("lnf_g", 1.0, d)
         self.lnf_b = self._full("lnf_b", 0.0, d)
         self.head_w = self._kaiming("head_w", p, d)
         self.head_b = self._full("head_b", 0.0, p)
-
-
-# the block keys of a ControlBranch layer's six factorized projections
-PROJECTION_KEYS = ("fw_q", "fw_k", "fw_v", "fw_o", "fw_in", "fw_out")
 
 
 def _adapter_tailors(gen, out_dim: int, in_dim: int, n_t: int) -> dict:
@@ -150,23 +154,23 @@ class ControlBranch(_Network):
     """
 
     def __init__(self, cfg: RunConfig, source=fresh):
-        d, p, hid = cfg.token_dim, cfg.patch_dim, cfg.mlp_hidden
+        d, p = cfg.token_dim, cfg.patch_dim
         adapting = cfg.mode != "diversion"
-        self.n_learngene = n_g = cfg.n_learngene
+        n_g = cfg.n_learngene
         self.n_tailor = n_t = cfg.adapt_n_tailor if adapting else cfg.n_tailor
         self._params_from(source, cfg.seed, "br.")
 
-        def make_fw(l, key, w_name, out_dim, in_dim):
+        def make_fw(l, tag, out_dim, in_dim):
             # one SVD makes every block, and it runs only if one is drawn
             svd = functools.cache(lambda: svd_blocks(
-                _kaiming_uniform(self._gen(f"l{l}.{w_name}"), out_dim, in_dim),
+                _kaiming_uniform(self._gen(f"l{l}.{_WEIGHT_NAMES[tag]}"), out_dim, in_dim),
                 n_g, cfg.n_tailor))
             adapter = functools.cache(lambda: _adapter_tailors(
-                stream(cfg.seed, "init", f"adapt.l{l}.{key}"), out_dim, in_dim, n_t))
+                stream(cfg.seed, "init", f"adapt.l{l}.fw_{tag}"), out_dim, in_dim, n_t))
             shapes = {"u_g": (out_dim, n_g), "s_g": (n_g,), "v_g": (in_dim, n_g),
                       "u_t": (out_dim, n_t), "s_t": (n_t,), "v_t": (in_dim, n_t)}
             return FactorizedWeight(*(
-                self._param(f"l{l}.{key}.{part}", shape, lambda part=part: (
+                self._param(f"l{l}.fw_{tag}.{part}", shape, lambda part=part: (
                     adapter if adapting and part.endswith("_t") else svd)()[part])
                 for part, shape in shapes.items()))
 
@@ -175,25 +179,14 @@ class ControlBranch(_Network):
         self.time_table = self._normal("time", cfg.timesteps, d)
         self.blocks = []
         for l in range(cfg.controlnet_layers):
-            blk = {
-                "ln1_g": self._full(f"l{l}.ln1_g", 1.0, d),
-                "ln1_b": self._full(f"l{l}.ln1_b", 0.0, d),
-                "fw_q": make_fw(l, "fw_q", "wq", d, d),
-                "fw_k": make_fw(l, "fw_k", "wk", d, d),
-                "fw_v": make_fw(l, "fw_v", "wv", d, d),
-                "fw_o": make_fw(l, "fw_o", "wo", d, d),
-                "ln2_g": self._full(f"l{l}.ln2_g", 1.0, d),
-                "ln2_b": self._full(f"l{l}.ln2_b", 0.0, d),
-                "fw_in": make_fw(l, "fw_in", "w_in", hid, d),
-                "fw_out": make_fw(l, "fw_out", "w_out", d, hid),
-                "inj_w": self._full(f"l{l}.inj_w", 0.0, d, d),
-            }
+            blk = self._layer(cfg, l, make_fw)
+            blk["inj_w"] = self._full(f"l{l}.inj_w", 0.0, d, d)
             self.blocks.append(blk)
 
     def factorized_weights(self):
         for blk in self.blocks:
-            for key in PROJECTION_KEYS:
-                yield blk[key]
+            for tag in _WEIGHT_NAMES:
+                yield blk[tag]
 
 
 class RepaHead(_Network):
@@ -293,10 +286,17 @@ def _dropout(x: Tensor, p: float, gen) -> Tensor:
     return T.mul(x, mask)
 
 
-def _attention(x, ln_g, ln_b, proj, d):
-    h = T.layer_norm(x, ln_g, ln_b)
-    ctx = T.attention(proj("q", h), proj("k", h), proj("v", h), 1.0 / np.sqrt(d))
-    return proj("o", ctx)
+def _block(x, blk, project, cfg: RunConfig, drop_gen) -> Tensor:
+    """One pre-norm layer: ``x`` plus single-head attention, then plus the
+    GELU MLP, each on a layer-normed input. ``project(h, blk[tag])``
+    applies the layer's projection ``tag`` to ``h``."""
+    h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
+    ctx = T.attention(project(h, blk["q"]), project(h, blk["k"]),
+                      project(h, blk["v"]), 1.0 / np.sqrt(cfg.token_dim))
+    x = T.add(x, project(ctx, blk["o"]))
+    h = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
+    hidden = _dropout(T.gelu(project(h, blk["in"])), cfg.dropout, drop_gen)
+    return T.add(x, project(hidden, blk["out"]))
 
 
 def branch_forward(branch: ControlBranch, cfg: RunConfig,
@@ -306,8 +306,8 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
     Args:
         xc_tokens: (B, N, patch_dim) condition-image patches (constant).
         t_idx: (B,) integer timesteps.
-        coeff_rows: per-item tailor coefficients, Tensor (B, n_tailor),
-            or None when the branch has no tailors.
+        coeff_rows: per-item tailor coefficients, Tensor (B, n_tailor);
+            (B, 0) when the branch has no tailors.
         drop_gen: the stream ``cfg.dropout`` masks are drawn from; None
             (eval and sampling) disables dropout.
     Returns:
@@ -318,19 +318,15 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
     x = T.add(T.linear(Tensor(xc_tokens), branch.patch_w), branch.patch_b)
     temb = T.reshape(T.gather_rows(branch.time_table, t_idx), (len(t_idx), 1, d))
     x = T.add(x, temb)
-    c3 = None
-    if coeff_rows is not None:
-        c3 = T.reshape(coeff_rows, (coeff_rows.shape[0], 1, branch.n_tailor))
+    c3 = T.reshape(coeff_rows, (coeff_rows.shape[0], 1, branch.n_tailor))
+
+    def project(h, fw):
+        return apply_factorized(h, fw, c3)
+
     injections = []
     f_cond = None
     for li, blk in enumerate(branch.blocks):
-        def proj(tag, h, _blk=blk):
-            return apply_factorized(h, _blk["fw_" + tag], c3)
-
-        x = T.add(x, _attention(x, blk["ln1_g"], blk["ln1_b"], proj, d))
-        h2 = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-        hidden = _dropout(T.gelu(proj("in", h2)), cfg.dropout, drop_gen)
-        x = T.add(x, proj("out", hidden))
+        x = _block(x, blk, project, cfg, drop_gen)
         if li + 1 == cfg.repa_layer:
             f_cond = x
         injections.append(T.linear(x, blk["inj_w"]))
@@ -349,14 +345,7 @@ def denoiser_forward(den: DenoiserNet, cfg: RunConfig,
     for li, blk in enumerate(den.blocks):
         if injections is not None and li < len(injections):
             x = T.add(x, injections[li])
-
-        def proj(tag, h, _blk=blk):
-            return T.linear(h, _blk["w" + tag])
-
-        x = T.add(x, _attention(x, blk["ln1_g"], blk["ln1_b"], proj, d))
-        h2 = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-        hidden = _dropout(T.gelu(T.linear(h2, blk["w_in"])), cfg.dropout, drop_gen)
-        x = T.add(x, T.linear(hidden, blk["w_out"]))
+        x = _block(x, blk, T.linear, cfg, drop_gen)
     y = T.layer_norm(x, den.lnf_g, den.lnf_b)
     return T.add(T.linear(y, den.head_w), den.head_b)
 
@@ -397,7 +386,7 @@ def repa_loss(f_cond: Tensor, e_img: np.ndarray, head: RepaHead) -> Tensor:
 
 def sample_batch(den: DenoiserNet, branch: ControlBranch,
                  cfg: RunConfig, sched: NoiseSchedule,
-                 x_cond: np.ndarray, coeff_rows: Tensor | None,
+                 x_cond: np.ndarray, coeff_rows: Tensor,
                  sample_indices=None) -> np.ndarray:
     """Ancestral DDPM sampling for a batch; deterministic per (cfg.seed, index).
 

@@ -19,6 +19,7 @@ is no device or dtype dispatch.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -327,9 +328,10 @@ def linear(x, w) -> Tensor:
     out = Tensor(np.matmul(x.data, w.data.T))
 
     def vjp(g):
+        rows = math.prod(g.shape[:-1])  # not -1: w may have no rows
         return (lambda: np.matmul(g, w.data),
-                lambda: g.reshape(-1, w.data.shape[0]).T
-                @ x.data.reshape(-1, w.data.shape[1]))
+                lambda: g.reshape(rows, w.data.shape[0]).T
+                @ x.data.reshape(rows, w.data.shape[1]))
 
     return _record(out, (x, w), vjp)
 
@@ -346,8 +348,6 @@ def softmax(a, axis: int = -1) -> Tensor:
     positive and sum to one along the reduced axis.
     """
     a = as_tensor(a)
-    if a.size == 0:
-        return _record(Tensor(a.data.copy()), (a,), lambda g: (g,))
     y = _softmax_data(a.data, axis, "softmax input")
     out = Tensor(y)
     return _record(out, (a,), lambda g: (_softmax_vjp(g, y, axis),))
@@ -356,7 +356,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 def _softmax_data(z: np.ndarray, axis: int, what: str) -> np.ndarray:
     if not np.isfinite(z).all():
         raise InvalidInputError(f"{what} contains non-finite values")
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    e = np.exp(z - z.max(axis=axis, keepdims=True, initial=-np.inf))  # z may be empty
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -391,12 +391,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _record(out, (x, gain, bias), vjp)
 
 
-def factorized_linear(x, u_g, s_g, v_g, u_t=None, s_t=None, v_t=None,
-                      c=None) -> Tensor:
+def factorized_linear(x, u_g, s_g, v_g, u_t, s_t, v_t, c) -> Tensor:
     """Projection through rank-1 components, without forming the matrix.
 
-    Computes ``((x @ v_g) * s_g) @ u_g.T`` and, when the tailor block
-    ``u_t, s_t, v_t`` is given, adds ``((x @ v_t) * (c * s_t)) @ u_t.T``.
+    Computes ``((x @ v_g) * s_g) @ u_g.T + ((x @ v_t) * (c * s_t)) @ u_t.T``:
+    a learngene block and a tailor block, either of which may be empty.
     ``c`` holds the tailor coefficients: one (n_tailor,) vector, or rows
     broadcastable against ``x @ v_t`` such as (B, 1, n_tailor). Every
     input gets its gradient. A tailor column whose coefficient is zero in
@@ -405,27 +404,19 @@ def factorized_linear(x, u_g, s_g, v_g, u_t=None, s_t=None, v_t=None,
     Forward and gradients are bit-identical to the node-by-node chain
     ``unfused_apply`` in ``tests/test_factorized.py``.
     """
-    x, u_g, s_g, v_g = (as_tensor(t) for t in (x, u_g, s_g, v_g))
+    x, u_g, s_g, v_g, u_t, s_t, v_t, c = (
+        as_tensor(t) for t in (x, u_g, s_g, v_g, u_t, s_t, v_t, c))
     if x.ndim < 2 or x.data.shape[-1] != v_g.data.shape[0]:
         raise ContractError(
             f"factorized_linear shape mismatch: x {x.data.shape} vs v_g {v_g.data.shape}")
     h_g = np.matmul(x.data, v_g.data)
     a_g = h_g * s_g.data
-    y = np.matmul(a_g, u_g.data.T)
-    if u_t is None:
-        def vjp(g):
-            return _factor_block_vjp(g, x, u_g, v_g, h_g, a_g, s_g.data,
-                                     s_g.requires_grad)
-
-        return _record(Tensor(y), (x, u_g, s_g, v_g), vjp)
-
-    u_t, s_t, v_t, c = (as_tensor(t) for t in (u_t, s_t, v_t, c))
     h_t = np.matmul(x.data, v_t.data)
     cs = c.data * s_t.data
     a_t = h_t * cs
-    y = y + np.matmul(a_t, u_t.data.T)
+    y = np.matmul(a_g, u_g.data.T) + np.matmul(a_t, u_t.data.T)
 
-    def vjp_tailored(g):
+    def vjp(g):
         gx_t, gu_t, gcs, gv_t = _factor_block_vjp(
             g, x, u_t, v_t, h_t, a_t, cs, s_t.requires_grad or c.requires_grad)
         return (gx_t, gu_t, lambda: _unbroadcast(gcs * c.data, s_t.data.shape),
@@ -436,7 +427,7 @@ def factorized_linear(x, u_g, s_g, v_g, u_t=None, s_t=None, v_t=None,
     # x is listed once per block: backward adds the tailor block's part of
     # x.grad and then the learngene block's, so the float sums into x.grad
     # keep the order of the unfused expression.
-    return _record(Tensor(y), (x, u_t, s_t, v_t, c, x, u_g, s_g, v_g), vjp_tailored)
+    return _record(Tensor(y), (x, u_t, s_t, v_t, c, x, u_g, s_g, v_g), vjp)
 
 
 def _factor_block_vjp(g, x, u, v, h, a, scale, scale_grad: bool):
@@ -445,7 +436,8 @@ def _factor_block_vjp(g, x, u, v, h, a, scale, scale_grad: bool):
     for scale unless ``scale_grad``)."""
     gx = gu = gscale = gv = None
     if u.requires_grad:
-        gu = g.reshape(-1, g.shape[-1]).T @ a.reshape(-1, a.shape[-1])
+        rows = math.prod(g.shape[:-1])  # not -1: the block may be empty
+        gu = g.reshape(rows, g.shape[-1]).T @ a.reshape(rows, a.shape[-1])
     if not (scale_grad or v.requires_grad or x.requires_grad):
         return gx, gu, gscale, gv
     ga = np.matmul(g, u.data)

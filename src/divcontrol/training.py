@@ -266,15 +266,14 @@ _EMA = 0.98
 
 def _routing_rows(bundle: ModelBundle, cond_idx: np.ndarray,
                   record: bool = True):
-    """Per-item tailor coefficients for a batch (None when no tailors).
+    """Per-item tailor coefficients for a batch.
 
     Returns (rows, active_union) where rows is a (B, n_tailor) tensor of
-    unbiased coefficients, differentiable into the gate. ``record`` counts
-    one routing event per item toward the balance statistics.
+    unbiased coefficients, differentiable into the gate; (B, 0) when the
+    branch has no tailors. ``record`` counts one routing event per item
+    toward the balance statistics.
     """
     gate = bundle.gate
-    if bundle.branch.n_tailor == 0:
-        return None, set()
     unique = sorted(set(int(c) for c in cond_idx))
     g_rows, position = [], {}
     active_union: set = set()
@@ -369,9 +368,8 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
                     metrics.cond_seen[c] = 1
 
             T.backward(total_t)
-            if bundle.branch.n_tailor:
-                for fw in bundle.branch.factorized_weights():
-                    masked_gradient_apply(fw, active_union)
+            for fw in bundle.branch.factorized_weights():
+                masked_gradient_apply(fw, active_union)
             lr = cfg.lr_at(s)
             opt.step(lr=lr)
             opt.zero_grad()
@@ -386,8 +384,9 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
     finally:
         T.clear_tape()  # a step abandoned by an error leaves its nodes behind
         writer.close()
-    save_checkpoint(ckpt_path, bundle_state(bundle, opt, stop,
-                                            metrics.cond_ema, metrics.cond_seen))
+    if start_step >= stop or stop % 100:  # else the loop has just saved step stop
+        save_checkpoint(ckpt_path, bundle_state(bundle, opt, stop,
+                                                metrics.cond_ema, metrics.cond_seen))
     export_metrics(out_dir, extra=_summary_extras(bundle, metrics))
     return ckpt_path, metrics
 

@@ -15,8 +15,8 @@ def factorize(w, n_g, n_t):
 
 def brute_force_compose(fw, g):
     """Independent oracle: accumulate rank-1 terms one by one."""
-    w = np.zeros((fw.out_dim, fw.in_dim))
-    for i in range(fw.n_learngene):
+    w = np.zeros((fw.u_g.shape[0], fw.v_g.shape[0]))
+    for i in range(fw.s_g.size):
         w += fw.s_g.data[i] * np.outer(fw.u_g.data[:, i], fw.v_g.data[:, i])
     for j in range(fw.n_tailor):
         w += g[j] * fw.s_t.data[j] * np.outer(fw.u_t.data[:, j], fw.v_t.data[:, j])
@@ -26,7 +26,7 @@ def brute_force_compose(fw, g):
 def applied_weight(fw, g):
     """W~ as apply_factorized sees it: the identity's rows map to W~.T."""
     with T.no_grad():
-        return apply_factorized(Tensor(np.eye(fw.in_dim)), fw, Tensor(g)).data.T
+        return apply_factorized(Tensor(np.eye(fw.v_g.shape[0])), fw, Tensor(g)).data.T
 
 
 def columns(fw):
@@ -77,7 +77,7 @@ def test_svd_truncation():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((6, 6))
     fw = factorize(w, 2, 1)
-    assert fw.n_learngene == 2 and fw.n_tailor == 1
+    assert fw.s_g.size == 2 and fw.n_tailor == 1
     _, s, _ = np.linalg.svd(w)
     expected_err = np.linalg.norm(s[3:]) / np.linalg.norm(w)
     got_err = np.linalg.norm(w - brute_force_compose(fw, np.ones(1))) / np.linalg.norm(w)
@@ -90,7 +90,7 @@ def test_partition_learngenes_take_top_sigma():
     fw = factorize(w, 2, 4)
     s = np.linalg.svd(w, compute_uv=False)
     assert np.allclose(fw.s_g.data, s[:2]) and np.allclose(fw.s_t.data, s[2:])
-    assert fw.n_learngene == 2 and fw.n_tailor == 4
+    assert fw.s_g.size == 2 and fw.n_tailor == 4
 
 
 def test_partition_rejects_bad_split():
@@ -169,7 +169,7 @@ def test_apply_factorized_is_bit_identical_to_unfused_chain():
     fws = [random_fw(rng, 6, 5, 2, 3)[0] for _ in range(2)]
     x = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
     rows = Tensor(np.array([[[0.5, 0.0, 0.2]], [[0.3, 0.0, 0.0]]]), requires_grad=True)
-    leaves = [x, rows] + [t for fw in fws for t in fw.tensors().values()]
+    leaves = [x, rows] + [t for fw in fws for t in vars(fw).values()]
     results = []
     for project in (apply_factorized, unfused_apply):
         T.zero_grads(leaves)
@@ -249,7 +249,7 @@ def test_training_moves_parameters_freely():
     fw, _ = random_fw(rng, 4, 4, 2, 2)
     init = brute_force_compose(fw, np.ones(2))
     target = rng.standard_normal((4, 4))
-    params = {k: t for k, t in fw.tensors().items()}
+    params = dict(vars(fw))
     opt = AdamW(params, lr=1e-2)
     for _ in range(100):
         # the identity's image is W~.T, so this pulls W~ towards target.T

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from divcontrol import tensor as T
-from divcontrol.errors import InvalidInputError
+from divcontrol.errors import ContractError, InvalidInputError
 from divcontrol.gate import (
     GateState,
     InstructionEncoder,
@@ -94,6 +94,13 @@ def test_topk_k_equals_n_keeps_everything():
     coeffs = topk_select(alpha, gate)
     assert np.allclose(coeffs.g.data, alpha)
     assert len(coeffs.active_set) == 4
+
+
+def test_gate_rejects_k_outside_zero_to_n_tailor():
+    for n_t, k in ((0, 1), (4, 5), (4, -1)):
+        with pytest.raises(ContractError):
+            make_gate(n_t=n_t, k=k)
+    assert make_gate(n_t=0, k=0).n_tailor == 0
 
 
 def test_topk_tie_breaks_to_lower_index():

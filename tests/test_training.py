@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divcontrol import tensor as T
 from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint
 from divcontrol.config import CONFIG_KEYS, config_digest, resolve_config, resolved_text
@@ -239,6 +240,44 @@ def test_ablation_arms_draw_identical_batches():
                    for s in range(3)]
         draws.append([(b.image_idx.tobytes(), b.cond_idx.tobytes()) for b in batches])
     assert all(d == draws[0] for d in draws[1:])
+
+
+def test_train_steps_saves_each_checkpoint_once(tmp_path, monkeypatch):
+    # a call that stops on a multiple of 100 saves that step in the loop,
+    # and not a second time after it
+    saved, save = [], training.save_checkpoint
+
+    def spy(path, state):
+        saved.append(state.step)
+        return save(path, state)
+
+    monkeypatch.setattr(training, "save_checkpoint", spy)
+    bundle = training.build_diversion_bundle(micro())
+    bank = training._image_bank(bundle)
+    for stop in (101, 100):
+        training.train_steps(bundle, bank, tmp_path / str(stop), start_step=99,
+                             stop_step=stop)
+    assert saved == [100, 101, 100]
+
+
+def test_neither_arm_runs_empty_tailor_blocks():
+    # the arm without diversion has no tailors: it routes every item to an
+    # empty coefficient row, the mask pass finds nothing to clear, and the
+    # gate's hidden layer gets an exactly zero gradient
+    cfg = training.ablation_arms(micro())["neither"]
+    bundle = training.build_diversion_bundle(cfg)
+    batch = training._build_batch(training._image_bank(bundle), cfg.batch_size,
+                                  cfg.seed, 0)
+    gen = np.random.default_rng(0)
+    rows, active = training._routing_rows(bundle, batch.cond_idx)
+    assert rows.shape == (cfg.batch_size, 0) and active == set()
+    T.backward(training._objective(
+        bundle, batch.x, batch.x_cond, gen.integers(0, cfg.timesteps, cfg.batch_size),
+        gen.standard_normal(batch.x.shape), rows)[2])
+    for fw in bundle.branch.factorized_weights():
+        assert training.masked_gradient_apply(fw, active) == 0.0
+    for t in (bundle.gate.w1, bundle.gate.b1):
+        assert t.grad is not None and np.array_equal(t.grad, np.zeros_like(t.grad))
 
 
 @pytest.mark.parametrize("n", [3, 11])
