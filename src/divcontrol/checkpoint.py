@@ -112,6 +112,12 @@ class _Reader:
     def unpack(self, fmt: struct.Struct, what: str, block: str | None = None):
         return fmt.unpack(self.read(fmt.size, what, block))[0]
 
+    def text(self, raw: memoryview, what: str) -> str:
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8 (corrupt data)") from e
+
 
 def load_checkpoint(path) -> CheckpointState:
     """Read a checkpoint. Its arrays are read-only views of the file's bytes,
@@ -135,11 +141,7 @@ def load_checkpoint(path) -> CheckpointState:
     state = CheckpointState(step=step, config_digest=digest)
     for _ in range(n_blocks):
         name_len = r.unpack(_U16, "block name length")
-        try:
-            name = str(r.read(name_len, "block name"), "utf-8")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(
-                f"{path}: block name is not UTF-8 (corrupt data)") from e
+        name = r.text(r.read(name_len, "block name"), "block name")
         tag = r.unpack(_U8, "dtype", name)
         if tag not in (_DTYPE_F64, _DTYPE_I64, _DTYPE_BYTES):
             raise CheckpointError(f"{path}: block '{name}' has unknown dtype tag {tag}")
@@ -154,7 +156,7 @@ def load_checkpoint(path) -> CheckpointState:
             raise CheckpointError(
                 f"{path}: block '{name}' failed its checksum (corrupt data)")
         if tag == _DTYPE_BYTES:
-            state.meta[name.removeprefix("meta/")] = str(payload, "utf-8")
+            state.meta[name.removeprefix("meta/")] = r.text(payload, f"block '{name}'")
             continue
         expected = 8 * math.prod(shape)
         if len(payload) != expected:

@@ -14,7 +14,8 @@ projection, see ``factorized.py``) and single-head ``attention``.
 
 Tensors are immutable once created, except for ``.grad`` accumulation
 and the optimizer's in-place parameter update. All data is 64-bit; there
-is no device or dtype dispatch.
+is no device or dtype dispatch. One forward reads the tape state: ``gelu``
+reproduces ``x ** 3`` bit for bit only while the tape records.
 """
 
 from __future__ import annotations
@@ -203,16 +204,14 @@ def _gelu_arg(cube, x):
 def _gelu_arg_of(x: np.ndarray) -> np.ndarray:
     """``_gelu_arg(x ** 3, x)`` bit for bit, mostly without ``x ** 3``.
 
-    numpy's ``power`` is vectorized for positive bases but takes a scalar
-    path, about 40 times slower, for the others. So the cube is taken as
-    ``copysign(|x| ** 3, x)``, which is ``x ** 3`` wherever x > 0. For a
-    negative base, ``x ** 3`` lies within one float64 spacing of it (CI
-    checks 20M bases under the X86_V4 and X86_V3 kernels), and
-    ``_gelu_arg`` is monotone in the cube: where it gives the same result
-    at both neighbours (the int64 view plus and minus 1), that result is
-    the answer. ``power`` runs only where the two differ: on 11-15% of
-    the negative bases among the model's activations, and wherever
-    ``|x| ** 3`` is zero or not finite, since a neighbour of those is NaN.
+    Taped passes only; the re-record of ROADMAP item 1 deletes it. numpy's
+    ``power`` is slow for non-positive bases, so the cube is
+    ``copysign(|x| ** 3, x)``, which is ``x ** 3`` for x > 0 and within one
+    float64 spacing of it for x < 0 (CI checks 20M bases under two SIMD
+    profiles). ``_gelu_arg`` is monotone in the cube, so where it agrees at
+    both neighbours (int64 view +-1) that is the answer. ``power`` runs only
+    where they differ (11-15% of negative activations) or where a neighbour
+    is NaN (``|x| ** 3`` zero or not finite).
     """
     cube = np.copysign(np.abs(x) ** 3, x)
     out = np.asarray(_gelu_arg(cube, x))  # right wherever x > 0
@@ -229,10 +228,14 @@ def _gelu_arg_of(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(a) -> Tensor:
-    """tanh-form GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    """tanh-form GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+
+    The tape state, not ``requires_grad``, picks the cube: ``x ** 3`` bit
+    for bit while it records, else ``x * x * x`` (within 2|x| eps) until the
+    re-record that deletes ``_gelu_arg_of`` (ROADMAP item 1)."""
     a = as_tensor(a)
     x = a.data
-    u = _gelu_arg_of(x)
+    u = _gelu_arg_of(x) if _TAPE.enabled else _gelu_arg(x * x * x, x)
     t = np.tanh(u)
     out = Tensor(0.5 * x * (1.0 + t))
 

@@ -1,4 +1,5 @@
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
@@ -83,6 +84,17 @@ def test_non_utf8_block_name_raises(tmp_path, blob):
     data[blob.index(name)] = 0xFF
     with pytest.raises(CheckpointError, match="UTF-8"):
         load_bytes(tmp_path, bytes(data))
+
+
+def test_non_utf8_meta_payload_with_valid_checksum_raises(tmp_path, blob):
+    # a payload corrupted before its CRC was taken passes the checksum
+    text = META["config_text"].encode("utf-8")
+    bad = b"\xff" + text[1:]
+    start = blob.index(text)
+    crc = zlib.crc32(bad).to_bytes(4, "little")
+    data = blob[:start] + bad + crc + blob[start + len(text) + 4:]
+    with pytest.raises(CheckpointError, match="block 'meta/config_text' is not UTF-8"):
+        load_bytes(tmp_path, data)
 
 
 def test_odd_layouts_and_zero_size_blocks_write_pinned_bytes(tmp_path):

@@ -176,6 +176,38 @@ def test_gelu_argument_falls_back_to_power_where_the_neighbours_disagree(monkeyp
     assert sizes[-1] == x.size  # power ran on every one of them
 
 
+def _gelu_from(cube, x):
+    return 0.5 * x * (1.0 + np.tanh(T._gelu_arg(cube, x)))
+
+
+def test_gelu_cube_follows_the_tape_state_not_requires_grad():
+    # taped passes keep the bits of x ** 3 the training references hold;
+    # untaped ones take x * x * x, and a frozen input is still taped
+    x = np.random.default_rng(8).standard_normal((64, 48)) * 2.0
+    plain, power = _gelu_from(x * x * x, x), _gelu_from(x ** 3, x)
+    assert not np.array_equal(plain, power)  # this input tells them apart
+    with no_grad():
+        for requires_grad in (True, False):
+            got = T.gelu(Tensor(x, requires_grad=requires_grad)).data
+            assert np.array_equal(got.view(np.int64), plain.view(np.int64))
+    for requires_grad in (True, False):
+        got = T.gelu(Tensor(x, requires_grad=requires_grad)).data
+        assert np.array_equal(got.view(np.int64), power.view(np.int64))
+    T.clear_tape()
+
+
+def test_untaped_gelu_within_two_eps_of_the_power_form():
+    # a sweep of activation-sized bases; the worst measured gap is 1.0 |x| eps
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(1_000_000) * 10.0 ** rng.uniform(-3, 1.5, 1_000_000)
+    with no_grad():
+        plain = T.gelu(Tensor(x)).data
+    power = T.gelu(Tensor(x)).data
+    gap = np.abs(plain - power)
+    assert np.count_nonzero(gap) > 0
+    assert np.all(gap <= 2 * np.abs(x) * np.finfo(np.float64).eps)
+
+
 def test_fused_primitives_record_one_tape_node():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)

@@ -304,6 +304,23 @@ def test_evaluate_bundle_condition_stack(n, monkeypatch):
     assert x_cond.tobytes() == expected.tobytes()
 
 
+def test_untaped_gelu_keeps_eval_metrics_of_the_exact_cube(monkeypatch):
+    # evaluation runs under no_grad, so its GELU takes x * x * x; no
+    # benchmark reference sees the branch (inj_w starts at zero), so this
+    # holds the metrics with live injections to the x ** 3 path's
+    bundle = training.build_diversion_bundle(micro())
+    gen = np.random.default_rng(5)
+    for blk in bundle.branch.blocks:
+        blk["inj_w"].data = 0.3 * gen.standard_normal(blk["inj_w"].shape)
+    plain = training.evaluate_bundle(bundle)
+    gelu_arg = T._gelu_arg
+    monkeypatch.setattr(T, "_gelu_arg", lambda cube, x: gelu_arg(x ** 3, x))
+    exact = training.evaluate_bundle(bundle)
+    assert plain != exact  # the two cubes do differ here
+    for key, value in exact.items():
+        assert abs(plain[key] - value) <= 1e-12 * abs(value), key
+
+
 def test_run_ablation_pinned(tmp_path):
     report = training.run_ablation(micro(), tmp_path)
     assert set(report["arms"]) == set(REF["ablation"])
