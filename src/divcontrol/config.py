@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .conditions import SSIM_WINDOW, TRANSFORM_BLOCK
@@ -73,6 +74,8 @@ class RunConfig:
             elif type(value) is not _TYPES[f.type] or (
                     f.type == "tuple" and any(type(v) is not int for v in value)):
                 raise ConfigError(f"'{f.name}' must be {f.type}, not {value!r}")
+            elif f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"'{f.name}' must be finite, not {value!r}")
         if self.mode not in ("diversion", "adapt_frozen", "scratch"):
             raise ConfigError(f"unknown mode '{self.mode}'")
         # values a run cannot use (NaN included) fail here, before a run
@@ -107,6 +110,8 @@ class RunConfig:
             raise ConfigError("adam_eps must be > 0")
         if not self.lambda_repa >= 0:
             raise ConfigError("lambda_repa must be >= 0")
+        if not self.gate_bias_rate >= 0:
+            raise ConfigError("gate_bias_rate must be >= 0")
         if min(self.n_learngene, self.n_tailor, self.adapt_n_tailor) < 0:
             raise ConfigError("n_learngene, n_tailor and adapt_n_tailor "
                               "must be >= 0")
@@ -116,6 +121,9 @@ class RunConfig:
                               "in [0, adapt_n_tailor]")
         if self.image_size % self.patch_size != 0:
             raise ConfigError("image_size must be divisible by patch_size")
+        # the denoiser takes one injection per branch layer
+        if not 1 <= self.controlnet_layers <= self.layers:
+            raise ConfigError("controlnet_layers must lie in [1, layers]")
         if not 1 <= self.repa_layer <= self.controlnet_layers:
             raise ConfigError("repa_layer must lie in [1, controlnet_layers]")
         if self.mlp_hidden < self.token_dim:

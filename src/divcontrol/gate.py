@@ -16,7 +16,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, InvalidInputError
-from .factorized import GatedCoefficients
 from .rng import fresh, stream
 from .tensor import Tensor
 
@@ -121,10 +120,13 @@ def route(gate: GateState, e: np.ndarray) -> Tensor:
     return T.softmax(gate_logits(gate, e))
 
 
-def topk_select(alpha, gate: GateState) -> GatedCoefficients:
+def topk_select(alpha, gate: GateState) -> tuple:
     """Pick the K tailors with the largest biased score, keep unbiased values.
 
-    Ties break toward the lower index.
+    Returns ``(g, active)``: ``g`` is a length-N_T tensor holding the
+    unbiased scores of the selected tailors and zero elsewhere, and
+    ``active`` the selected indices in selection order. Ties break toward
+    the lower index.
     """
     alpha_t = alpha if isinstance(alpha, Tensor) else Tensor(alpha)
     n_t = gate.n_tailor
@@ -135,13 +137,12 @@ def topk_select(alpha, gate: GateState) -> GatedCoefficients:
     active = tuple(int(i) for i in order[:gate.k])
     mask = np.zeros(n_t)
     mask[list(active)] = 1.0
-    g = T.mul(alpha_t, mask)
-    return GatedCoefficients(g=g, active_set=active)
+    return T.mul(alpha_t, mask), active
 
 
-def record_usage(gate: GateState, active_set, count: int = 1) -> None:
-    """Count ``count`` routing events for each tailor in ``active_set``."""
-    for j in active_set:
+def record_usage(gate: GateState, active, count: int = 1) -> None:
+    """Count ``count`` routing events for each tailor in ``active``."""
+    for j in active:
         gate.batch_count[j] += count
 
 

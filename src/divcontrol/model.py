@@ -10,6 +10,17 @@ Both networks make and run each layer with ``_Network._layer`` and
 ``_block``, dense or factorized; a branch without tailors is no exception.
 Every network, pass and schedule takes its sizes, seeds and dropout
 rate from the run's ``RunConfig``.
+
+A FactorizedWeight keeps the leading rank-1 triples (u_i, sigma_i, v_i)
+of one SVD of W (``svd_blocks``): ``n_learngene`` learngenes of largest
+sigma with coefficient 1, then ``n_tailor`` tailors scaled per condition
+by gated coefficients g_j, so that
+
+    W~ = sum_{i<N_G} u_i sigma_i v_i^T  +  sum_{j active} g_j u_j sigma_j v_j^T
+
+and ``T.factorized_linear`` computes ``x @ W~.T`` without forming W~.
+Orthonormality and sigma ordering hold at creation only: training moves
+the factors freely and nothing re-projects them.
 """
 
 from __future__ import annotations
@@ -21,8 +32,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .errors import ContractError
-from .factorized import FactorizedWeight, apply_factorized, svd_blocks
+from .errors import ContractError, NumericError
 from .rng import fresh, stream
 from .tensor import Tensor
 
@@ -131,6 +141,80 @@ class DenoiserNet(_Network):
         self.lnf_b = self._full("lnf_b", 0.0, d)
         self.head_w = self._kaiming("head_w", p, d)
         self.head_b = self._full("head_b", 0.0, p)
+
+
+class FactorizedWeight:
+    """One projection as its learngene triple ``u_g``/``s_g``/``v_g`` and its
+    tailor triple ``u_t``/``s_t``/``v_t``, kept apart so that either group can
+    be frozen or replaced. Arrays become trainable tensors; tensors are kept."""
+
+    def __init__(self, u_g, s_g, v_g, u_t, s_t, v_t):
+        self.u_g, self.s_g, self.v_g, self.u_t, self.s_t, self.v_t = (
+            a if isinstance(a, Tensor) else Tensor(a, requires_grad=True)
+            for a in (u_g, s_g, v_g, u_t, s_t, v_t))
+        if self.u_g.shape[1] != self.s_g.size or self.v_g.shape[1] != self.s_g.size:
+            raise ContractError("learngene block shapes disagree")
+        if self.u_t.shape[1] != self.s_t.size or self.v_t.shape[1] != self.s_t.size:
+            raise ContractError("tailor block shapes disagree")
+        if self.u_g.shape[0] != self.u_t.shape[0] or self.v_g.shape[0] != self.v_t.shape[0]:
+            raise ContractError("learngene and tailor blocks disagree on matrix shape")
+
+    @property
+    def n_tailor(self) -> int:
+        return self.s_t.size
+
+
+def svd_blocks(w, n_learngene: int, n_tailor: int) -> dict:
+    """Factorize a dense matrix by SVD into learngene and tailor blocks, the
+    arrays of a ``FactorizedWeight`` by part name (``u_g`` ... ``v_t``).
+
+    The learngene block takes the ``n_learngene`` largest-sigma components
+    and the tailor block the next ``n_tailor``. Components past both are
+    discarded, so the reconstruction error is whatever their singular
+    values add up to.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2:
+        raise ContractError("svd_blocks expects a matrix")
+    if not np.isfinite(w).all():
+        raise ContractError("svd_blocks input must be finite")
+    rank = n_learngene + n_tailor
+    if n_learngene < 0 or n_tailor < 0 or not 1 <= rank <= min(w.shape):
+        raise ContractError(
+            f"n_learngene = {n_learngene}, n_tailor = {n_tailor}: both must be "
+            f">= 0 and their sum must lie in [1, {min(w.shape)}]")
+    try:
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(
+            f"SVD failed to converge (shape {w.shape}, "
+            f"|W|_F={np.linalg.norm(w):.3e}, max|W|={np.abs(w).max():.3e}): {e}"
+        ) from e
+    blocks = {}
+    for tag, part in (("g", slice(0, n_learngene)), ("t", slice(n_learngene, rank))):
+        blocks.update({"u_" + tag: u[:, part].copy(), "s_" + tag: s[part].copy(),
+                       "v_" + tag: vt[part].T.copy()})
+    return blocks
+
+
+def masked_gradient_apply(fw: FactorizedWeight, active) -> float:
+    """Zero any residual gradient on tailor columns outside ``active``.
+
+    Differentiating the gated composition already yields exact zeros there;
+    this pass measures the largest residual (returned for diagnostics) and
+    clears it. ``active`` is an iterable of active tailor indices.
+    """
+    active = set(active)
+    inactive = [j for j in range(fw.n_tailor) if j not in active]
+    if not inactive:
+        return 0.0
+    residual = 0.0
+    for t in (fw.u_t, fw.s_t, fw.v_t):
+        if t.grad is not None:
+            block = t.grad[..., inactive]
+            residual = max(residual, float(np.abs(block).max(initial=0.0)))
+            t.grad[..., inactive] = 0.0
+    return residual
 
 
 def _adapter_tailors(gen, out_dim: int, in_dim: int, n_t: int) -> dict:
@@ -321,7 +405,8 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
     c3 = T.reshape(coeff_rows, (coeff_rows.shape[0], 1, branch.n_tailor))
 
     def project(h, fw):
-        return apply_factorized(h, fw, c3)
+        return T.factorized_linear(h, fw.u_g, fw.s_g, fw.v_g,
+                                   fw.u_t, fw.s_t, fw.v_t, c3)
 
     injections = []
     f_cond = None

@@ -10,7 +10,7 @@ pass, which is all the training loop needs.
 Besides elementwise, shape, reduction and ``linear`` ops, four fused
 primitives carry hand-derived adjoints and record one tape node each:
 ``softmax``, ``layer_norm``, ``factorized_linear`` (a learngene/tailor
-projection, see ``factorized.py``) and single-head ``attention``.
+projection, see ``model.py``) and single-head ``attention``.
 
 Tensors are immutable once created, except for ``.grad`` accumulation
 and the optimizer's in-place parameter update. All data is 64-bit; there

@@ -42,7 +42,6 @@ from .conditions import (
 )
 from .config import RunConfig, config_digest, resolve_config, resolved_text
 from .errors import CheckpointError, ContractError, NumericError
-from .factorized import GatedCoefficients, masked_gradient_apply
 from .gate import (
     GateState,
     InstructionEncoder,
@@ -61,6 +60,7 @@ from .model import (
     denoiser_forward,
     diffusion_loss,
     forward_noise,
+    masked_gradient_apply,
     patchify,
     repa_loss,
     sample_batch,
@@ -279,12 +279,11 @@ def _routing_rows(bundle: ModelBundle, cond_idx: np.ndarray,
     active_union: set = set()
     for ui, c in enumerate(unique):
         alpha = route(gate, bundle.embeddings[c])
-        coeffs = topk_select(alpha, gate)
+        g, active = topk_select(alpha, gate)
         if record:
-            record_usage(gate, coeffs.active_set,
-                         count=int((cond_idx == c).sum()))
-        active_union |= set(coeffs.active_set)
-        g_rows.append(T.reshape(coeffs.g, (1, gate.n_tailor)))
+            record_usage(gate, active, count=int((cond_idx == c).sum()))
+        active_union |= set(active)
+        g_rows.append(T.reshape(g, (1, gate.n_tailor)))
         position[c] = ui
     stacked = g_rows[0] if len(g_rows) == 1 else T.concat(g_rows, axis=0)
     rows = T.gather_rows(stacked, np.array([position[int(c)] for c in cond_idx]))
@@ -496,8 +495,9 @@ def evaluate_bundle(bundle: ModelBundle, n_samples: int | None = None,
 # harnesses: ablation, alignment sweep and zero-shot routing
 # ----------------------------------------------------------------------
 
-def zero_shot_route(bundle: ModelBundle, instruction_text: str) -> GatedCoefficients:
-    """Route a novel instruction through a trained gate; no updates."""
+def zero_shot_route(bundle: ModelBundle, instruction_text: str) -> tuple:
+    """Route a novel instruction through a trained gate; no updates.
+    Returns ``topk_select``'s ``(g, active)``."""
     enc = InstructionEncoder(bundle.cfg.encoder_seed, bundle.cfg.embed_dim)
     with T.no_grad():
         alpha = route(bundle.gate, enc.encode(instruction_text))

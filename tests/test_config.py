@@ -80,7 +80,17 @@ def test_config_invariants():
                 dict(embed_dim=0), dict(repa_dim=0), dict(repa_hidden=0),
                 dict(beta_start=0.0), dict(beta_end=2.0), dict(beta_end=1.0),
                 dict(beta_start=float("nan")), dict(beta_end=float("nan")),
-                dict(adam_eps=0.0), dict(adam_eps=float("nan"))):
+                dict(adam_eps=0.0), dict(adam_eps=float("nan")),
+                # non-finite floats: at gate_bias_rate = nan every balance
+                # bias turns NaN and all conditions route to the same tailors
+                dict(lr=float("inf")), dict(weight_decay=float("inf")),
+                dict(lambda_repa=float("inf")), dict(adam_eps=float("inf")),
+                dict(gate_bias_rate=float("nan")), dict(gate_bias_rate=float("inf")),
+                dict(gate_bias_rate=-1e-3),
+                # a branch deeper than the denoiser: the denoiser takes one
+                # injection per layer of its own and dropped the rest
+                dict(controlnet_layers=5), dict(layers=0),
+                dict(layers=1, controlnet_layers=3, repa_layer=1)):
         text = "".join(f"{k} = {v}\n" for k, v in bad.items())
         with pytest.raises(ConfigError):
             resolve_config(text)
@@ -94,7 +104,8 @@ def test_config_invariants():
                                   timesteps=1, lambda_repa=0.0, n_learngene=0,
                                   n_tailor=0, top_k=0, adapt_top_k=16,
                                   image_size=8, beta_start=0.5, beta_end=0.5,
-                                  adam_eps=1e-300))
+                                  adam_eps=1e-300, gate_bias_rate=0.0))
+    resolve_config(overrides=dict(layers=2, controlnet_layers=1, repa_layer=1))
     # callers that catch the package's contract errors still catch these
     assert issubclass(ConfigError, ContractError)
 

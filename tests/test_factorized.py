@@ -3,10 +3,14 @@ import pytest
 
 from divcontrol import tensor as T
 from divcontrol.errors import ContractError
-from divcontrol.factorized import (FactorizedWeight, apply_factorized,
-                                   masked_gradient_apply, svd_blocks)
+from divcontrol.model import FactorizedWeight, masked_gradient_apply, svd_blocks
 from divcontrol.tensor import Tensor, backward
 from tape_oracles import matmul
+
+
+def apply_factorized(x, fw, rows):
+    """``x @ W~.T``, the one ``T.factorized_linear`` node a branch projection records."""
+    return T.factorized_linear(x, fw.u_g, fw.s_g, fw.v_g, fw.u_t, fw.s_t, fw.v_t, rows)
 
 
 def factorize(w, n_g, n_t):

@@ -6,10 +6,10 @@ import numpy as np
 from divcontrol import tensor as T
 from divcontrol import training
 from divcontrol.gate import route
-from divcontrol.gradcheck import OP_CASES, build_case, finite_diff_check, run_op_suite
+from divcontrol.gradcheck import (OP_CASES, build_case, finite_diff_check, micro_config,
+                                  run_e2e_gradcheck, run_op_suite)
 from divcontrol.rng import fresh, stream
 from divcontrol.tensor import Tensor
-from divcontrol.verify import micro_config
 
 
 def test_linear_function_exact():
@@ -160,8 +160,6 @@ def test_coordinate_subsampling_is_deterministic():
 
 
 def test_e2e_gradcheck_subsampled():
-    from divcontrol.verify import run_e2e_gradcheck
-
     rep = run_e2e_gradcheck(max_coords_per_param=3)
     assert rep.passed, rep.max_rel_err
     assert rep.n_coords >= 200

@@ -5,10 +5,10 @@ from divcontrol import tensor as T
 from divcontrol.conditions import apply_condition, find_condition, render_images
 from divcontrol.config import resolve_config
 from divcontrol.errors import ContractError
-from divcontrol.factorized import FactorizedWeight, svd_blocks
 from divcontrol.model import (
     ControlBranch,
     DenoiserNet,
+    FactorizedWeight,
     NoiseSchedule,
     RepaHead,
     branch_forward,
@@ -19,6 +19,7 @@ from divcontrol.model import (
     posterior_step,
     repa_loss,
     sample_batch,
+    svd_blocks,
     unpatchify,
 )
 from divcontrol.tensor import Tensor, backward

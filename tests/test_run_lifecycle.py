@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from divcontrol import tensor as T
-from divcontrol import training, verify
+from divcontrol import gradcheck, training
 from divcontrol.checkpoint import load_checkpoint, save_checkpoint
 from divcontrol.errors import CheckpointError, ConfigError, ContractError, NumericError
+from divcontrol.gradcheck import micro_config
 from divcontrol.rng import fresh
 from divcontrol.runio import read_metrics
-from divcontrol.verify import micro_config
 
 
 @pytest.fixture(scope="module")
@@ -172,9 +172,9 @@ def test_alignment_head_only_decays_at_lambda_zero(tmp_path):
 def test_alignment_head_is_taped_only_when_weighted(monkeypatch, lam):
     # at lambda_repa = 0 the head's nodes would carry exact zeros, so it is
     # evaluated off the tape and its parameters get no gradient at all
-    monkeypatch.setattr(verify, "micro_config",
+    monkeypatch.setattr(gradcheck, "micro_config",
                         lambda seed: micro_config(seed).replace(lambda_repa=lam))
-    loss, params = verify.build_e2e_case()
+    loss, params = gradcheck.build_e2e_case()
     head = [p for name, p in params.items() if name.startswith("repa.")]
     assert head
     T.clear_tape()

@@ -17,9 +17,9 @@ from divcontrol import tensor as T
 from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint
 from divcontrol.config import CONFIG_KEYS, config_digest, resolve_config, resolved_text
+from divcontrol.gradcheck import micro_config
 from divcontrol.rng import fresh
 from divcontrol.runio import read_metrics
-from divcontrol.verify import micro_config
 
 STEPS = 105        # past the step-100 checkpoint, so first and last 100 differ
 ADAPT_STEPS = 20
@@ -216,9 +216,9 @@ def test_zero_shot_route_pinned(runs):
     bundle = training.restore_bundle(ckpt["diversion"])
     gate = bundle.gate
     before = [gate.balance_bias.copy(), gate.usage_count.copy(), gate.batch_count.copy()]
-    coeffs = training.zero_shot_route(bundle, "sobel edge outline")
-    assert coeffs.active_set == REF["route_active_set"]
-    for value, ref in zip(coeffs.g.data, REF["route_g"], strict=True):
+    g, active = training.zero_shot_route(bundle, "sobel edge outline")
+    assert active == REF["route_active_set"]
+    for value, ref in zip(g.data, REF["route_g"], strict=True):
         assert_pinned(float(value), ref)
     # routing a novel instruction updates nothing
     after = [gate.balance_bias, gate.usage_count, gate.batch_count]
@@ -258,6 +258,46 @@ def test_train_steps_saves_each_checkpoint_once(tmp_path, monkeypatch):
         training.train_steps(bundle, bank, tmp_path / str(stop), start_step=99,
                              stop_step=stop)
     assert saved == [100, 101, 100]
+
+
+def test_inactive_tailor_columns_drift_only_by_adamw_state(tmp_path, monkeypatch):
+    # no gradient reaches a tailor column the batch did not route to, yet
+    # AdamW still moves it: decoupled decay scales it by (1 - lr * wd), and a
+    # column that was active on the previous step keeps moving on its
+    # momentum while its moments decay by beta1 and beta2
+    cfg = micro_config(0).replace(n_tailor=8, steps=2)
+    bundle = training.build_diversion_bundle(cfg)
+    bank = training._image_bank(bundle)
+    opt = training._new_optimizer(bundle)
+    actives, routing_rows = [], training._routing_rows
+
+    def spy(*args, **kw):
+        rows, active = routing_rows(*args, **kw)
+        actives.append(active)
+        return rows, active
+
+    monkeypatch.setattr(training, "_routing_rows", spy)
+    _, metrics = training.train_steps(bundle, bank, tmp_path, stop_step=1, opt=opt)
+    names = [n for n in opt.params if n.endswith((".u_t", ".s_t", ".v_t"))]
+    before = {n: (opt.params[n].data.copy(), opt.m[n].copy(), opt.v[n].copy())
+              for n in names}
+    training.train_steps(bundle, bank, tmp_path, start_step=1, opt=opt, metrics=metrics)
+    assert actives == [{0, 1}, {2, 3}]
+    lr, wd, eps = cfg.lr_at(1), cfg.weight_decay, cfg.adam_eps
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for n in names:
+        data, m, v = (a[..., [0, 1]] for a in before[n])
+        assert np.abs(m).max() > 0, n  # active on step 0
+        m, v = m * b1, v * b2
+        data = data * (1.0 - lr * wd) - m / (1.0 - b1 ** 2) * lr / (
+            np.sqrt(v / (1.0 - b2 ** 2)) + eps)
+        for got, want in zip((opt.params[n].data, opt.m[n], opt.v[n]), (data, m, v)):
+            assert np.array_equal(got[..., [0, 1]], want), n
+        # never active: decay alone, moments still exactly zero
+        data, m, v = (a[..., 4:] for a in before[n])
+        assert not m.any() and not v.any(), n
+        assert np.array_equal(opt.params[n].data[..., 4:], data * (1.0 - lr * wd)), n
+        assert not opt.m[n][..., 4:].any() and not opt.v[n][..., 4:].any(), n
 
 
 def test_neither_arm_runs_empty_tailor_blocks():
