@@ -70,7 +70,11 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and type(value) is int:
-                object.__setattr__(self, f.name, float(value))
+                try:
+                    object.__setattr__(self, f.name, float(value))
+                except OverflowError:
+                    raise ConfigError(f"'{f.name}' must be finite, not an int "
+                                      f"past float's range") from None
             elif type(value) is not _TYPES[f.type] or (
                     f.type == "tuple" and any(type(v) is not int for v in value)):
                 raise ConfigError(f"'{f.name}' must be {f.type}, not {value!r}")

@@ -1,21 +1,25 @@
 """Instruction-conditioned routing over tailor components.
 
-A frozen hashed-token embedding stands in for a pretrained text encoder;
-a two-layer perceptron maps the embedding to softmax scores over tailors.
-Selection applies per-tailor balance biases (top-K on score + bias) while
-the emitted coefficients stay unbiased, and the biases are nudged after
-each batch toward uniform tailor load without any auxiliary loss term.
+``embed_instruction`` stands in for a pretrained text encoder: it hashes an
+instruction's tokens into a frozen seeded Gaussian table, drawn once per
+process and read-only, and L2-normalizes their mean row. The gate, a
+``model._Network`` named ``gate.w1`` ... ``gate.b2``, maps it through a tanh
+layer to softmax scores over tailors (``route``). Selection applies per-tailor
+balance biases (top-K on score + bias) while the emitted coefficients stay
+unbiased, and the biases are nudged after each batch toward uniform tailor
+load without any auxiliary loss term.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, InvalidInputError
+from .model import _kaiming_uniform, _Network
 from .rng import fresh, stream
 from .tensor import Tensor
 
@@ -27,97 +31,59 @@ def _token_index(token: str) -> int:
     return int.from_bytes(digest[:8], "little") % VOCAB_HASH_SIZE
 
 
-class InstructionEncoder:
-    """Frozen bag-of-tokens encoder: hash tokens into a seeded Gaussian
-    table, mean-pool, L2-normalize."""
-
-    def __init__(self, encoder_seed: int, embed_dim: int):
-        gen = stream(encoder_seed, "embed-table")
-        self.table = gen.standard_normal((VOCAB_HASH_SIZE, embed_dim))
-
-    def encode(self, text: str) -> np.ndarray:
-        """The instruction's unit-norm embedding, shape (embed_dim,)."""
-        tokens = text.lower().split()
-        if not tokens:
-            raise InvalidInputError("instruction text is empty")
-        rows = self.table[[_token_index(t) for t in tokens]]
-        pooled = rows.mean(axis=0)
-        norm = np.linalg.norm(pooled)
-        if norm > 0:
-            pooled = pooled / norm
-        return pooled
+@functools.cache
+def _embed_table(encoder_seed: int, embed_dim: int) -> np.ndarray:
+    """The frozen token table, drawn from ("embed-table",) once per
+    (encoder_seed, embed_dim) and read-only."""
+    table = stream(encoder_seed, "embed-table").standard_normal((VOCAB_HASH_SIZE, embed_dim))
+    table.flags.writeable = False
+    return table
 
 
-@dataclass
-class GateState:
+def embed_instruction(text: str, encoder_seed: int, embed_dim: int) -> np.ndarray:
+    """The instruction's unit-norm embedding, shape (embed_dim,): the mean of
+    its lower-cased tokens' table rows, L2-normalized."""
+    tokens = text.lower().split()
+    if not tokens:
+        raise InvalidInputError("instruction text is empty")
+    rows = _embed_table(encoder_seed, embed_dim)[[_token_index(t) for t in tokens]]
+    pooled = rows.mean(axis=0)
+    norm = np.linalg.norm(pooled)
+    return pooled / norm if norm > 0 else pooled
+
+
+class GateState(_Network):
     """Routing network plus load-balancing state.
 
+    The hidden layer ``w1`` is Kaiming-uniform from the stream
+    ("init", "gate") and the rest start at zero, so routing starts uniform.
     ``balance_bias`` takes part only in top-K selection, never in the
     emitted coefficient values. ``batch_count`` holds tailor activations
     since the last bias update; ``usage_count`` accumulates the totals.
     """
 
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    k: int
-    bias_update_rate: float
-    balance_bias: np.ndarray = None
-    usage_count: np.ndarray = None
-    batch_count: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        n_t = self.w2.shape[0]
-        if not (0 <= self.k <= n_t):
-            raise ContractError(f"K={self.k} outside [0, {n_t}]")
-        if self.balance_bias is None:
-            self.balance_bias = np.zeros(n_t)
-        if self.usage_count is None:
-            self.usage_count = np.zeros(n_t, dtype=np.int64)
-        if self.batch_count is None:
-            self.batch_count = np.zeros(n_t, dtype=np.int64)
-
-    @property
-    def n_tailor(self) -> int:
-        return self.w2.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.w1.shape[1]
-
-    def tensors(self) -> dict:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    @staticmethod
-    def init(embed_dim: int, n_tailor: int, k: int, seed: int,
-             bias_update_rate: float, source=fresh) -> "GateState":
-        """Hidden layer Kaiming-uniform, output layer zero so routing starts
-        uniform. Each parameter ``gate.<name>`` comes from ``source`` (see
-        ``rng.fresh``)."""
-        bound = np.sqrt(6.0 / embed_dim)
-
-        def param(name, shape, draw=None):
-            return Tensor(source("gate." + name, shape,
-                                 draw or (lambda: np.zeros(shape))), requires_grad=True)
-
-        w1 = param("w1", (embed_dim, embed_dim), lambda: stream(
-            seed, "init", "gate").uniform(-bound, bound, (embed_dim, embed_dim)))
-        return GateState(w1, param("b1", (embed_dim,)),
-                         param("w2", (n_tailor, embed_dim)), param("b2", (n_tailor,)),
-                         k=k, bias_update_rate=bias_update_rate)
-
-
-def gate_logits(gate: GateState, e: np.ndarray) -> Tensor:
-    if e.size != gate.embed_dim:
-        raise ContractError(f"embedding dim {e.size} != gate dim {gate.embed_dim}")
-    h = T.tanh(T.add(T.linear(Tensor(e.reshape(1, -1)), gate.w1), gate.b1))
-    return T.reshape(T.add(T.linear(h, gate.w2), gate.b2), (gate.n_tailor,))
+    def __init__(self, embed_dim: int, n_tailor: int, k: int, seed: int,
+                 bias_update_rate: float, source=fresh):
+        if not 0 <= k <= n_tailor:
+            raise ContractError(f"K={k} outside [0, {n_tailor}]")
+        self.n_tailor, self.k, self.bias_update_rate = n_tailor, k, bias_update_rate
+        self._params_from(source, seed, "gate.")
+        self.w1 = self._param("w1", (embed_dim, embed_dim), lambda: _kaiming_uniform(
+            stream(seed, "init", "gate"), embed_dim, embed_dim))
+        self.b1 = self._full("b1", 0.0, embed_dim)
+        self.w2 = self._full("w2", 0.0, n_tailor, embed_dim)
+        self.b2 = self._full("b2", 0.0, n_tailor)
+        self.balance_bias = np.zeros(n_tailor)
+        self.usage_count = np.zeros(n_tailor, dtype=np.int64)
+        self.batch_count = np.zeros(n_tailor, dtype=np.int64)
 
 
 def route(gate: GateState, e: np.ndarray) -> Tensor:
     """Softmax routing weights over tailors; differentiable into the gate."""
-    return T.softmax(gate_logits(gate, e))
+    if e.size != gate.w1.shape[1]:
+        raise ContractError(f"embedding dim {e.size} != gate dim {gate.w1.shape[1]}")
+    h = T.tanh(T.add(T.linear(Tensor(e.reshape(1, -1)), gate.w1), gate.b1))
+    return T.softmax(T.reshape(T.add(T.linear(h, gate.w2), gate.b2), (gate.n_tailor,)))
 
 
 def topk_select(alpha, gate: GateState) -> tuple:

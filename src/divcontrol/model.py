@@ -71,9 +71,9 @@ def _kaiming_uniform(gen, out_dim: int, in_dim: int) -> np.ndarray:
 
 class _Network:
     """A network whose constructor makes its trainable parameters with the
-    methods below, each named ``prefix + name`` and taken from ``source``
-    (see ``rng.fresh``); a drawn value comes from the stream
-    ("init", prefix + name)."""
+    methods below, each named and kept as ``prefix + name`` and taken from
+    ``source`` (see ``rng.fresh``); ``_kaiming`` and ``_normal`` draw from
+    the stream ("init", prefix + name)."""
 
     def _params_from(self, source, seed: int, prefix: str) -> None:
         self._source, self._seed, self._prefix, self._made = source, seed, prefix, {}
@@ -82,9 +82,9 @@ class _Network:
         return stream(self._seed, "init", self._prefix + name)
 
     def _param(self, name: str, shape: tuple, draw) -> Tensor:
-        t = Tensor(self._source(self._prefix + name, shape, draw), requires_grad=True)
-        self._made[name] = t
-        return t
+        name = self._prefix + name
+        self._made[name] = Tensor(self._source(name, shape, draw), requires_grad=True)
+        return self._made[name]
 
     def _kaiming(self, name: str, out_dim: int, in_dim: int) -> Tensor:
         return self._param(name, (out_dim, in_dim),
@@ -112,7 +112,7 @@ class _Network:
         return blk
 
     def tensors(self) -> dict:
-        """The parameters by name, in the order they were made."""
+        """The parameters by full name, in the order they were made."""
         return dict(self._made)
 
 

@@ -16,6 +16,11 @@ Reserved stream paths (root: the run's ``seed`` unless noted):
 
 ========================  ==================================================
 ``("init", name)``        parameter initialisation, one stream per parameter
+                          ``name``, except where parameters share one: the
+                          six SVD parts of branch projection ``fw_<tag>``
+                          share ``br.l{l}.<weight>`` (``wq`` ... ``w_out``),
+                          adapter tailors share ``adapt.l{l}.fw_<tag>``, and
+                          the gate's hidden layer ``gate.w1`` uses ``gate``
 ``("batch", b)``          image and condition indices of training batch ``b``
 ``("step", s)``           all per-step training randomness, drawn in a fixed
                           documented order (see training.train_steps)
@@ -27,7 +32,8 @@ Reserved stream paths (root: the run's ``seed`` unless noted):
 ``("e2e-data",)``         data of the end-to-end gradcheck case
 ``("gradcheck", case)``   inputs of one registered gradcheck case
 ``("embed-table",)``      frozen instruction-token embedding table (root:
-                          ``encoder_seed``)
+                          ``encoder_seed``), drawn once per process for each
+                          ``(encoder_seed, embed_dim)``
 ``("vision-encoder",)``   frozen image-patch encoder projection (root:
                           ``encoder_seed``)
 ``("perm", cond_id)``     patch permutation of a shuffle condition (fixed

@@ -67,19 +67,15 @@ def read_metrics(run_dir):
 
 
 def export_metrics(run_dir, extra: dict | None = None) -> dict:
-    """Write summary.json derived from metrics.csv; re-export is idempotent.
+    """Write summary.json from metrics.csv and ``extra`` alone, replacing any
+    previous summary.
 
-    Derived fields are recomputed from the CSV; any previously stored or
-    newly passed extra fields are preserved under their own keys.
+    The ``extra`` keys are written as given. When the CSV holds rows, the
+    summary adds ``steps_recorded``, the ``final`` row and
+    ``final_100_mean_l_diff``; a header-only CSV adds none of them.
     """
     header, rows = read_metrics(run_dir)
-    summary_path = os.path.join(run_dir, SUMMARY_FILE)
-    summary: dict = {}
-    if os.path.exists(summary_path):
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-    if extra:
-        summary.update(extra)
+    summary = dict(extra or {})
     if rows:
         last = dict(zip(header, rows[-1]))
         summary["steps_recorded"] = len(rows)
@@ -88,7 +84,8 @@ def export_metrics(run_dir, extra: dict | None = None) -> dict:
         idx = {name: i for i, name in enumerate(header)}
         summary["final_100_mean_l_diff"] = float(
             np.mean([r[idx["l_diff"]] for r in tail]))
-    replace_file(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    replace_file(os.path.join(run_dir, SUMMARY_FILE),
+                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 

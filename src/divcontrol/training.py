@@ -44,7 +44,7 @@ from .config import RunConfig, config_digest, resolve_config, resolved_text
 from .errors import CheckpointError, ContractError, NumericError
 from .gate import (
     GateState,
-    InstructionEncoder,
+    embed_instruction,
     record_usage,
     route,
     topk_select,
@@ -90,18 +90,11 @@ class ModelBundle:
     embeddings: list
 
     def params(self) -> dict:
-        parts = (("den.", self.den), ("br.", self.branch), ("gate.", self.gate),
-                 ("repa.", self.repa))
-        return {prefix + name: t for prefix, part in parts
+        return {name: t for part in (self.den, self.branch, self.gate, self.repa)
                 for name, t in part.tensors().items()}
 
     def trainable_params(self) -> dict:
         return {k: t for k, t in self.params().items() if t.requires_grad}
-
-
-def _embed_all(cfg: RunConfig, specs) -> list:
-    enc = InstructionEncoder(cfg.encoder_seed, cfg.embed_dim)
-    return [enc.encode(s.instruction) for s in specs]
 
 
 def _adapter(name: str) -> bool:
@@ -131,11 +124,12 @@ def _bundle(cfg: RunConfig, source) -> ModelBundle:
                        else (cfg.n_tailor, cfg.top_k))
     bundle = ModelBundle(
         cfg=cfg, den=DenoiserNet(cfg, source), branch=ControlBranch(cfg, source),
-        gate=GateState.init(cfg.embed_dim, n_tailor, top_k, cfg.seed,
-                            cfg.gate_bias_rate, source),
+        gate=GateState(cfg.embed_dim, n_tailor, top_k, cfg.seed,
+                       cfg.gate_bias_rate, source),
         repa=RepaHead(cfg, source),
         sched=NoiseSchedule.linear(cfg), specs=specs,
-        embeddings=_embed_all(cfg, specs))
+        embeddings=[embed_instruction(s.instruction, cfg.encoder_seed, cfg.embed_dim)
+                    for s in specs])
     if adapting:
         for name, t in bundle.params().items():
             t.requires_grad = _adapter(name)
@@ -498,9 +492,10 @@ def evaluate_bundle(bundle: ModelBundle, n_samples: int | None = None,
 def zero_shot_route(bundle: ModelBundle, instruction_text: str) -> tuple:
     """Route a novel instruction through a trained gate; no updates.
     Returns ``topk_select``'s ``(g, active)``."""
-    enc = InstructionEncoder(bundle.cfg.encoder_seed, bundle.cfg.embed_dim)
+    e = embed_instruction(instruction_text, bundle.cfg.encoder_seed,
+                          bundle.cfg.embed_dim)
     with T.no_grad():
-        alpha = route(bundle.gate, enc.encode(instruction_text))
+        alpha = route(bundle.gate, e)
         return topk_select(alpha, bundle.gate)
 
 

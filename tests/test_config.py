@@ -87,6 +87,8 @@ def test_config_invariants():
                 dict(lambda_repa=float("inf")), dict(adam_eps=float("inf")),
                 dict(gate_bias_rate=float("nan")), dict(gate_bias_rate=float("inf")),
                 dict(gate_bias_rate=-1e-3),
+                # an int past float's range, which float() cannot convert
+                dict(lr=10**400),
                 # a branch deeper than the denoiser: the denoiser takes one
                 # injection per layer of its own and dropped the rest
                 dict(controlnet_layers=5), dict(layers=0),

@@ -1,51 +1,55 @@
 import numpy as np
 import pytest
 
+from divcontrol import gate as gate_module
 from divcontrol import tensor as T
+from divcontrol import training
 from divcontrol.errors import ContractError, InvalidInputError
 from divcontrol.gate import (
     GateState,
-    InstructionEncoder,
-    gate_logits,
+    embed_instruction,
     record_usage,
     route,
     similarity_matrix,
     topk_select,
     update_biases,
 )
-from divcontrol.gradcheck import finite_diff_check
+from divcontrol.gradcheck import finite_diff_check, micro_config
 
 SEED = 11
 
 
 def make_gate(n_t=8, k=3, embed_dim=16, seed=SEED, rate=1e-3):
-    return GateState.init(embed_dim, n_t, k, seed, bias_update_rate=rate)
+    return GateState(embed_dim, n_t, k, seed, bias_update_rate=rate)
+
+
+def embed(text):
+    return embed_instruction(text, SEED, 16)
 
 
 def test_embed_deterministic():
-    a = InstructionEncoder(SEED, 16).encode("sobel edge map")
-    b = InstructionEncoder(SEED, 16).encode("sobel edge map")
+    a = embed("sobel edge map")
+    b = embed("sobel edge map")
     assert np.array_equal(a, b)
     assert abs(np.linalg.norm(a) - 1.0) < 1e-12
 
 
 def test_embed_normalizes_case_and_whitespace():
-    a = InstructionEncoder(SEED, 16).encode("depth map")
-    b = InstructionEncoder(SEED, 16).encode("depth  MAP")
+    a = embed("depth map")
+    b = embed("depth  MAP")
     assert np.array_equal(a, b)
 
 
 def test_embed_rejects_empty():
     with pytest.raises(InvalidInputError):
-        InstructionEncoder(SEED, 64).encode("   ")
+        embed_instruction("   ", SEED, 64)
 
 
 def test_shared_token_raises_similarity():
-    enc = InstructionEncoder(SEED, 16)
-    canny = enc.encode("canny edges")
-    lineart = enc.encode("lineart edges")  # shares one token with canny
-    disjoint_a = enc.encode("depth shading")
-    disjoint_b = enc.encode("color palette")
+    canny = embed("canny edges")
+    lineart = embed("lineart edges")  # shares one token with canny
+    disjoint_a = embed("depth shading")
+    disjoint_b = embed("color palette")
     # the embeddings are unit-norm, so their dot product is their cosine
     shared = np.dot(canny, lineart)
     disjoint = np.dot(disjoint_a, disjoint_b)
@@ -54,7 +58,7 @@ def test_shared_token_raises_similarity():
 
 def test_route_uniform_at_zero_init():
     gate = make_gate(n_t=8)
-    e = InstructionEncoder(SEED, 16).encode("anything at all")
+    e = embed("anything at all")
     alpha = route(gate, e)
     assert np.allclose(alpha.data, 1.0 / 8.0, atol=1e-15)
     T.clear_tape()
@@ -65,7 +69,7 @@ def test_route_sums_to_one_and_is_deterministic():
     gate.w2.data = np.random.default_rng(0).standard_normal(gate.w2.shape)
     with T.no_grad():
         for text in ("sobel edge map", "soft box blur", "checkerboard mask"):
-            e = InstructionEncoder(SEED, 16).encode(text)
+            e = embed(text)
             a1 = route(gate, e).data
             a2 = route(gate, e).data
             assert abs(a1.sum() - 1.0) < 1e-12
@@ -167,9 +171,8 @@ def test_balancing_reduces_load_skew_over_stream():
     # load ratio with and without balancing
     def run(rate):
         gate = make_gate(n_t=8, k=2, rate=rate)
-        enc = InstructionEncoder(SEED, 16)
-        e_hot = enc.encode("hot condition")
-        e_cold = enc.encode("cold condition")
+        e_hot = embed("hot condition")
+        e_cold = embed("cold condition")
         gen = np.random.default_rng(99)
         with T.no_grad():
             for _ in range(2000):
@@ -186,7 +189,7 @@ def test_balancing_reduces_load_skew_over_stream():
 def test_routing_gradient_through_selected_coefficients():
     gate = make_gate(n_t=6, k=3, embed_dim=16)
     gate.w2.data = np.random.default_rng(5).standard_normal(gate.w2.shape) * 0.3
-    e = InstructionEncoder(SEED, 16).encode("sobel edge map")
+    e = embed("sobel edge map")
     with T.no_grad():
         _, frozen_active = topk_select(route(gate, e), gate)
     # pin the selection, as a training step treats it as a constant
@@ -204,9 +207,8 @@ def test_routing_gradient_through_selected_coefficients():
 def test_similarity_matrix_properties():
     gate = make_gate(n_t=6, k=3)
     gate.w2.data = np.random.default_rng(9).standard_normal(gate.w2.shape)
-    enc = InstructionEncoder(SEED, 16)
-    es = [enc.encode(t) for t in ("sobel edge map", "laplacian edge map",
-                                  "soft box blur", "checkerboard mask")]
+    es = [embed(t) for t in ("sobel edge map", "laplacian edge map",
+                             "soft box blur", "checkerboard mask")]
     sim = similarity_matrix(gate, es)
     assert np.allclose(np.diag(sim), 1.0, atol=1e-12)
     assert np.array_equal(sim, sim.T)
@@ -227,3 +229,24 @@ def test_balancing_neutral_when_rate_zero_and_bias_zero():
     gate.batch_count = np.array([5, 0, 0, 0, 0], dtype=np.int64)
     update_biases(gate)
     assert np.array_equal(gate.balance_bias, np.zeros(5))
+
+
+def test_embed_table_is_drawn_once_and_read_only(monkeypatch):
+    # an encoder_seed no other test uses, so no earlier draw is cached
+    cfg = micro_config(0).replace(encoder_seed=90210)
+    draws, draw = [], gate_module.stream
+
+    def spy(seed, *parts):
+        if parts == ("embed-table",):
+            draws.append((seed, parts))
+        return draw(seed, *parts)
+
+    monkeypatch.setattr(gate_module, "stream", spy)
+    first = training.build_diversion_bundle(cfg)
+    second = training.build_diversion_bundle(cfg)
+    training.zero_shot_route(first, "a novel swirl pattern")
+    assert draws == [(90210, ("embed-table",))]
+    assert all(np.array_equal(a, b) for a, b in zip(first.embeddings, second.embeddings))
+    table = gate_module._embed_table(90210, cfg.embed_dim)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0

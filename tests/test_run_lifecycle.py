@@ -12,6 +12,7 @@ import pytest
 from divcontrol import tensor as T
 from divcontrol import gradcheck, training
 from divcontrol.checkpoint import load_checkpoint, save_checkpoint
+from divcontrol.config import config_digest
 from divcontrol.errors import CheckpointError, ConfigError, ContractError, NumericError
 from divcontrol.gradcheck import micro_config
 from divcontrol.rng import fresh
@@ -216,3 +217,15 @@ def test_sweep_checks_every_cell_before_training_any(tmp_path):
     with pytest.raises(ConfigError, match="repa_layer"):
         training.sweep_repa(cfg, [1, 9], [0.0], tmp_path / "sweep")
     assert not list(tmp_path.glob("sweep/depth*"))
+
+
+def test_summary_is_rewritten_from_the_current_run_only(tmp_path):
+    # a 0-step run into the directory of a 3-step run leaves a header-only
+    # metrics.csv, and its summary keeps nothing of the earlier run
+    training.train(micro_config(0).replace(steps=3), tmp_path)
+    cfg = micro_config(1).replace(steps=0)
+    training.train(cfg, tmp_path)
+    assert read_metrics(tmp_path)[1] == []
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert not {"steps_recorded", "final", "final_100_mean_l_diff"} & set(summary)
+    assert summary["config_digest"] == config_digest(cfg).hex()
