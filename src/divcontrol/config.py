@@ -80,6 +80,9 @@ class RunConfig:
                 raise ConfigError(f"'{f.name}' must be {f.type}, not {value!r}")
             elif f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"'{f.name}' must be finite, not {value!r}")
+            elif f.type in ("int", "tuple") and not all(
+                    -2**63 <= v < 2**63 for v in (value if f.type == "tuple" else (value,))):
+                raise ConfigError(f"'{f.name}' must fit in int64, as checkpoints hold it")
         if self.mode not in ("diversion", "adapt_frozen", "scratch"):
             raise ConfigError(f"unknown mode '{self.mode}'")
         # values a run cannot use (NaN included) fail here, before a run

@@ -21,18 +21,27 @@ by gated coefficients g_j, so that
 and ``T.factorized_linear`` computes ``x @ W~.T`` without forming W~.
 Orthonormality and sigma ordering hold at creation only: training moves
 the factors freely and nothing re-projects them.
+
+The gate picks each condition's tailors from its instruction. The frozen
+encoder ``embed_instruction`` hashes the tokens into a seeded Gaussian
+table, drawn once per process, and L2-normalizes their mean row; ``route``
+maps that through a tanh layer to a (1, n_tailor) row of softmax scores.
+``topk_select`` ranks score + balance bias but emits the unbiased scores,
+and ``update_biases`` moves the biases after each batch by a sign rule
+toward uniform tailor load, with no auxiliary loss.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .errors import ContractError, NumericError
+from .errors import ContractError, InvalidInputError, NumericError
 from .rng import fresh, stream
 from .tensor import Tensor
 
@@ -228,6 +237,13 @@ def _adapter_tailors(gen, out_dim: int, in_dim: int, n_t: int) -> dict:
     return {"u_t": u, "s_t": np.zeros(n_t), "v_t": v}
 
 
+def _tailors(cfg: RunConfig) -> tuple:
+    """(tailors per projection, K) of ``cfg.mode``."""
+    if cfg.mode == "diversion":
+        return cfg.n_tailor, cfg.top_k
+    return cfg.adapt_n_tailor, cfg.adapt_top_k
+
+
 class ControlBranch(_Network):
     """Condition encoder with factorized projections and zero-init injections.
 
@@ -241,7 +257,7 @@ class ControlBranch(_Network):
         d, p = cfg.token_dim, cfg.patch_dim
         adapting = cfg.mode != "diversion"
         n_g = cfg.n_learngene
-        self.n_tailor = n_t = cfg.adapt_n_tailor if adapting else cfg.n_tailor
+        self.n_tailor = n_t = _tailors(cfg)[0]
         self._params_from(source, cfg.seed, "br.")
 
         def make_fw(l, tag, out_dim, in_dim):
@@ -312,6 +328,118 @@ class RepaHead(_Network):
         """A(f_cond): two-layer MLP from branch tokens to encoder space."""
         h = T.gelu(T.add(T.linear(f_cond, self.a1), self.a1b))
         return T.add(T.linear(h, self.a2), self.a2b)
+
+
+VOCAB_HASH_SIZE = 4096
+
+
+def _token_index(token: str) -> int:
+    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little") % VOCAB_HASH_SIZE
+
+
+@functools.cache
+def _embed_table(encoder_seed: int, embed_dim: int) -> np.ndarray:
+    """The frozen token table, drawn from ("embed-table",) once per
+    (encoder_seed, embed_dim) and read-only."""
+    table = stream(encoder_seed, "embed-table").standard_normal((VOCAB_HASH_SIZE, embed_dim))
+    table.flags.writeable = False
+    return table
+
+
+def embed_instruction(text: str, encoder_seed: int, embed_dim: int) -> np.ndarray:
+    """The instruction's unit-norm embedding, shape (embed_dim,): the mean of
+    its lower-cased tokens' table rows, L2-normalized."""
+    tokens = text.lower().split()
+    if not tokens:
+        raise InvalidInputError("instruction text is empty")
+    rows = _embed_table(encoder_seed, embed_dim)[[_token_index(t) for t in tokens]]
+    pooled = rows.mean(axis=0)
+    norm = np.linalg.norm(pooled)
+    return pooled / norm if norm > 0 else pooled
+
+
+class GateState(_Network):
+    """Routing network plus load-balancing state, sized by ``_tailors(cfg)``.
+
+    The hidden layer ``w1`` is Kaiming-uniform from the stream
+    ("init", "gate") and the rest start at zero, so routing starts uniform.
+    ``batch_count`` holds tailor activations since the last bias update;
+    ``usage_count`` accumulates the totals.
+    """
+
+    def __init__(self, cfg: RunConfig, source=fresh):
+        d, self.bias_update_rate = cfg.embed_dim, cfg.gate_bias_rate
+        self.n_tailor, self.k = _tailors(cfg)
+        self._params_from(source, cfg.seed, "gate.")
+        self.w1 = self._param("w1", (d, d), lambda: _kaiming_uniform(
+            stream(cfg.seed, "init", "gate"), d, d))
+        self.b1 = self._full("b1", 0.0, d)
+        self.w2 = self._full("w2", 0.0, self.n_tailor, d)
+        self.b2 = self._full("b2", 0.0, self.n_tailor)
+        self.balance_bias = np.zeros(self.n_tailor)
+        self.usage_count = np.zeros(self.n_tailor, dtype=np.int64)
+        self.batch_count = np.zeros(self.n_tailor, dtype=np.int64)
+
+
+def route(gate: GateState, e: np.ndarray) -> Tensor:
+    """Softmax routing weights over tailors, a (1, n_tailor) row;
+    differentiable into the gate."""
+    if e.size != gate.w1.shape[1]:
+        raise ContractError(f"embedding dim {e.size} != gate dim {gate.w1.shape[1]}")
+    h = T.tanh(T.add(T.linear(Tensor(e.reshape(1, -1)), gate.w1), gate.b1))
+    return T.softmax(T.add(T.linear(h, gate.w2), gate.b2))
+
+
+def topk_select(alpha, gate: GateState) -> tuple:
+    """Pick the K tailors with the largest biased score, keep unbiased values.
+
+    Returns ``(g, active)``: ``g`` is a tensor of ``alpha``'s shape holding
+    the unbiased scores of the selected tailors and zero elsewhere, and
+    ``active`` the selected indices in selection order. Ties break toward
+    the lower index.
+    """
+    alpha_t = alpha if isinstance(alpha, Tensor) else Tensor(alpha)
+    n_t = gate.n_tailor
+    if alpha_t.size != n_t:
+        raise ContractError(f"alpha length {alpha_t.size} != n_tailor {n_t}")
+    scores = alpha_t.data.ravel() + gate.balance_bias
+    order = np.argsort(-scores, kind="stable")  # stable: ties -> lower index
+    active = tuple(int(i) for i in order[:gate.k])
+    mask = np.zeros(n_t)
+    mask[list(active)] = 1.0
+    return T.mul(alpha_t, mask), active
+
+
+def record_usage(gate: GateState, active, count: int = 1) -> None:
+    """Count ``count`` routing events for each tailor in ``active``."""
+    for j in active:
+        gate.batch_count[j] += count
+
+
+def update_biases(gate: GateState) -> None:
+    """Sign-rule balance update from the batch's load, then fold counts.
+
+    b_i <- b_i - rate * sign(load_i - mean_load); sign(0) = 0, so a
+    perfectly balanced batch leaves the biases untouched.
+    """
+    load = gate.batch_count.astype(np.float64)
+    # the sign of load_i - mean, with no division: no tailors have no mean
+    delta = np.sign(load * load.size - load.sum())
+    gate.balance_bias = gate.balance_bias - gate.bias_update_rate * delta
+    gate.usage_count = gate.usage_count + gate.batch_count
+    gate.batch_count = np.zeros_like(gate.batch_count)
+
+
+def similarity_matrix(gate: GateState, embeddings) -> np.ndarray:
+    """Pairwise cosine similarity of routing vectors; symmetric, unit diagonal."""
+    embeddings = list(embeddings)
+    if len(embeddings) < 2:
+        raise ContractError("similarity_matrix needs at least 2 embeddings")
+    with T.no_grad():
+        a = np.concatenate([route(gate, e).data for e in embeddings])
+    a /= np.linalg.norm(a, axis=1, keepdims=True)  # softmax rows are never zero
+    return a @ a.T
 
 
 # ----------------------------------------------------------------------
@@ -398,10 +526,8 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
         (injections, f_cond): per-layer injection tensors (B, N, D) and the
         tokens captured after ``repa_layer``.
     """
-    d = cfg.token_dim
     x = T.add(T.linear(Tensor(xc_tokens), branch.patch_w), branch.patch_b)
-    temb = T.reshape(T.gather_rows(branch.time_table, t_idx), (len(t_idx), 1, d))
-    x = T.add(x, temb)
+    x = T.add(x, T.gather_rows(branch.time_table, t_idx[:, None]))
     c3 = T.reshape(coeff_rows, (coeff_rows.shape[0], 1, branch.n_tailor))
 
     def project(h, fw):
@@ -422,11 +548,9 @@ def denoiser_forward(den: DenoiserNet, cfg: RunConfig,
                      z_tokens, t_idx, injections=None, drop_gen=None) -> Tensor:
     """Predict noise tokens (B, N, patch_dim) from noisy-image tokens;
     dropout as in ``branch_forward``."""
-    d = cfg.token_dim
     x = T.add(T.linear(Tensor(z_tokens), den.patch_w), den.patch_b)
     x = T.add(x, den.pos)
-    temb = T.reshape(T.gather_rows(den.time_table, t_idx), (len(t_idx), 1, d))
-    x = T.add(x, temb)
+    x = T.add(x, T.gather_rows(den.time_table, t_idx[:, None]))
     for li, blk in enumerate(den.blocks):
         if injections is not None and li < len(injections):
             x = T.add(x, injections[li])

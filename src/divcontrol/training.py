@@ -42,28 +42,26 @@ from .conditions import (
 )
 from .config import RunConfig, config_digest, resolve_config, resolved_text
 from .errors import CheckpointError, ContractError, NumericError
-from .gate import (
-    GateState,
-    embed_instruction,
-    record_usage,
-    route,
-    topk_select,
-    update_biases,
-)
 from .model import (
     ControlBranch,
     DenoiserNet,
+    GateState,
     NoiseSchedule,
     RepaHead,
     branch_forward,
     count_parameters,
     denoiser_forward,
     diffusion_loss,
+    embed_instruction,
     forward_noise,
     masked_gradient_apply,
     patchify,
+    record_usage,
     repa_loss,
+    route,
     sample_batch,
+    topk_select,
+    update_biases,
 )
 from .optim import AdamW
 from .rng import fresh, stream
@@ -120,13 +118,9 @@ def _bundle(cfg: RunConfig, source) -> ModelBundle:
                 f"'{specs[0].condition_id}' is {specs[0].shift_class}")
     else:
         specs = basic_conditions()
-    n_tailor, top_k = ((cfg.adapt_n_tailor, cfg.adapt_top_k) if adapting
-                       else (cfg.n_tailor, cfg.top_k))
     bundle = ModelBundle(
         cfg=cfg, den=DenoiserNet(cfg, source), branch=ControlBranch(cfg, source),
-        gate=GateState(cfg.embed_dim, n_tailor, top_k, cfg.seed,
-                       cfg.gate_bias_rate, source),
-        repa=RepaHead(cfg, source),
+        gate=GateState(cfg, source), repa=RepaHead(cfg, source),
         sched=NoiseSchedule.linear(cfg), specs=specs,
         embeddings=[embed_instruction(s.instruction, cfg.encoder_seed, cfg.embed_dim)
                     for s in specs])
@@ -277,7 +271,7 @@ def _routing_rows(bundle: ModelBundle, cond_idx: np.ndarray,
         if record:
             record_usage(gate, active, count=int((cond_idx == c).sum()))
         active_union |= set(active)
-        g_rows.append(T.reshape(g, (1, gate.n_tailor)))
+        g_rows.append(g)
         position[c] = ui
     stacked = g_rows[0] if len(g_rows) == 1 else T.concat(g_rows, axis=0)
     rows = T.gather_rows(stacked, np.array([position[int(c)] for c in cond_idx]))
@@ -317,11 +311,14 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
 
     The run's budget is ``steps`` in diversion mode and ``adapt_steps`` in
     the adaptation modes; ``stop_step`` (default: the budget) is capped at it.
+    A stop before ``start_step`` raises ``ContractError`` and writes nothing.
     Returns (checkpoint_path, RunMetrics).
     """
     cfg = bundle.cfg
     budget = cfg.steps if cfg.mode == "diversion" else cfg.adapt_steps
     stop = budget if stop_step is None else min(stop_step, budget)
+    if stop < start_step:
+        raise ContractError(f"start_step {start_step} is past stop step {stop}")
     if opt is None:
         opt = _new_optimizer(bundle)
     if metrics is None:
@@ -377,7 +374,7 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
     finally:
         T.clear_tape()  # a step abandoned by an error leaves its nodes behind
         writer.close()
-    if start_step >= stop or stop % 100:  # else the loop has just saved step stop
+    if start_step == stop or stop % 100:  # else the loop has just saved step stop
         save_checkpoint(ckpt_path, bundle_state(bundle, opt, stop,
                                                 metrics.cond_ema, metrics.cond_seen))
     export_metrics(out_dir, extra=_summary_extras(bundle, metrics))
@@ -491,7 +488,7 @@ def evaluate_bundle(bundle: ModelBundle, n_samples: int | None = None,
 
 def zero_shot_route(bundle: ModelBundle, instruction_text: str) -> tuple:
     """Route a novel instruction through a trained gate; no updates.
-    Returns ``topk_select``'s ``(g, active)``."""
+    Returns ``topk_select``'s ``(g, active)``, ``g`` a (1, n_tailor) row."""
     e = embed_instruction(instruction_text, bundle.cfg.encoder_seed,
                           bundle.cfg.embed_dim)
     with T.no_grad():

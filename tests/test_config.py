@@ -100,6 +100,16 @@ def test_config_invariants():
             resolve_config(overrides=bad)
         with pytest.raises(ConfigError):
             resolve_config().replace(**bad)
+    # ints past int64, the width checkpoints and numpy draws store them in;
+    # one of 5000 digits cannot even be printed into the digested config text
+    for bad in (dict(seed=10**5000), dict(lr_milestones=(10**5000,)),
+                dict(seed=2**63), dict(steps=-2**63 - 1), dict(lr_milestones=(1, 2**63))):
+        with pytest.raises(ConfigError):
+            resolve_config(overrides=bad)
+        with pytest.raises(ConfigError):
+            resolve_config().replace(**bad)
+    with pytest.raises(ConfigError):
+        resolve_config("seed = 9223372036854775808\n")
     # the edges of those ranges still build
     resolve_config(overrides=dict(lr_factor=1.0, dropout=0.0, weight_decay=0.0,
                                   steps=0, adapt_steps=0, batch_size=1,
@@ -108,6 +118,7 @@ def test_config_invariants():
                                   image_size=8, beta_start=0.5, beta_end=0.5,
                                   adam_eps=1e-300, gate_bias_rate=0.0))
     resolve_config(overrides=dict(layers=2, controlnet_layers=1, repa_layer=1))
+    config_digest(resolve_config(overrides=dict(seed=2**63 - 1, lr_milestones=(-2**63,))))
     # callers that catch the package's contract errors still catch these
     assert issubclass(ConfigError, ContractError)
 

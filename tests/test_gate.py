@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from divcontrol import gate as gate_module
+from divcontrol import model
 from divcontrol import tensor as T
 from divcontrol import training
+from divcontrol.config import RunConfig
 from divcontrol.errors import ContractError, InvalidInputError
-from divcontrol.gate import (
+from divcontrol.gradcheck import finite_diff_check, micro_config
+from divcontrol.model import (
     GateState,
     embed_instruction,
     record_usage,
@@ -14,13 +16,13 @@ from divcontrol.gate import (
     topk_select,
     update_biases,
 )
-from divcontrol.gradcheck import finite_diff_check, micro_config
 
 SEED = 11
 
 
 def make_gate(n_t=8, k=3, embed_dim=16, seed=SEED, rate=1e-3):
-    return GateState(embed_dim, n_t, k, seed, bias_update_rate=rate)
+    return GateState(RunConfig(embed_dim=embed_dim, n_tailor=n_t, top_k=k, seed=seed,
+                               gate_bias_rate=rate))
 
 
 def embed(text):
@@ -213,7 +215,7 @@ def test_similarity_matrix_properties():
     assert np.allclose(np.diag(sim), 1.0, atol=1e-12)
     assert np.array_equal(sim, sim.T)
     with T.no_grad():
-        alphas = [route(gate, e).data for e in es]
+        alphas = [route(gate, e).data[0] for e in es]
     for i, a in enumerate(alphas):
         for j, b in enumerate(alphas):
             if i != j:
@@ -234,19 +236,46 @@ def test_balancing_neutral_when_rate_zero_and_bias_zero():
 def test_embed_table_is_drawn_once_and_read_only(monkeypatch):
     # an encoder_seed no other test uses, so no earlier draw is cached
     cfg = micro_config(0).replace(encoder_seed=90210)
-    draws, draw = [], gate_module.stream
+    draws, draw = [], model.stream
 
     def spy(seed, *parts):
         if parts == ("embed-table",):
             draws.append((seed, parts))
         return draw(seed, *parts)
 
-    monkeypatch.setattr(gate_module, "stream", spy)
+    monkeypatch.setattr(model, "stream", spy)
     first = training.build_diversion_bundle(cfg)
     second = training.build_diversion_bundle(cfg)
     training.zero_shot_route(first, "a novel swirl pattern")
     assert draws == [(90210, ("embed-table",))]
     assert all(np.array_equal(a, b) for a, b in zip(first.embeddings, second.embeddings))
-    table = gate_module._embed_table(90210, cfg.embed_dim)
+    table = model._embed_table(90210, cfg.embed_dim)
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1.0
+
+
+def test_routing_rows_match_the_per_condition_path():
+    # _routing_rows stacks one gate pass per distinct condition: each item's
+    # row, the usage counts and the active union are those of routing its
+    # condition alone, and each condition records 7 tape nodes
+    bundle = training.build_diversion_bundle(micro_config(0))
+    gate = bundle.gate
+    gate.w2.data = np.random.default_rng(7).standard_normal(gate.w2.shape)
+    cond_idx = np.array([3, 0, 3, 5, 0])
+    alone = {c: topk_select(route(gate, bundle.embeddings[c]), gate) for c in (0, 3, 5)}
+    usage = gate.usage_count.copy()
+    T.clear_tape()
+    rows, active_union = training._routing_rows(bundle, cond_idx)
+    assert T.tape_size() == 7 * 3 + 2
+    for row, c in zip(rows.data, cond_idx, strict=True):
+        assert np.array_equal(row, alone[c][0].data[0]), c
+    update_biases(gate)
+    for c, (_, active) in alone.items():
+        usage[list(active)] += np.count_nonzero(cond_idx == c)
+    assert np.array_equal(gate.usage_count, usage)
+    assert active_union == set().union(*(active for _, active in alone.values()))
+    for batch, nodes in (([2, 2], 8), ([1, 4], 16)):
+        T.clear_tape()
+        training._routing_rows(bundle, np.array(batch), record=False)
+        assert T.tape_size() == nodes, batch
+    T.clear_tape()

@@ -5,9 +5,9 @@ import numpy as np
 
 from divcontrol import tensor as T
 from divcontrol import training
-from divcontrol.gate import route
 from divcontrol.gradcheck import (OP_CASES, build_case, finite_diff_check, micro_config,
                                   run_e2e_gradcheck, run_op_suite)
+from divcontrol.model import route
 from divcontrol.rng import fresh, stream
 from divcontrol.tensor import Tensor
 

@@ -124,6 +124,24 @@ def test_resume_without_metrics_block_raises_checkpoint_error(trained, tmp_path,
         training.train(cfg, tmp_path / "run", resume=str(tmp_path / "ckpt.divc"))
 
 
+def test_train_steps_rejects_a_stop_before_its_start(tmp_path):
+    # a call that runs no step must not save start_step's weights as a
+    # later or earlier step, or a resume would replay steps on them
+    cfg = micro_config(0).replace(steps=50)
+    bundle = training._bundle(cfg, fresh)
+    bank, opt = training._image_bank(bundle), training._new_optimizer(bundle)
+    _, metrics = training.train_steps(bundle, bank, tmp_path, opt=opt)
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for start, stop in ((50, 10), (60, None)):
+        with pytest.raises(ContractError):
+            training.train_steps(bundle, bank, tmp_path, start_step=start,
+                                 stop_step=stop, opt=opt, metrics=metrics)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+    # a stop equal to the start saves the step the weights are at
+    training.train_steps(bundle, bank, tmp_path, start_step=50, opt=opt, metrics=metrics)
+    assert (tmp_path / "checkpoint.divc").read_bytes() == files["checkpoint.divc"]
+
+
 @pytest.mark.parametrize("loss_name", ["diffusion_loss", "repa_loss"])
 def test_non_finite_logged_loss_stops_the_run(tmp_path, monkeypatch, loss_name):
     # a NaN loss makes l_total NaN even at lambda_repa = 0 (NaN * 0 is NaN);

@@ -218,7 +218,7 @@ def test_zero_shot_route_pinned(runs):
     before = [gate.balance_bias.copy(), gate.usage_count.copy(), gate.batch_count.copy()]
     g, active = training.zero_shot_route(bundle, "sobel edge outline")
     assert active == REF["route_active_set"]
-    for value, ref in zip(g.data, REF["route_g"], strict=True):
+    for value, ref in zip(g.data[0], REF["route_g"], strict=True):
         assert_pinned(float(value), ref)
     # routing a novel instruction updates nothing
     after = [gate.balance_bias, gate.usage_count, gate.batch_count]
