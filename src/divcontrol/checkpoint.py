@@ -47,10 +47,6 @@ class CheckpointState:
     arrays: dict = field(default_factory=dict)  # name -> np.ndarray (f64/i64)
     meta: dict = field(default_factory=dict)    # name -> str
 
-    @property
-    def config_text(self) -> str:
-        return self.meta.get("config_text", "")
-
 
 def _block(name: str, payload, dtype: int, shape=()) -> tuple:
     """A block's chunks: its header, ``payload`` (a byte sequence) and CRC."""

@@ -165,9 +165,8 @@ OP_CASES = {
         lambda x: T.add(T.sum_(T.sum_(x, axis=0)),
                         T.sum_(T.mul(x, T.mean_(x, axis=1, keepdims=True))))),
     "shape_ops": (
-        {"x": (2, 6), "y": (3, 4)},
-        lambda x, y: T.sum_(
-            T.mul(T.concat([T.reshape(x, (3, 4)), y], axis=0), 0.5))),
+        {"x": (2, 4), "y": (3, 4)},
+        lambda x, y: T.sum_(T.mul(T.concat([x, y], axis=0), 0.5))),
     "gather_rows": (
         {"table": (5, 3)},
         lambda table: T.sum_(_sq(T.gather_rows(table, np.array([0, 2, 2, 4]))))),

@@ -518,8 +518,8 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
     Args:
         xc_tokens: (B, N, patch_dim) condition-image patches (constant).
         t_idx: (B,) integer timesteps.
-        coeff_rows: per-item tailor coefficients, Tensor (B, n_tailor);
-            (B, 0) when the branch has no tailors.
+        coeff_rows: per-item tailor coefficients, Tensor (B, 1, n_tailor);
+            (B, 1, 0) when the branch has no tailors.
         drop_gen: the stream ``cfg.dropout`` masks are drawn from; None
             (eval and sampling) disables dropout.
     Returns:
@@ -528,11 +528,10 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
     """
     x = T.add(T.linear(Tensor(xc_tokens), branch.patch_w), branch.patch_b)
     x = T.add(x, T.gather_rows(branch.time_table, t_idx[:, None]))
-    c3 = T.reshape(coeff_rows, (coeff_rows.shape[0], 1, branch.n_tailor))
 
     def project(h, fw):
         return T.factorized_linear(h, fw.u_g, fw.s_g, fw.v_g,
-                                   fw.u_t, fw.s_t, fw.v_t, c3)
+                                   fw.u_t, fw.s_t, fw.v_t, coeff_rows)
 
     injections = []
     f_cond = None

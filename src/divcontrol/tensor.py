@@ -1,11 +1,16 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 A ``Tensor`` wraps a ``numpy.float64`` array. While gradients are enabled,
-every operation whose inputs require grad appends a record to a single
+every operation whose inputs require grad appends a node to a single
 global tape; ``backward`` walks the tape once in reverse, accumulates
 gradients into ``.grad`` buffers, and frees the tape. The tape is dynamic
 (recorded per forward pass) and is always consumed by exactly one backward
 pass, which is all the training loop needs.
+
+A node holds a gradient slot for its output, the leaf tensor or slot of
+each input that needs a gradient, and a VJP that closes over only the
+arrays it reads: never a tensor, so an activation no VJP reads (a residual
+sum, say) is freed as soon as the forward pass drops it.
 
 Besides elementwise, shape, reduction and ``linear`` ops, four fused
 primitives carry hand-derived adjoints and record one tape node each:
@@ -60,14 +65,23 @@ def no_grad():
         _TAPE.enabled = prev
 
 
+class _Slot:
+    """Where backward gathers the gradient of a recorded output."""
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=_F64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.slot = None  # a recorded output's _Slot; leaves keep .grad
 
     # -- introspection ------------------------------------------------
     @property
@@ -96,10 +110,16 @@ def as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor, inputs, vjp) -> Tensor:
-    """Attach a tape node if recording is on and any input needs grad."""
+    """Attach a tape node if recording is on and any input needs grad.
+
+    The node is ``(out.slot, inputs, vjp)`` with each input replaced by the
+    leaf or slot its gradient goes to, or None when it needs none. ``vjp``
+    closes over the arrays and flags it reads, never over a tensor."""
     if _TAPE.enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _TAPE.nodes.append((out, inputs, vjp))
+        out.slot = _Slot()
+        _TAPE.nodes.append((out.slot, tuple(
+            (t.slot or t) if t.requires_grad else None for t in inputs), vjp))
     return out
 
 
@@ -123,10 +143,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data + b.data)
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return (lambda: _unbroadcast(g, a.data.shape),
-                lambda: _unbroadcast(g, b.data.shape))
+        return lambda: _unbroadcast(g, sa), lambda: _unbroadcast(g, sb)
 
     return _record(out, (a, b), vjp)
 
@@ -134,10 +154,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data - b.data)
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return (lambda: _unbroadcast(g, a.data.shape),
-                lambda: _unbroadcast(-g, b.data.shape))
+        return lambda: _unbroadcast(g, sa), lambda: _unbroadcast(-g, sb)
 
     return _record(out, (a, b), vjp)
 
@@ -145,23 +165,27 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None  # each factor only for the other
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return (lambda: _unbroadcast(g * b.data, a.data.shape),
-                lambda: _unbroadcast(g * a.data, b.data.shape))
+        return (lambda: _unbroadcast(g * bd, sa),
+                lambda: _unbroadcast(g * ad, sb))
 
     return _record(out, (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data)
+    y, bd = a.data / b.data, b.data
+    sa = a.shape
 
     def vjp(g):
-        return (lambda: _unbroadcast(g / b.data, a.data.shape),
-                lambda: _unbroadcast(-g * out.data / b.data, b.data.shape))
+        return (lambda: _unbroadcast(g / bd, sa),
+                lambda: _unbroadcast(-g * y / bd, bd.shape))
 
-    return _record(out, (a, b), vjp)
+    return _record(Tensor(y), (a, b), vjp)
 
 
 def neg(a) -> Tensor:
@@ -172,25 +196,22 @@ def neg(a) -> Tensor:
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.tanh(a.data))
-    return _record(out, (a,), lambda g: (g * (1.0 - out.data * out.data),))
+    y = np.tanh(a.data)
+    return _record(Tensor(y), (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.sqrt(a.data))
-    return _record(out, (a,), lambda g: (g * (0.5 / out.data),))
+    y = np.sqrt(a.data)
+    return _record(Tensor(y), (a,), lambda g: (g * (0.5 / y),))
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """max(a, floor). Gradient passes only where a > floor."""
     a = as_tensor(a)
     out = Tensor(np.maximum(a.data, floor))
-
-    def vjp(g):
-        return (g * (a.data > floor),)
-
-    return _record(out, (a,), vjp)
+    passes = a.data > floor
+    return _record(out, (a,), lambda g: (g * passes,))
 
 
 _GELU_C0 = np.sqrt(2.0 / np.pi)
@@ -250,12 +271,6 @@ def gelu(a) -> Tensor:
 # shape ops
 # ----------------------------------------------------------------------
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
@@ -275,9 +290,10 @@ def gather_rows(table, idx) -> Tensor:
     table = as_tensor(table)
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(table.data[idx])
+    shape = table.shape
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape)
         np.add.at(gt, idx, g)
         return (gt,)
 
@@ -291,12 +307,13 @@ def gather_rows(table, idx) -> Tensor:
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    shape = a.shape
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return _record(out, (a,), vjp)
 
@@ -304,16 +321,17 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
+    shape = a.shape
     if axis is None:
         n = a.data.size
     else:
-        n = a.data.shape[axis]
+        n = shape[axis]
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g / n, a.data.shape).copy(),)
+            return (np.broadcast_to(g / n, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, a.data.shape).copy(),)
+        return (np.broadcast_to(gg / n, shape).copy(),)
 
     return _record(out, (a,), vjp)
 
@@ -329,12 +347,13 @@ def linear(x, w) -> Tensor:
         raise ContractError(
             f"linear shape mismatch: x {x.data.shape} vs w {w.data.shape}")
     out = Tensor(np.matmul(x.data, w.data.T))
+    wd = w.data
+    xd = x.data if w.requires_grad else None
 
     def vjp(g):
         rows = math.prod(g.shape[:-1])  # not -1: w may have no rows
-        return (lambda: np.matmul(g, w.data),
-                lambda: g.reshape(rows, w.data.shape[0]).T
-                @ x.data.reshape(rows, w.data.shape[1]))
+        return (lambda: np.matmul(g, wd),
+                lambda: g.reshape(rows, wd.shape[0]).T @ xd.reshape(rows, wd.shape[1]))
 
     return _record(out, (x, w), vjp)
 
@@ -376,20 +395,20 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
-    d = x.data.shape[-1]
+    gd, sb = gain.data, bias.shape
+    out = Tensor(xhat * gd + bias.data)
 
     def vjp(g):
         axes = tuple(range(g.ndim - 1))  # none for 1-D x: sum is a copy
 
         def gx():
-            gxhat = g * gain.data
+            gxhat = g * gd
             m1 = gxhat.mean(axis=-1, keepdims=True)
             m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
             return inv * (gxhat - m1 - xhat * m2)
 
-        return (gx, lambda: (g * xhat).sum(axis=axes).reshape(gain.data.shape),
-                lambda: g.sum(axis=axes).reshape(bias.data.shape))
+        return (gx, lambda: (g * xhat).sum(axis=axes).reshape(gd.shape),
+                lambda: g.sum(axis=axes).reshape(sb))
 
     return _record(out, (x, gain, bias), vjp)
 
@@ -413,19 +432,17 @@ def factorized_linear(x, u_g, s_g, v_g, u_t, s_t, v_t, c) -> Tensor:
         raise ContractError(
             f"factorized_linear shape mismatch: x {x.data.shape} vs v_g {v_g.data.shape}")
     h_g = np.matmul(x.data, v_g.data)
-    a_g = h_g * s_g.data
     h_t = np.matmul(x.data, v_t.data)
-    cs = c.data * s_t.data
-    a_t = h_t * cs
-    y = np.matmul(a_g, u_g.data.T) + np.matmul(a_t, u_t.data.T)
+    cd, sd = c.data, s_t.data
+    cs = cd * sd
+    y = np.matmul(h_g * s_g.data, u_g.data.T) + np.matmul(h_t * cs, u_t.data.T)
+    tailor = _factor_block_vjp(x, u_t, v_t, h_t, cs, s_t.requires_grad or c.requires_grad)
+    learngene = _factor_block_vjp(x, u_g, v_g, h_g, s_g.data, s_g.requires_grad)
 
     def vjp(g):
-        gx_t, gu_t, gcs, gv_t = _factor_block_vjp(
-            g, x, u_t, v_t, h_t, a_t, cs, s_t.requires_grad or c.requires_grad)
-        return (gx_t, gu_t, lambda: _unbroadcast(gcs * c.data, s_t.data.shape),
-                gv_t, lambda: _unbroadcast(gcs * s_t.data, c.data.shape)
-                ) + _factor_block_vjp(g, x, u_g, v_g, h_g, a_g, s_g.data,
-                                      s_g.requires_grad)
+        gx_t, gu_t, gcs, gv_t = tailor(g)
+        return (gx_t, gu_t, lambda: _unbroadcast(gcs * cd, sd.shape),
+                gv_t, lambda: _unbroadcast(gcs * sd, cd.shape)) + learngene(g)
 
     # x is listed once per block: backward adds the tailor block's part of
     # x.grad and then the learngene block's, so the float sums into x.grad
@@ -433,25 +450,35 @@ def factorized_linear(x, u_g, s_g, v_g, u_t, s_t, v_t, c) -> Tensor:
     return _record(Tensor(y), (x, u_t, s_t, v_t, c, x, u_g, s_g, v_g), vjp)
 
 
-def _factor_block_vjp(g, x, u, v, h, a, scale, scale_grad: bool):
-    """Gradients of ``a @ u.T`` with ``a = h * scale`` and ``h = x @ v``:
-    for x, u, scale and v, in that order (None where none is needed, and
-    for scale unless ``scale_grad``)."""
-    gx = gu = gscale = gv = None
-    if u.requires_grad:
-        rows = math.prod(g.shape[:-1])  # not -1: the block may be empty
-        gu = g.reshape(rows, g.shape[-1]).T @ a.reshape(rows, a.shape[-1])
-    if not (scale_grad or v.requires_grad or x.requires_grad):
+def _factor_block_vjp(x, u, v, h, scale, scale_grad: bool):
+    """The VJP of ``(h * scale) @ u.T`` with ``h = x @ v``: a function of
+    the output gradient that returns the gradients for x, u, scale and v,
+    in that order (None where none is needed, and for scale unless
+    ``scale_grad``). It keeps ``h`` only for u's or scale's gradient and
+    ``x.data`` only for v's, and forms ``h * scale`` again for u's."""
+    x_grad, u_grad, v_grad = x.requires_grad, u.requires_grad, v.requires_grad
+    ud, vd, xd = u.data, v.data, x.data if v_grad else None
+    h = h if u_grad or scale_grad else None
+
+    def vjp(g):
+        gx = gu = gscale = gv = None
+        if u_grad:
+            rows = math.prod(g.shape[:-1])  # not -1: the block may be empty
+            a = h * scale
+            gu = g.reshape(rows, g.shape[-1]).T @ a.reshape(rows, a.shape[-1])
+        if not (scale_grad or v_grad or x_grad):
+            return gx, gu, gscale, gv
+        ga = np.matmul(g, ud)
+        if scale_grad:
+            gscale = _unbroadcast(ga * h, np.shape(scale))
+        gh = ga * scale
+        if v_grad:
+            gv = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), gh), vd.shape)
+        if x_grad:
+            gx = np.matmul(gh, np.swapaxes(vd, -1, -2))
         return gx, gu, gscale, gv
-    ga = np.matmul(g, u.data)
-    if scale_grad:
-        gscale = _unbroadcast(ga * h, np.shape(scale))
-    gh = ga * scale
-    if v.requires_grad:
-        gv = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gh), v.data.shape)
-    if x.requires_grad:
-        gx = np.matmul(gh, np.swapaxes(v.data, -1, -2))
-    return gx, gu, gscale, gv
+
+    return vjp
 
 
 def attention(q, k, v, scale: float) -> Tensor:
@@ -467,15 +494,16 @@ def attention(q, k, v, scale: float) -> Tensor:
         raise ContractError("attention requires ndim >= 2 operands")
     p = _softmax_data(np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale,
                       -1, "attention scores")
-    out = Tensor(np.matmul(p, v.data))
+    qd, kd, vd = q.data, k.data, v.data
+    out = Tensor(np.matmul(p, vd))
 
     def vjp(g):
-        gs = _softmax_vjp(np.matmul(g, np.swapaxes(v.data, -1, -2)), p, -1) * scale
-        gq = np.matmul(gs, k.data)
-        gk = np.matmul(np.swapaxes(gs, -1, -2), q.data)
+        gs = _softmax_vjp(np.matmul(g, np.swapaxes(vd, -1, -2)), p, -1) * scale
+        gq = np.matmul(gs, kd)
+        gk = np.matmul(np.swapaxes(gs, -1, -2), qd)
         gv = np.matmul(np.swapaxes(p, -1, -2), g)
-        return (_unbroadcast(gq, q.data.shape), _unbroadcast(gk, k.data.shape),
-                _unbroadcast(gv, v.data.shape))
+        return (_unbroadcast(gq, qd.shape), _unbroadcast(gk, kd.shape),
+                _unbroadcast(gv, vd.shape))
 
     return _record(out, (q, k, v), vjp)
 
@@ -491,19 +519,21 @@ def backward(loss: Tensor) -> None:
     recorded forward supports exactly one backward pass. A VJP gives each
     input's gradient as an array, None, or a function of no arguments that
     computes it; backward calls that function only for an input that
-    requires grad, so frozen parameters and constants cost no gradient.
+    required grad when it was recorded, so frozen parameters and constants
+    cost no gradient. Only leaves keep ``.grad``: a recorded output's
+    gradient gathers in its node's slot, freed once that node has run.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ContractError("backward expects a scalar Tensor loss")
-    loss.grad = np.ones_like(loss.data)
+    (loss.slot or loss).grad = np.ones_like(loss.data)
     nodes = _TAPE.nodes
-    for out, inputs, vjp in reversed(nodes):
-        g = out.grad
+    for slot, inputs, vjp in reversed(nodes):
+        g = slot.grad
         if g is None:
             continue
         grads = vjp(g)
         for inp, gi in zip(inputs, grads):
-            if gi is None or not inp.requires_grad:
+            if gi is None or inp is None:
                 continue
             if callable(gi):
                 gi = gi()
@@ -516,7 +546,7 @@ def backward(loss: Tensor) -> None:
                     inp.grad = np.array(gi, dtype=_F64, copy=True)
             else:
                 inp.grad = inp.grad + gi
-        out.grad = None  # free intermediate buffers as we go
+        slot.grad = None  # free intermediate buffers as we go
     nodes.clear()
 
 

@@ -151,7 +151,7 @@ def _on_base(cfg: RunConfig, base_ckpt_path):
     if cfg.mode != "adapt_frozen":
         raise ContractError("adaptation requires mode = adapt_frozen")
     state = load_checkpoint(base_ckpt_path)
-    base_cfg = resolve_config(state.config_text)
+    base_cfg = _config_of(state, base_ckpt_path)
     if base_cfg.mode != "diversion":
         raise ContractError(
             f"adaptation needs a diversion-mode base checkpoint; "
@@ -210,6 +210,19 @@ def _block(state: CheckpointState, key: str, shape=None) -> np.ndarray:
     return arr.copy()
 
 
+def _config_of(state: CheckpointState, path) -> RunConfig:
+    """The config a checkpoint was written under. CheckpointError when it
+    stores no config text, or when its header digest is not the text's
+    ``config_digest``: the header lies outside every checksum."""
+    if "config_text" not in state.meta:
+        raise CheckpointError(f"{path}: checkpoint stores no config text")
+    cfg = resolve_config(state.meta["config_text"])
+    if config_digest(cfg) != state.config_digest:
+        raise CheckpointError(f"{path}: header config digest does not match "
+                              "the stored config text")
+    return cfg
+
+
 def _stored(state: CheckpointState):
     """Parameter source that reads each parameter from its ``param/`` block."""
     return lambda name, shape, draw: _block(state, "param/" + name, shape)
@@ -233,7 +246,7 @@ def load_bundle_arrays(bundle: ModelBundle, state: CheckpointState,
 def restore_bundle(ckpt_path) -> ModelBundle:
     """Rebuild the bundle a checkpoint was written from, in its mode."""
     state = load_checkpoint(ckpt_path)
-    bundle = _bundle(resolve_config(state.config_text), _stored(state))
+    bundle = _bundle(_config_of(state, ckpt_path), _stored(state))
     load_bundle_arrays(bundle, state)
     return bundle
 
@@ -256,8 +269,8 @@ def _routing_rows(bundle: ModelBundle, cond_idx: np.ndarray,
                   record: bool = True):
     """Per-item tailor coefficients for a batch.
 
-    Returns (rows, active_union) where rows is a (B, n_tailor) tensor of
-    unbiased coefficients, differentiable into the gate; (B, 0) when the
+    Returns (rows, active_union) where rows is a (B, 1, n_tailor) tensor of
+    unbiased coefficients, differentiable into the gate; (B, 1, 0) when the
     branch has no tailors. ``record`` counts one routing event per item
     toward the balance statistics.
     """
@@ -274,7 +287,8 @@ def _routing_rows(bundle: ModelBundle, cond_idx: np.ndarray,
         g_rows.append(g)
         position[c] = ui
     stacked = g_rows[0] if len(g_rows) == 1 else T.concat(g_rows, axis=0)
-    rows = T.gather_rows(stacked, np.array([position[int(c)] for c in cond_idx]))
+    idx = np.array([position[int(c)] for c in cond_idx])
+    rows = T.gather_rows(stacked, idx[:, None])
     return rows, active_union
 
 

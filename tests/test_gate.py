@@ -268,7 +268,7 @@ def test_routing_rows_match_the_per_condition_path():
     rows, active_union = training._routing_rows(bundle, cond_idx)
     assert T.tape_size() == 7 * 3 + 2
     for row, c in zip(rows.data, cond_idx, strict=True):
-        assert np.array_equal(row, alone[c][0].data[0]), c
+        assert np.array_equal(row, alone[c][0].data), c
     update_biases(gate)
     for c, (_, active) in alone.items():
         usage[list(active)] += np.count_nonzero(cond_idx == c)

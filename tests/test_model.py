@@ -95,7 +95,7 @@ def test_zero_init_condition_contributes_nothing():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((2, 8, 8))
     t_idx = np.array([1, 3])
-    rows = Tensor(rng.uniform(0, 1, (2, branch.n_tailor)))
+    rows = Tensor(rng.uniform(0, 1, (2, 1, branch.n_tailor)))
     with T.no_grad():
         xc1 = patchify(rng.uniform(-1, 1, (2, 8, 8)), 4)
         xc2 = patchify(rng.uniform(-1, 1, (2, 8, 8)), 4)
@@ -126,7 +126,7 @@ def test_f_cond_shape_at_defaults():
     den, branch, _ = build_parts(CFG, n_g=32, n_t=32)
     rng = np.random.default_rng(7)
     xc = patchify(rng.uniform(-1, 1, (1, 16, 16)), 4)
-    rows = Tensor(rng.uniform(0, 1, (1, 32)))
+    rows = Tensor(rng.uniform(0, 1, (1, 1, 32)))
     with T.no_grad():
         _, f_cond = branch_forward(branch, CFG, xc, np.array([0]), rows)
     assert f_cond.shape == (1, 16, 64)
@@ -215,7 +215,7 @@ def test_gradient_flow_repa_and_branch():
     eps = rng.standard_normal(x0.shape)
     t_idx = np.array([2, 5])
     zt = forward_noise(x0, t_idx, eps, sched)
-    rows = Tensor(rng.uniform(0.1, 1.0, (2, branch.n_tailor)), requires_grad=True)
+    rows = Tensor(rng.uniform(0.1, 1.0, (2, 1, branch.n_tailor)), requires_grad=True)
     inj, f_cond = branch_forward(branch, cfg, patchify(xc, 4), t_idx, rows)
     eps_hat = denoiser_forward(den, cfg, patchify(zt, 4), t_idx, inj)
     l_diff = diffusion_loss(patchify(eps, 4), eps_hat)
@@ -255,7 +255,7 @@ def test_factorized_branch_matches_dense_twin():
     rng = np.random.default_rng(12)
     xc = patchify(rng.uniform(-1, 1, (2, 8, 8)), 4)
     t_idx = np.array([1, 2])
-    ones = Tensor(np.ones((2, branch.n_tailor)))
+    ones = Tensor(np.ones((2, 1, branch.n_tailor)))
     with T.no_grad():
         inj_f, fc_f = branch_forward(branch, cfg, xc, t_idx, ones)
 
@@ -278,7 +278,7 @@ def test_factorized_branch_matches_dense_twin():
                     (fw.u_g, fw.s_g, fw.v_g), (fw.u_t, fw.s_t, fw.v_t)))
                 dense[tag] = FactorizedWeight(**svd_blocks(w, min(w.shape), 0))
             twin.blocks.append(dense)
-        inj_d, fc_d = branch_forward(twin, cfg, xc, t_idx, Tensor(np.ones((2, 0))))
+        inj_d, fc_d = branch_forward(twin, cfg, xc, t_idx, Tensor(np.ones((2, 1, 0))))
     assert np.abs(fc_f.data - fc_d.data).max() < 1e-10
     for a, b in zip(inj_f, inj_d):
         assert np.abs(a.data - b.data).max() < 1e-10
@@ -295,7 +295,7 @@ def test_sampling_deterministic_and_clamped():
     den, branch, _ = build_parts(cfg)
     rng = np.random.default_rng(13)
     xc = rng.uniform(-1, 1, (8, 8))
-    rows = Tensor(np.array([[0.5, 0.5, 0, 0.0]]))
+    rows = Tensor(np.array([[[0.5, 0.5, 0, 0.0]]]))
     sched = NoiseSchedule.linear(cfg)
     img1 = sample_batch(den, branch, cfg.replace(seed=99), sched, xc[None], rows)[0]
     img2 = sample_batch(den, branch, cfg.replace(seed=99), sched, xc[None], rows)[0]
@@ -309,7 +309,7 @@ def test_untrained_sample_statistics_near_noise():
     sched = NoiseSchedule.linear(cfg)
     imgs = np.stack([
         sample_batch(den, branch, cfg.replace(seed=100 + i), sched,
-                     np.zeros((1, 8, 8)), Tensor(np.zeros((1, 0))))[0]
+                     np.zeros((1, 8, 8)), Tensor(np.zeros((1, 1, 0))))[0]
         for i in range(8)])
     # untrained: outputs spread widely instead of collapsing to a constant
     assert imgs.std() > 0.3

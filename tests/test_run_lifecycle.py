@@ -5,6 +5,7 @@ the per-step loss arithmetic and the sweep's up-front config check."""
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +79,27 @@ def test_missing_block_raises_checkpoint_error(trained, tmp_path, prefix):
     if prefix in ("param/", "gate/"):
         with pytest.raises(CheckpointError, match=f"missing block '{dropped}'"):
             training.restore_bundle(tmp_path / "ckpt.divc")
+
+
+def test_header_digest_must_match_the_config_text(trained, tmp_path):
+    # the header lies outside every checksum: neither a flipped digest byte
+    # nor a missing config text may load as some config
+    cfg, ckpt = trained
+    data = bytearray(Path(ckpt).read_bytes())
+    data[8 + 5] ^= 0x01   # the digest follows the magic and the version
+    (tmp_path / "flipped.divc").write_bytes(bytes(data))
+    assert load_checkpoint(tmp_path / "flipped.divc").config_digest != \
+        load_checkpoint(ckpt).config_digest
+    state = load_checkpoint(ckpt)
+    del state.meta["config_text"]
+    save_checkpoint(tmp_path / "textless.divc", state)
+    acfg = cfg.replace(mode="adapt_frozen", adapt_n_tailor=2, adapt_top_k=1)
+    for name, match in (("flipped", "digest"), ("textless", "no config text")):
+        path = tmp_path / f"{name}.divc"
+        with pytest.raises(CheckpointError, match=match):
+            training.restore_bundle(path)
+        with pytest.raises(CheckpointError, match=match):
+            training.build_adapt_bundle(acfg, path)
 
 
 @pytest.mark.parametrize("mode", ["diversion", "adapt_frozen"])

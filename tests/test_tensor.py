@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -66,8 +68,8 @@ def test_backward_sum_linear_matches_outer_product():
     # loss = sum(x @ W.T): grad(W)[i, j] = x[j] for every row i
     rng = np.random.default_rng(3)
     W = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    x = Tensor(rng.standard_normal(3))
-    loss = T.sum_(T.linear(T.reshape(x, (1, 3)), W))
+    x = Tensor(rng.standard_normal((1, 3)))
+    loss = T.sum_(T.linear(x, W))
     backward(loss)
     expected = np.tile(x.data, (4, 1))
     assert np.allclose(W.grad, expected, atol=1e-14)
@@ -115,17 +117,56 @@ def test_gather_rows_scatter_adds():
 
 
 def test_backward_gives_each_tensor_its_own_grad_buffer():
-    # add hands the same upstream array to both inputs and reshape a view of
+    # add hands the same upstream array to both inputs and concat views of
     # it; the optimizer and the mask pass write gradients in place
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
-    c = Tensor(np.ones(6), requires_grad=True)
+    c = Tensor(np.ones((1, 3)), requires_grad=True)
     y = T.mul(T.add(a, b), 2.0)
-    backward(T.sum_(T.add(T.reshape(y, (6,)), c)))
+    backward(T.sum_(T.concat([y, c])))
     grads = [a.grad, b.grad, c.grad]
     for i, gi in enumerate(grads):
         for gj in grads[i + 1:]:
             assert not np.shares_memory(gi, gj)
+
+
+def _closure_arrays(f):
+    """The arrays function ``f`` closes over, through nested functions."""
+    found = []
+    for cell in f.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value):
+            found += _closure_arrays(value)
+    return found
+
+
+def test_tape_holds_only_the_arrays_its_vjps_read():
+    # a node holds leaves or gradient slots, never an intermediate tensor: a
+    # residual sum feeding layer_norm is freed when the caller drops it, the
+    # input of a linear whose weight needs a gradient lives until backward,
+    # and backward frees every array the tape held
+    rng = np.random.default_rng(5)
+    x, w = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 3, 4), (4, 4)))
+    gain, bias = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
+    leaves = [x, w, gain, bias]
+    T.clear_tape()
+    s = T.add(x, T.mul(x, 2.0))
+    h = T.layer_norm(s, gain, bias)
+    loss = T.sum_(T.linear(h, w))
+    s_data, h_data = weakref.ref(s.data), weakref.ref(h.data)
+    held = [weakref.ref(a) for _, _, vjp in T._TAPE.nodes for a in _closure_arrays(vjp)
+            if not any(a is t.data for t in leaves)]
+    for _, inputs, _ in T._TAPE.nodes:
+        assert all(t is None or t in leaves or isinstance(t, T._Slot) for t in inputs)
+    del s, h
+    assert s_data() is None
+    assert h_data() is not None
+    backward(loss)
+    assert h_data() is None
+    assert len(held) == 4  # the constant 2.0, xhat, inv and h's data
+    assert all(r() is None for r in held)
 
 
 def test_tape_freed_after_backward():

@@ -310,7 +310,7 @@ def test_neither_arm_runs_empty_tailor_blocks():
                                   cfg.seed, 0)
     gen = np.random.default_rng(0)
     rows, active = training._routing_rows(bundle, batch.cond_idx)
-    assert rows.shape == (cfg.batch_size, 0) and active == set()
+    assert rows.shape == (cfg.batch_size, 1, 0) and active == set()
     T.backward(training._objective(
         bundle, batch.x, batch.x_cond, gen.integers(0, cfg.timesteps, cfg.batch_size),
         gen.standard_normal(batch.x.shape), rows)[2])
