@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .conditions import SSIM_WINDOW, TRANSFORM_BLOCK
 from .errors import ConfigError, ContractError
@@ -25,10 +26,30 @@ def _intlist(text: str) -> tuple:
     return tuple(int(v.strip()) for v in text.split(","))
 
 
+class Mode(NamedTuple):
+    """What a run mode decides. A mode that adapts routes ``[adapt_condition]``,
+    which must be novel_high, through fresh tailors and trains only the
+    adapter (``training._adapter``); diversion routes the basic registry.
+    ``MODES`` rows leave the sizes unset, and ``RunConfig.run`` reads them."""
+
+    adapts: bool
+    needs_base: bool  # grafts the adapter onto a diversion base checkpoint
+    image_stream: str  # stream of the training bank's images
+    n_tailor: int | None = None  # tailors per projection
+    top_k: int | None = None  # tailors active per condition (K)
+    steps: int | None = None  # step budget
+    bank_size: int | None = None  # images in the training bank
+
+
+MODES = {"diversion": Mode(adapts=False, needs_base=False, image_stream="image"),
+         "adapt_frozen": Mode(adapts=True, needs_base=True, image_stream="adapt-image"),
+         "scratch": Mode(adapts=True, needs_base=False, image_stream="adapt-image")}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0  # root seed for every random stream
-    mode: str = "diversion"  # diversion | adapt_frozen | scratch
+    mode: str = "diversion"  # a key of MODES
     steps: int = 5000  # optimizer steps for diversion training
     batch_size: int = 16  # items per batch
     dataset_size: int = 2048  # synthetic base images in the bank
@@ -83,7 +104,7 @@ class RunConfig:
             elif f.type in ("int", "tuple") and not all(
                     -2**63 <= v < 2**63 for v in (value if f.type == "tuple" else (value,))):
                 raise ConfigError(f"'{f.name}' must fit in int64, as checkpoints hold it")
-        if self.mode not in ("diversion", "adapt_frozen", "scratch"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode '{self.mode}'")
         # values a run cannot use (NaN included) fail here, before a run
         # directory is made
@@ -135,6 +156,16 @@ class RunConfig:
             raise ConfigError("repa_layer must lie in [1, controlnet_layers]")
         if self.mlp_hidden < self.token_dim:
             raise ConfigError("mlp_hidden must be >= token_dim")
+
+    @property
+    def run(self) -> Mode:
+        """``MODES[mode]`` with its sizes, from the ``adapt_*`` keys if it adapts."""
+        m = MODES[self.mode]
+        if m.adapts:
+            return m._replace(n_tailor=self.adapt_n_tailor, top_k=self.adapt_top_k,
+                              steps=self.adapt_steps, bank_size=self.adapt_images)
+        return m._replace(n_tailor=self.n_tailor, top_k=self.top_k,
+                          steps=self.steps, bank_size=self.dataset_size)
 
     @property
     def n_patches(self) -> int:

@@ -237,27 +237,19 @@ def _adapter_tailors(gen, out_dim: int, in_dim: int, n_t: int) -> dict:
     return {"u_t": u, "s_t": np.zeros(n_t), "v_t": v}
 
 
-def _tailors(cfg: RunConfig) -> tuple:
-    """(tailors per projection, K) of ``cfg.mode``."""
-    if cfg.mode == "diversion":
-        return cfg.n_tailor, cfg.top_k
-    return cfg.adapt_n_tailor, cfg.adapt_top_k
-
-
 class ControlBranch(_Network):
     """Condition encoder with factorized projections and zero-init injections.
 
     Each projection is the SVD of a Kaiming draw, split into ``n_learngene``
-    learngene and ``n_tailor`` tailor components. In the adaptation modes
-    (``cfg.mode`` other than diversion) it keeps that learngene block and
-    takes ``cfg.adapt_n_tailor`` fresh tailors from ``_adapter_tailors``.
+    learngene and ``n_tailor`` tailor components. A mode that adapts (see
+    ``config.MODES``) keeps that learngene block and takes ``cfg.run.n_tailor``
+    fresh tailors from ``_adapter_tailors``.
     """
 
     def __init__(self, cfg: RunConfig, source=fresh):
         d, p = cfg.token_dim, cfg.patch_dim
-        adapting = cfg.mode != "diversion"
-        n_g = cfg.n_learngene
-        self.n_tailor = n_t = _tailors(cfg)[0]
+        run, n_g = cfg.run, cfg.n_learngene
+        self.n_tailor = n_t = run.n_tailor
         self._params_from(source, cfg.seed, "br.")
 
         def make_fw(l, tag, out_dim, in_dim):
@@ -271,7 +263,7 @@ class ControlBranch(_Network):
                       "u_t": (out_dim, n_t), "s_t": (n_t,), "v_t": (in_dim, n_t)}
             return FactorizedWeight(*(
                 self._param(f"l{l}.fw_{tag}.{part}", shape, lambda part=part: (
-                    adapter if adapting and part.endswith("_t") else svd)()[part])
+                    adapter if run.adapts and part.endswith("_t") else svd)()[part])
                 for part, shape in shapes.items()))
 
         self.patch_w = self._kaiming("patch_w", d, p)
@@ -360,7 +352,8 @@ def embed_instruction(text: str, encoder_seed: int, embed_dim: int) -> np.ndarra
 
 
 class GateState(_Network):
-    """Routing network plus load-balancing state, sized by ``_tailors(cfg)``.
+    """Routing network plus load-balancing state over ``cfg.run.n_tailor``
+    tailors, ``cfg.run.top_k`` active per condition (see ``config.MODES``).
 
     The hidden layer ``w1`` is Kaiming-uniform from the stream
     ("init", "gate") and the rest start at zero, so routing starts uniform.
@@ -370,7 +363,7 @@ class GateState(_Network):
 
     def __init__(self, cfg: RunConfig, source=fresh):
         d, self.bias_update_rate = cfg.embed_dim, cfg.gate_bias_rate
-        self.n_tailor, self.k = _tailors(cfg)
+        self.n_tailor, self.k = cfg.run.n_tailor, cfg.run.top_k
         self._params_from(source, cfg.seed, "gate.")
         self.w1 = self._param("w1", (d, d), lambda: _kaiming_uniform(
             stream(cfg.seed, "init", "gate"), d, d))

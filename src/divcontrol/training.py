@@ -1,11 +1,9 @@
 """Training: one run entry point for every mode, evaluation, harnesses.
 
-``train`` runs the three modes through one build, resume and run path.
-``cfg.mode`` picks the bundle (random for ``diversion`` and ``scratch``,
-fresh tailors on a frozen diversion base for ``adapt_frozen``), the image
-bank (``dataset_size`` base images for diversion, ``adapt_images`` few-shot
-images otherwise) and the step budget (``steps`` for diversion,
-``adapt_steps`` otherwise).
+``train`` runs every mode through one build, resume and run path. The
+mode's record ``cfg.run`` (see ``config.MODES``) decides the bundle, the
+image bank, the step budget and whether a diversion base checkpoint is
+grafted onto.
 
 Every stochastic draw is stream-addressed (see rng.py): batch ``b`` comes
 from ("batch", b) and the remaining per-step randomness (timesteps, noise,
@@ -102,15 +100,10 @@ def _adapter(name: str) -> bool:
 
 
 def _bundle(cfg: RunConfig, source) -> ModelBundle:
-    """The bundle of ``cfg.mode``, each parameter taken from ``source``
-    (see ``rng.fresh``).
-
-    Diversion routes the basic registry. The adaptation modes route
-    ``adapt_condition`` through fresh tailors and a fresh gate output layer
-    on a frozen base.
-    """
-    adapting = cfg.mode != "diversion"
-    if adapting:
+    """The bundle of ``cfg.run`` (see ``config.Mode``), each parameter taken
+    from ``source`` (see ``rng.fresh``). In a mode that adapts, only the
+    ``_adapter`` parameters train."""
+    if cfg.run.adapts:
         specs = [find_condition(cfg.adapt_condition)]
         if specs[0].shift_class != "novel_high":
             raise ContractError(
@@ -124,7 +117,7 @@ def _bundle(cfg: RunConfig, source) -> ModelBundle:
         sched=NoiseSchedule.linear(cfg), specs=specs,
         embeddings=[embed_instruction(s.instruction, cfg.encoder_seed, cfg.embed_dim)
                     for s in specs])
-    if adapting:
+    if cfg.run.adapts:
         for name, t in bundle.params().items():
             t.requires_grad = _adapter(name)
     return bundle
@@ -132,7 +125,7 @@ def _bundle(cfg: RunConfig, source) -> ModelBundle:
 
 def build_diversion_bundle(cfg: RunConfig) -> ModelBundle:
     """Fresh model for multi-condition training on the basic registry."""
-    if cfg.mode != "diversion":
+    if cfg.run.adapts:
         raise ContractError("a diversion bundle requires mode = diversion")
     return _bundle(cfg, fresh)
 
@@ -148,11 +141,11 @@ _BASE_SHAPE_KEYS = ("image_size", "patch_size", "token_dim", "mlp_hidden",
 def _on_base(cfg: RunConfig, base_ckpt_path):
     """Parameter source of an adaptation on a diversion base checkpoint:
     the adapter is drawn and every other parameter read from the base."""
-    if cfg.mode != "adapt_frozen":
+    if not cfg.run.needs_base:
         raise ContractError("adaptation requires mode = adapt_frozen")
     state = load_checkpoint(base_ckpt_path)
     base_cfg = _config_of(state, base_ckpt_path)
-    if base_cfg.mode != "diversion":
+    if base_cfg.run.adapts:
         raise ContractError(
             f"adaptation needs a diversion-mode base checkpoint; "
             f"'{base_ckpt_path}' was written in mode {base_cfg.mode}")
@@ -323,14 +316,13 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
                 opt: AdamW | None = None, metrics: RunMetrics | None = None) -> tuple:
     """Run optimizer steps [start_step, stop_step) and checkpoint at the end.
 
-    The run's budget is ``steps`` in diversion mode and ``adapt_steps`` in
-    the adaptation modes; ``stop_step`` (default: the budget) is capped at it.
+    The run's budget is its mode's ``cfg.run.steps`` (see ``config.MODES``);
+    ``stop_step`` (default: the budget) is capped at it.
     A stop before ``start_step`` raises ``ContractError`` and writes nothing.
     Returns (checkpoint_path, RunMetrics).
     """
     cfg = bundle.cfg
-    budget = cfg.steps if cfg.mode == "diversion" else cfg.adapt_steps
-    stop = budget if stop_step is None else min(stop_step, budget)
+    stop = cfg.run.steps if stop_step is None else min(stop_step, cfg.run.steps)
     if stop < start_step:
         raise ContractError(f"start_step {start_step} is past stop step {stop}")
     if opt is None:
@@ -417,18 +409,17 @@ def _summary_extras(bundle: ModelBundle, metrics: RunMetrics) -> dict:
 
 
 def _image_bank(bundle: ModelBundle) -> DatasetBank:
-    """The run's training images: diversion draws from ``dataset_size`` base
-    images, the adaptation modes from ``adapt_images`` few-shot images."""
+    """The run's training images: ``bank_size`` images from the mode's
+    ``image_stream`` (see ``config.MODES``)."""
     cfg = bundle.cfg
-    if cfg.mode == "diversion":
-        return DatasetBank(cfg.seed, cfg.dataset_size, bundle.specs, cfg.image_size)
-    return DatasetBank(cfg.seed, cfg.adapt_images, bundle.specs, cfg.image_size,
-                       image_stream="adapt-image")
+    return DatasetBank(cfg.seed, cfg.run.bank_size, bundle.specs, cfg.image_size,
+                       image_stream=cfg.run.image_stream)
 
 
 def _resumed(cfg: RunConfig, resume) -> tuple:
     """(bundle, step, optimizer, RunMetrics) as checkpoint ``resume`` holds them."""
     state = load_checkpoint(resume)
+    _config_of(state, resume)  # a corrupt header is a CheckpointError
     if state.config_digest != config_digest(cfg):
         raise ContractError("resume checkpoint was written under a different config")
     bundle = _bundle(cfg, _stored(state))
@@ -442,20 +433,19 @@ def _resumed(cfg: RunConfig, resume) -> tuple:
 def train(cfg: RunConfig, out_dir, base_ckpt=None, resume=None) -> str:
     """Train in ``cfg.mode`` into ``out_dir``; returns the checkpoint path.
 
-    ``base_ckpt`` is the diversion checkpoint an ``adapt_frozen`` run grafts
-    fresh tailors onto; the other modes start from random weights and take
-    none. ``resume`` continues the run from one of its own checkpoints,
-    bit-exactly.
+    ``base_ckpt`` is the diversion checkpoint that a mode which
+    ``needs_base`` (see ``config.MODES``) grafts fresh tailors onto; the
+    other modes start from random weights and take none. ``resume``
+    continues the run from one of its own checkpoints, bit-exactly.
     """
-    if (base_ckpt is not None) != (cfg.mode == "adapt_frozen"):
+    if (base_ckpt is not None) != cfg.run.needs_base:
         raise ContractError("a base checkpoint is given exactly when "
                             f"mode = adapt_frozen (mode is {cfg.mode})")
+    # a resumed run checks its base as a new one does, and reads no value of it
+    source = fresh if base_ckpt is None else _on_base(cfg, base_ckpt)
     if resume is None:
-        bundle = _bundle(cfg, fresh if base_ckpt is None else _on_base(cfg, base_ckpt))
-        start, opt, metrics = 0, None, None
+        bundle, start, opt, metrics = _bundle(cfg, source), 0, None, None
     else:
-        if base_ckpt is not None:
-            _on_base(cfg, base_ckpt)  # checked as for a new run, values unused
         bundle, start, opt, metrics = _resumed(cfg, resume)
     bank = _image_bank(bundle)
     with run_lock(out_dir):

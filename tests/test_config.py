@@ -1,11 +1,15 @@
+import ast
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from divcontrol import model, training
 from divcontrol.config import (
     CONFIG_KEYS,
+    MODES,
+    Mode,
     RunConfig,
     config_digest,
     resolve_config,
@@ -129,6 +133,37 @@ def test_negative_lambda_repa_is_a_config_error():
     with pytest.raises(ConfigError):
         resolve_config().replace(lambda_repa=-0.1)
     assert resolve_config().replace(lambda_repa=0.0).lambda_repa == 0.0
+
+
+def test_mode_table_resolves_each_mode_against_its_keys():
+    cfg = resolve_config(overrides=dict(
+        n_tailor=6, top_k=5, steps=4, dataset_size=3,
+        adapt_n_tailor=9, adapt_top_k=8, adapt_steps=7, adapt_images=2))
+    adapting = dict(adapts=True, image_stream="adapt-image", n_tailor=9,
+                    top_k=8, steps=7, bank_size=2)
+    assert {mode: cfg.replace(mode=mode).run for mode in MODES} == {
+        "diversion": Mode(adapts=False, needs_base=False, image_stream="image",
+                          n_tailor=6, top_k=5, steps=4, bank_size=3),
+        "adapt_frozen": Mode(needs_base=True, **adapting),
+        "scratch": Mode(needs_base=False, **adapting)}
+
+
+def test_only_the_config_module_tests_the_mode():
+    # every other module reads the mode's decisions from RunConfig.run, so
+    # a new mode is one MODES row
+    src = Path(__file__).resolve().parents[1] / "src" / "divcontrol"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                    for op in node.ops) and any(
+                    isinstance(side, ast.Attribute) and side.attr == "mode"
+                    for side in [node.left, *node.comparators]):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_unknown_mode_and_key_rejected():

@@ -13,7 +13,7 @@ import pytest
 from divcontrol import tensor as T
 from divcontrol import gradcheck, training
 from divcontrol.checkpoint import load_checkpoint, save_checkpoint
-from divcontrol.config import config_digest
+from divcontrol.config import MODES, config_digest
 from divcontrol.errors import CheckpointError, ConfigError, ContractError, NumericError
 from divcontrol.gradcheck import micro_config
 from divcontrol.rng import fresh
@@ -26,11 +26,11 @@ def trained(tmp_path_factory):
     return cfg, training.train(cfg, tmp_path_factory.mktemp("run"))
 
 
-@pytest.mark.parametrize("mode", ["diversion", "adapt_frozen", "scratch"])
+@pytest.mark.parametrize("mode", MODES)
 def test_resume_after_crash_matches_straight_run(trained, tmp_path, monkeypatch, mode):
     cfg = micro_config(0).replace(mode=mode, steps=160, adapt_steps=160,
                                   adapt_images=4, adapt_n_tailor=2, adapt_top_k=1)
-    base = trained[1] if mode == "adapt_frozen" else None
+    base = trained[1] if MODES[mode].needs_base else None
     straight = training.train(cfg, tmp_path / "straight", base_ckpt=base)
 
     # a run checkpoints at step 100, goes on to step 150 and dies there
@@ -83,7 +83,8 @@ def test_missing_block_raises_checkpoint_error(trained, tmp_path, prefix):
 
 def test_header_digest_must_match_the_config_text(trained, tmp_path):
     # the header lies outside every checksum: neither a flipped digest byte
-    # nor a missing config text may load as some config
+    # nor a missing config text may load as some config, whether restored,
+    # adapted or resumed
     cfg, ckpt = trained
     data = bytearray(Path(ckpt).read_bytes())
     data[8 + 5] ^= 0x01   # the digest follows the magic and the version
@@ -100,12 +101,14 @@ def test_header_digest_must_match_the_config_text(trained, tmp_path):
             training.restore_bundle(path)
         with pytest.raises(CheckpointError, match=match):
             training.build_adapt_bundle(acfg, path)
+        with pytest.raises(CheckpointError, match=match):
+            training.train(cfg, tmp_path / f"resumed-{name}", resume=path)
 
 
 @pytest.mark.parametrize("mode", ["diversion", "adapt_frozen"])
 def test_wrongly_shaped_param_block_raises_checkpoint_error(trained, tmp_path, mode):
     cfg, ckpt = trained
-    if mode == "adapt_frozen":
+    if MODES[mode].needs_base:
         # the adaptation reads its frozen base blocks from the base checkpoint
         acfg = cfg.replace(mode=mode, adapt_n_tailor=2, adapt_top_k=1)
         path, key, build = ckpt, "param/br.l0.fw_q.u_g", (

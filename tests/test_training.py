@@ -16,7 +16,13 @@ import pytest
 from divcontrol import tensor as T
 from divcontrol import training
 from divcontrol.checkpoint import load_checkpoint
-from divcontrol.config import CONFIG_KEYS, config_digest, resolve_config, resolved_text
+from divcontrol.config import (
+    CONFIG_KEYS,
+    MODES,
+    config_digest,
+    resolve_config,
+    resolved_text,
+)
 from divcontrol.gradcheck import micro_config
 from divcontrol.rng import fresh
 from divcontrol.runio import read_metrics
@@ -27,8 +33,8 @@ ADAPT_STEPS = 20
 REF = {
     "diversion_last_l_total": 1.231702318963048,
     "diversion_mean_l_total": 1.6510215878358396,
-    "adapt_last_l_total": 1.4175782981640108,
-    "adapt_mean_l_total": 1.2969080683743779,
+    "adapt_frozen_last_l_total": 1.4175782981640108,
+    "adapt_frozen_mean_l_total": 1.2969080683743779,
     "scratch_last_l_total": 2.790669743123352,
     "scratch_mean_l_total": 2.747041247253612,
     "route_active_set": (0, 1),
@@ -84,7 +90,8 @@ def assert_one_config(run_dir, ckpt_path):
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Train in the three modes and keep the bundle each run trained."""
+    """Train in every mode, into a directory named after it (diversion
+    first, as the adaptation's base), and keep the bundle each run trained."""
     root = tmp_path_factory.mktemp("runs")
     trained = {}
     train_steps = training.train_steps
@@ -93,13 +100,12 @@ def runs(tmp_path_factory):
         trained[os.path.basename(out_dir)] = bundle
         return train_steps(bundle, bank, out_dir, **kw)
 
-    cfg = micro()
+    ckpt = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "train_steps", spy)
-        ckpt = {"diversion": training.train(cfg, root / "diversion")}
-        ckpt["adapt"] = training.train(cfg.replace(mode="adapt_frozen"),
-                                       root / "adapt", base_ckpt=ckpt["diversion"])
-        ckpt["scratch"] = training.train(cfg.replace(mode="scratch"), root / "scratch")
+        for mode, run in MODES.items():
+            base = ckpt["diversion"] if run.needs_base else None
+            ckpt[mode] = training.train(micro(mode=mode), root / mode, base_ckpt=base)
     return root, ckpt, trained
 
 
@@ -114,19 +120,18 @@ def test_train_diversion_trajectory_and_run_files(runs):
     assert_one_config(root / "diversion", ckpt["diversion"])
 
 
-@pytest.mark.parametrize("name, mode", [("adapt", "adapt_frozen"),
-                                        ("scratch", "scratch")])
-def test_adaptation_runs_trajectory_and_run_files(runs, name, mode):
+@pytest.mark.parametrize("mode", [m for m, run in MODES.items() if run.adapts])
+def test_adaptation_runs_trajectory_and_run_files(runs, mode):
     root, ckpt, _ = runs
-    l_total = column(root / name, "l_total")
+    l_total = column(root / mode, "l_total")
     assert len(l_total) == ADAPT_STEPS
-    assert_pinned(l_total[-1], REF[f"{name}_last_l_total"])
-    assert_pinned(float(np.mean(l_total)), REF[f"{name}_mean_l_total"])
+    assert_pinned(l_total[-1], REF[f"{mode}_last_l_total"])
+    assert_pinned(float(np.mean(l_total)), REF[f"{mode}_mean_l_total"])
     # the run directory keeps the configuration as given, steps included
-    assert (root / name / "resolved-config.txt").read_text() == \
+    assert (root / mode / "resolved-config.txt").read_text() == \
         resolved_text(micro(mode=mode))
-    assert load_checkpoint(ckpt[name]).step == ADAPT_STEPS
-    assert_one_config(root / name, ckpt[name])
+    assert load_checkpoint(ckpt[mode]).step == ADAPT_STEPS
+    assert_one_config(root / mode, ckpt[mode])
 
 
 def assert_same_bundle(bundle, ref):
@@ -147,17 +152,17 @@ def no_svd(*args, **kwargs):
     raise AssertionError("a checkpointed weight was factorized again")
 
 
-@pytest.mark.parametrize("name", ["diversion", "adapt", "scratch"])
-def test_restore_bundle_matches_trained_bundle(runs, name, tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", MODES)
+def test_restore_bundle_matches_trained_bundle(runs, mode, tmp_path, monkeypatch):
     # restoring, resuming and adapting take every parameter from a
     # checkpoint or a fresh draw, and factorize no weight
     _, ckpt, trained = runs
-    cfg = micro(mode={"adapt": "adapt_frozen"}.get(name, name))
-    base = ckpt["diversion"] if name == "adapt" else None
-    adapter_init = training._bundle(cfg, fresh) if name == "adapt" else None
+    cfg = micro(mode=mode)
+    base = ckpt["diversion"] if MODES[mode].needs_base else None
+    adapter_init = training._bundle(cfg, fresh) if base else None
     monkeypatch.setattr(np.linalg, "svd", no_svd)
 
-    assert_same_bundle(training.restore_bundle(ckpt[name]), trained[name])
+    assert_same_bundle(training.restore_bundle(ckpt[mode]), trained[mode])
 
     # resuming at the last step trains nothing and rewrites the checkpoint
     resumed, train_steps = [], training.train_steps
@@ -167,16 +172,16 @@ def test_restore_bundle_matches_trained_bundle(runs, name, tmp_path, monkeypatch
         return train_steps(bundle, bank, out_dir, **kw)
 
     monkeypatch.setattr(training, "train_steps", spy)
-    out = training.train(cfg, tmp_path / "resumed", base_ckpt=base, resume=ckpt[name])
+    out = training.train(cfg, tmp_path / "resumed", base_ckpt=base, resume=ckpt[mode])
     (bundle, opt), = resumed
-    assert_same_bundle(bundle, trained[name])
-    state = load_checkpoint(ckpt[name])
+    assert_same_bundle(bundle, trained[mode])
+    state = load_checkpoint(ckpt[mode])
     for key in opt.params:
         assert np.array_equal(opt.m[key], state.arrays["opt/m/" + key]), key
         assert np.array_equal(opt.v[key], state.arrays["opt/v/" + key]), key
-    assert Path(out).read_bytes() == Path(ckpt[name]).read_bytes()
+    assert Path(out).read_bytes() == Path(ckpt[mode]).read_bytes()
 
-    if name == "adapt":
+    if base:
         # the frozen base is the trained diversion bundle's, the adapter
         # what a fresh adaptation bundle draws
         bundle = training.build_adapt_bundle(cfg, base)
