@@ -162,6 +162,8 @@ def load_checkpoint(path) -> CheckpointState:
                         else ("<i8", np.int64))
         arr = np.frombuffer(payload, dtype=wire).reshape(shape)
         state.arrays[name] = arr.astype(native, copy=False)
+    if len(state.arrays) + len(state.meta) != n_blocks:  # a later block replaced one
+        raise CheckpointError(f"{path}: a block name appears more than once")
     if r.pos != len(data):
         raise CheckpointError(f"{path}: {len(data) - r.pos} trailing bytes")
     return state

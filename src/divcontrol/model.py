@@ -429,6 +429,8 @@ def similarity_matrix(gate: GateState, embeddings) -> np.ndarray:
     embeddings = list(embeddings)
     if len(embeddings) < 2:
         raise ContractError("similarity_matrix needs at least 2 embeddings")
+    if gate.n_tailor == 0:
+        raise ContractError("similarity_matrix needs a gate with tailors")
     with T.no_grad():
         a = np.concatenate([route(gate, e).data for e in embeddings])
     a /= np.linalg.norm(a, axis=1, keepdims=True)  # softmax rows are never zero
@@ -559,7 +561,7 @@ def diffusion_loss(eps, eps_hat) -> Tensor:
     """Mean squared error over every element."""
     if eps.shape != eps_hat.shape:
         raise ContractError("diffusion_loss shapes differ")
-    diff = T.sub(eps, eps_hat)
+    diff = T.add(eps_hat, T.mul(eps, -1.0))  # negating the constant eps adds no node
     return T.mean_(T.mul(diff, diff))
 
 
@@ -578,7 +580,7 @@ def repa_loss(f_cond: Tensor, e_img: np.ndarray, head: RepaHead) -> Tensor:
     norm_af = T.sqrt(T.sum_(T.mul(af, af), axis=-1))
     norm_e = np.linalg.norm(e_img, axis=-1)
     den = T.clamp_min(T.mul(norm_af, norm_e), 1e-300)
-    return T.neg(T.mean_(T.div(num, den)))
+    return T.mul(T.mean_(T.div(num, den)), -1.0)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -113,42 +114,37 @@ def write_resolved_config(run_dir, text: str) -> None:
     replace_file(os.path.join(run_dir, RESOLVED_CONFIG_FILE), text)
 
 
-def _holder_is_dead(path) -> bool:
-    """True when the lock file names a pid that no live process has."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            os.kill(int(fh.read()), 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError):   # gone, pid not yet written, or another user's
-        return False
-    return False
-
-
 @contextmanager
 def run_lock(run_dir):
-    """Single-writer lock on a run directory (O_EXCL lock file with the pid).
+    """Single-writer lock on a run directory: an exclusive ``flock`` on its
+    lock file, which holds the holder's pid.
 
-    A lock whose pid is no live process, left by a run that was killed, is
-    taken over; a lock held by a live process raises ``ContractError``.
+    The kernel drops the lock when its holder dies, so a killed run's lock
+    is taken over; a lock held by a live process raises ``ContractError``.
     """
     os.makedirs(run_dir, exist_ok=True)
     path = os.path.join(run_dir, LOCK_FILE)
-    for attempt in range(2):
+    locked = False
+    while not locked:
+        fd = os.open(path, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _holder_is_dead(path):
-                raise ContractError(
-                    f"run directory '{run_dir}' is locked by another writer "
-                    f"(the pid in {LOCK_FILE} is alive or unreadable)") from None
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a holder unlinks the file before it unlocks it: then retry
             with suppress(FileNotFoundError):
-                os.unlink(path)
+                locked = os.path.samestat(os.fstat(fd), os.stat(path))
+        except BlockingIOError:
+            raise ContractError(
+                f"run directory '{run_dir}' is locked by another writer") from None
+        finally:
+            if not locked:
+                os.close(fd)
     try:
+        os.ftruncate(fd, 0)
         os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
         yield
     finally:
-        if os.path.exists(path):
-            os.unlink(path)
+        try:
+            with suppress(FileNotFoundError):
+                os.unlink(path)
+        finally:
+            os.close(fd)

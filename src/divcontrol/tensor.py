@@ -12,10 +12,11 @@ each input that needs a gradient, and a VJP that closes over only the
 arrays it reads: never a tensor, so an activation no VJP reads (a residual
 sum, say) is freed as soon as the forward pass drops it.
 
-Besides elementwise, shape, reduction and ``linear`` ops, four fused
-primitives carry hand-derived adjoints and record one tape node each:
-``softmax``, ``layer_norm``, ``factorized_linear`` (a learngene/tailor
-projection, see ``model.py``) and single-head ``attention``.
+The ops are those training and routing record: ``add``, ``mul``, ``div``,
+``tanh``, ``sqrt``, ``clamp_min``, ``gelu``, ``concat`` and ``gather_rows``
+(first axis), ``sum_``, ``mean_`` (of every element), ``linear``, and four
+fused primitives with hand-derived adjoints: last-axis ``softmax``,
+``layer_norm``, ``factorized_linear`` (see ``model.py``) and ``attention``.
 
 Tensors are immutable once created, except for ``.grad`` accumulation
 and the optimizer's in-place parameter update. All data is 64-bit; there
@@ -151,17 +152,6 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data)
-    sa, sb = a.shape, b.shape
-
-    def vjp(g):
-        return lambda: _unbroadcast(g, sa), lambda: _unbroadcast(-g, sb)
-
-    return _record(out, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
@@ -186,12 +176,6 @@ def div(a, b) -> Tensor:
                 lambda: _unbroadcast(-g * y / bd, bd.shape))
 
     return _record(Tensor(y), (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
 
 
 def tanh(a) -> Tensor:
@@ -271,16 +255,16 @@ def gelu(a) -> Tensor:
 # shape ops
 # ----------------------------------------------------------------------
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join along the first axis."""
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ContractError("concat of empty list")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    out = Tensor(np.concatenate([t.data for t in tensors]))
+    splits = np.cumsum([len(t.data) for t in tensors])[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits))
 
     return _record(out, tuple(tensors), vjp)
 
@@ -304,34 +288,27 @@ def gather_rows(table, idx) -> Tensor:
 # reductions
 # ----------------------------------------------------------------------
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
+    """Sum over ``axis``, or over every element when it is None."""
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(a.data.sum(axis=axis))
     shape = a.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
     return _record(out, (a,), vjp)
 
 
-def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean_(a) -> Tensor:
+    """Mean over every element."""
     a = as_tensor(a)
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    shape = a.shape
-    if axis is None:
-        n = a.data.size
-    else:
-        n = shape[axis]
+    out = Tensor(a.data.mean())
+    shape, n = a.shape, a.data.size
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, shape).copy(),)
+        return (np.broadcast_to(g / n, shape).copy(),)
 
     return _record(out, (a,), vjp)
 
@@ -363,37 +340,37 @@ def linear(x, w) -> Tensor:
 # factorized projection, attention
 # ----------------------------------------------------------------------
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-subtraction).
+def softmax(a) -> Tensor:
+    """Numerically stable softmax along the last axis (max-subtraction).
 
     Raises InvalidInputError on non-finite input; output entries are
-    positive and sum to one along the reduced axis.
+    positive and sum to one along the last axis.
     """
     a = as_tensor(a)
-    y = _softmax_data(a.data, axis, "softmax input")
+    y = _softmax_data(a.data, "softmax input")
     out = Tensor(y)
-    return _record(out, (a,), lambda g: (_softmax_vjp(g, y, axis),))
+    return _record(out, (a,), lambda g: (_softmax_vjp(g, y),))
 
 
-def _softmax_data(z: np.ndarray, axis: int, what: str) -> np.ndarray:
+def _softmax_data(z: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(z).all():
         raise InvalidInputError(f"{what} contains non-finite values")
-    e = np.exp(z - z.max(axis=axis, keepdims=True, initial=-np.inf))  # z may be empty
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True, initial=-np.inf))  # z may be empty
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_vjp(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    inner = (g * y).sum(axis=axis, keepdims=True)
+def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    inner = (g * y).sum(axis=-1, keepdims=True)
     return (g - inner) * y
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize over the last axis (variance eps 1e-5), then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     gd, sb = gain.data, bias.shape
     out = Tensor(xhat * gd + bias.data)
@@ -493,12 +470,12 @@ def attention(q, k, v, scale: float) -> Tensor:
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ContractError("attention requires ndim >= 2 operands")
     p = _softmax_data(np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale,
-                      -1, "attention scores")
+                      "attention scores")
     qd, kd, vd = q.data, k.data, v.data
     out = Tensor(np.matmul(p, vd))
 
     def vjp(g):
-        gs = _softmax_vjp(np.matmul(g, np.swapaxes(vd, -1, -2)), p, -1) * scale
+        gs = _softmax_vjp(np.matmul(g, np.swapaxes(vd, -1, -2)), p) * scale
         gq = np.matmul(gs, kd)
         gk = np.matmul(np.swapaxes(gs, -1, -2), qd)
         gv = np.matmul(np.swapaxes(p, -1, -2), g)

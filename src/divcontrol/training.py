@@ -279,7 +279,7 @@ def _routing_rows(bundle: ModelBundle, cond_idx: np.ndarray,
         active_union |= set(active)
         g_rows.append(g)
         position[c] = ui
-    stacked = g_rows[0] if len(g_rows) == 1 else T.concat(g_rows, axis=0)
+    stacked = g_rows[0] if len(g_rows) == 1 else T.concat(g_rows)
     idx = np.array([position[int(c)] for c in cond_idx])
     rows = T.gather_rows(stacked, idx[:, None])
     return rows, active_union

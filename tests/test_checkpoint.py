@@ -97,6 +97,21 @@ def test_non_utf8_meta_payload_with_valid_checksum_raises(tmp_path, blob):
         load_bytes(tmp_path, data)
 
 
+def test_repeated_block_name_raises(tmp_path, blob):
+    # a second 'weights' block with other values and its own valid CRC,
+    # and a block count that includes it, would replace the first one
+    name = next(iter(ARRAYS)).encode("utf-8")
+    start = blob.index(name) - 2          # the u16 name length
+    payload = ARRAYS["weights"].astype("<f8").tobytes()
+    end = blob.index(payload)
+    other = (2 * ARRAYS["weights"]).astype("<f8").tobytes()
+    copy = blob[start:end] + other + zlib.crc32(other).to_bytes(4, "little")
+    count = int.from_bytes(blob[48:52], "little")   # after magic, version, digest, step
+    data = blob[:48] + (count + 1).to_bytes(4, "little") + blob[52:] + copy
+    with pytest.raises(CheckpointError, match="more than once"):
+        load_bytes(tmp_path, data)
+
+
 def test_odd_layouts_and_zero_size_blocks_write_pinned_bytes(tmp_path):
     # payloads are written as views of the arrays' bytes; the file must be
     # the same whatever the layout, zero-size blocks included

@@ -258,7 +258,7 @@ def test_training_moves_parameters_freely():
     for _ in range(100):
         # the identity's image is W~.T, so this pulls W~ towards target.T
         w_t = apply_factorized(Tensor(np.eye(4)), fw, Tensor(np.ones(2)))
-        diff = T.sub(w_t, target)
+        diff = T.add(w_t, -target)
         backward(T.sum_(T.mul(diff, diff)))
         opt.step()
         opt.zero_grad()

@@ -223,6 +223,15 @@ def test_similarity_matrix_properties():
                 assert abs(sim[i, j] - cos) <= 1e-12, (i, j)
 
 
+def test_similarity_matrix_refuses_a_gate_without_tailors():
+    # the 'neither' ablation arm's gate routes to empty rows, whose cosine
+    # matrix would be all zeros, diagonal included
+    gate = GateState(training.ablation_arms(micro_config(0))["neither"])
+    es = [embed("sobel edge map"), embed("soft box blur")]
+    with pytest.raises(ContractError, match="gate with tailors"):
+        similarity_matrix(gate, es)
+
+
 def test_balancing_neutral_when_rate_zero_and_bias_zero():
     gate = make_gate(n_t=5, k=2, rate=0.0)
     alpha = np.array([0.1, 0.3, 0.05, 0.35, 0.2])

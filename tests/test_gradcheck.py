@@ -74,7 +74,7 @@ def _taped_primitives():
              and any(isinstance(n, ast.Call)
                      and getattr(n.func, "id", None) == "_record"
                      for n in ast.walk(fn))}
-    assert {"neg", "factorized_linear", "attention"} <= taped
+    assert {"sqrt", "factorized_linear", "attention"} <= taped
     return taped
 
 
@@ -82,7 +82,7 @@ def _recorded(f):
     """The tensor functions whose nodes ``f()`` puts on the tape."""
     T.clear_tape()
     f()
-    # a VJP defined inside tensor.neg has __qualname__ "neg.<locals>..."
+    # a VJP defined inside tensor.sqrt has __qualname__ "sqrt.<locals>..."
     names = {vjp.__qualname__.split(".")[0] for _, _, vjp in T._TAPE.nodes}
     T.clear_tape()
     return names

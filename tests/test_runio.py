@@ -136,3 +136,57 @@ def test_lock_of_a_killed_run_is_taken_over(tmp_path):
     with run_lock(tmp_path):
         assert lock.read_text() == str(os.getpid())
     assert not lock.exists()
+
+
+def test_lock_naming_a_live_pid_that_holds_no_lock_is_taken_over(tmp_path):
+    # a pid in a stale lock file can belong to a live process by now
+    lock = tmp_path / LOCK_FILE
+    lock.write_text(str(os.getppid()))
+    with run_lock(tmp_path):
+        assert lock.read_text() == str(os.getpid())
+    assert not lock.exists()
+
+
+_ENTER_TOGETHER = """
+import os, sys, time
+from divcontrol.errors import ContractError
+from divcontrol.runio import run_lock
+run_dir, log, go = sys.argv[1:]
+print("ready", flush=True)
+while not os.path.exists(go):
+    time.sleep(0.0005)
+try:
+    with run_lock(run_dir):
+        for mark in ("in", "out"):
+            with open(log, "a") as fh:
+                fh.write(mark + "\\n")
+            time.sleep(0.2)
+except ContractError:
+    pass
+"""
+
+
+def test_two_takeovers_of_a_dead_pid_lock_never_overlap(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runio.__file__)))
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait(timeout=10)
+    run, log, go = tmp_path / "run", tmp_path / "log", tmp_path / "go"
+    run.mkdir()
+    (run / LOCK_FILE).write_text(str(dead.pid))
+    children = [subprocess.Popen([sys.executable, "-c", _ENTER_TOGETHER, str(run),
+                                  str(log), str(go)], stdout=subprocess.PIPE, text=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+                for _ in range(2)]
+    try:
+        for child in children:
+            assert child.stdout.readline() == "ready\n"
+        go.touch()
+        for child in children:
+            assert child.wait(timeout=30) == 0
+    finally:
+        for child in children:
+            child.kill()
+            child.stdout.close()
+    marks = log.read_text().split()
+    assert marks and marks == ["in", "out"] * (len(marks) // 2)
+    assert not (run / LOCK_FILE).exists()
