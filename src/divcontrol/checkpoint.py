@@ -88,33 +88,6 @@ def save_checkpoint(path, state: CheckpointState) -> None:
 _U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))
 
 
-class _Reader:
-    """Reads a checkpoint's bytes in order, through views of one buffer."""
-
-    def __init__(self, data: bytes, path):
-        self.data = memoryview(data)
-        self.pos = 0
-        self.path = path
-
-    def read(self, n: int, what: str, block: str | None = None) -> memoryview:
-        if self.pos + n > len(self.data):
-            if block is not None:
-                what = f"{what} of block '{block}'"
-            raise CheckpointError(f"{self.path}: truncated while reading {what}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: struct.Struct, what: str, block: str | None = None):
-        return fmt.unpack(self.read(fmt.size, what, block))[0]
-
-    def text(self, raw: memoryview, what: str) -> str:
-        try:
-            return str(raw, "utf-8")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"{self.path}: {what} is not UTF-8 (corrupt data)") from e
-
-
 def load_checkpoint(path) -> CheckpointState:
     """Read a checkpoint. Its arrays are read-only views of the file's bytes,
     so a caller that keeps or changes one copies it."""
@@ -123,36 +96,55 @@ def load_checkpoint(path) -> CheckpointState:
             data = fh.read()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint '{path}': {e}") from e
-    r = _Reader(data, path)
-    if r.read(4, "magic") != MAGIC:
+    view, pos = memoryview(data), 0
+
+    def read(n: int, what: str, block: str | None = None) -> memoryview:
+        nonlocal pos
+        if pos + n > len(view):
+            if block is not None:
+                what = f"{what} of block '{block}'"
+            raise CheckpointError(f"{path}: truncated while reading {what}")
+        pos += n
+        return view[pos - n:pos]
+
+    def unpack(fmt: struct.Struct, what: str, block: str | None = None):
+        return fmt.unpack(read(fmt.size, what, block))[0]
+
+    def text(raw: memoryview, what: str) -> str:
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: {what} is not UTF-8 (corrupt data)") from e
+
+    if read(4, "magic") != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    version = r.unpack(_U32, "version")
+    version = unpack(_U32, "version")
     if version > FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {version} is newer than this build "
             f"({FORMAT_VERSION})")
-    digest = bytes(r.read(32, "config digest"))
-    step = r.unpack(_U64, "step")
-    n_blocks = r.unpack(_U32, "block count")
+    digest = bytes(read(32, "config digest"))
+    step = unpack(_U64, "step")
+    n_blocks = unpack(_U32, "block count")
     state = CheckpointState(step=step, config_digest=digest)
     for _ in range(n_blocks):
-        name_len = r.unpack(_U16, "block name length")
-        name = r.text(r.read(name_len, "block name"), "block name")
-        tag = r.unpack(_U8, "dtype", name)
+        name_len = unpack(_U16, "block name length")
+        name = text(read(name_len, "block name"), "block name")
+        tag = unpack(_U8, "dtype", name)
         if tag not in (_DTYPE_F64, _DTYPE_I64, _DTYPE_BYTES):
             raise CheckpointError(f"{path}: block '{name}' has unknown dtype tag {tag}")
         shape = None
         if tag != _DTYPE_BYTES:
-            ndim = r.unpack(_U8, "ndim", name)
-            shape = struct.unpack(f"<{ndim}Q", r.read(8 * ndim, "shape", name))
-        nbytes = r.unpack(_U64, "length", name)
-        payload = r.read(nbytes, "payload", name)
-        crc = r.unpack(_U32, "checksum", name)
+            ndim = unpack(_U8, "ndim", name)
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, "shape", name))
+        nbytes = unpack(_U64, "length", name)
+        payload = read(nbytes, "payload", name)
+        crc = unpack(_U32, "checksum", name)
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise CheckpointError(
                 f"{path}: block '{name}' failed its checksum (corrupt data)")
         if tag == _DTYPE_BYTES:
-            state.meta[name.removeprefix("meta/")] = r.text(payload, f"block '{name}'")
+            state.meta[name.removeprefix("meta/")] = text(payload, f"block '{name}'")
             continue
         expected = 8 * math.prod(shape)
         if len(payload) != expected:
@@ -164,6 +156,6 @@ def load_checkpoint(path) -> CheckpointState:
         state.arrays[name] = arr.astype(native, copy=False)
     if len(state.arrays) + len(state.meta) != n_blocks:  # a later block replaced one
         raise CheckpointError(f"{path}: a block name appears more than once")
-    if r.pos != len(data):
-        raise CheckpointError(f"{path}: {len(data) - r.pos} trailing bytes")
+    if pos != len(data):
+        raise CheckpointError(f"{path}: {len(data) - pos} trailing bytes")
     return state

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .conditions import apply_condition, default_registry, render_images
+from .conditions import DatasetBank, default_registry
 from .config import resolve_config
 from .errors import ContractError
 from .rng import stream
@@ -235,12 +235,10 @@ def build_e2e_case(seed: int = 0):
     """(loss closure, params) for the one-layer end-to-end objective."""
     cfg = micro_config(seed)
     bundle = build_diversion_bundle(cfg)
-    registry = default_registry()
+    bank = DatasetBank(seed, 2, default_registry(), cfg.image_size)
     gen = stream(seed, "e2e-data")
-    x0 = render_images(seed, 0, 2, cfg.image_size)
-    cond_idx = np.array([0, 2])
-    x_cond = np.concatenate([apply_condition(x0[i:i + 1], registry[c])
-                             for i, c in enumerate(cond_idx)])
+    x0, cond_idx = bank.images, np.array([0, 2])
+    x_cond = bank.conditioned(np.arange(2), cond_idx)
     t_idx = gen.integers(0, cfg.timesteps, 2)
     eps = gen.standard_normal(x0.shape)
     # make routing non-uniform so selection is meaningful, then freeze it

@@ -2,8 +2,8 @@
 
 The denoiser is a tiny pre-norm transformer over image patches
 (single-head attention q/k/v/o plus a two-layer MLP in/out, residuals
-everywhere). The condition branch mirrors it, but stores its six
-projections per layer as FactorizedWeight and injects its per-layer
+everywhere). The condition branch mirrors it, but keeps each of its six
+projections per layer as the SVD factors below and injects its per-layer
 token features additively into the denoiser through zero-initialized
 projections, so at step 0 the condition contributes exactly nothing.
 Both networks make and run each layer with ``_Network._layer`` and
@@ -11,7 +11,8 @@ Both networks make and run each layer with ``_Network._layer`` and
 Every network, pass and schedule takes its sizes, seeds and dropout
 rate from the run's ``RunConfig``.
 
-A FactorizedWeight keeps the leading rank-1 triples (u_i, sigma_i, v_i)
+A projection's ``FactorizedWeight`` record holds the six factor tensors
+``T.factorized_linear`` takes, the leading rank-1 triples (u_i, sigma_i, v_i)
 of one SVD of W (``svd_blocks``): ``n_learngene`` learngenes of largest
 sigma with coefficient 1, then ``n_tailor`` tailors scaled per condition
 by gated coefficients g_j, so that
@@ -36,6 +37,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,14 +65,10 @@ def patchify(x: np.ndarray, patch: int) -> np.ndarray:
 
 
 def unpatchify(tokens: np.ndarray, image_size: int, patch: int) -> np.ndarray:
-    single = tokens.ndim == 2
-    if single:
-        tokens = tokens[None]
     b = tokens.shape[0]
     nh = image_size // patch
     t = tokens.reshape(b, nh, nh, patch, patch).transpose(0, 1, 3, 2, 4)
-    t = t.reshape(b, image_size, image_size)
-    return t[0] if single else t
+    return t.reshape(b, image_size, image_size)
 
 
 def _kaiming_uniform(gen, out_dim: int, in_dim: int) -> np.ndarray:
@@ -152,25 +150,16 @@ class DenoiserNet(_Network):
         self.head_b = self._full("head_b", 0.0, p)
 
 
-class FactorizedWeight:
-    """One projection as its learngene triple ``u_g``/``s_g``/``v_g`` and its
-    tailor triple ``u_t``/``s_t``/``v_t``, kept apart so that either group can
-    be frozen or replaced. Arrays become trainable tensors; tensors are kept."""
+class FactorizedWeight(NamedTuple):
+    """A projection's learngene and tailor triples, apart so that either can
+    be frozen or replaced, in the argument order of ``T.factorized_linear``."""
 
-    def __init__(self, u_g, s_g, v_g, u_t, s_t, v_t):
-        self.u_g, self.s_g, self.v_g, self.u_t, self.s_t, self.v_t = (
-            a if isinstance(a, Tensor) else Tensor(a, requires_grad=True)
-            for a in (u_g, s_g, v_g, u_t, s_t, v_t))
-        if self.u_g.shape[1] != self.s_g.size or self.v_g.shape[1] != self.s_g.size:
-            raise ContractError("learngene block shapes disagree")
-        if self.u_t.shape[1] != self.s_t.size or self.v_t.shape[1] != self.s_t.size:
-            raise ContractError("tailor block shapes disagree")
-        if self.u_g.shape[0] != self.u_t.shape[0] or self.v_g.shape[0] != self.v_t.shape[0]:
-            raise ContractError("learngene and tailor blocks disagree on matrix shape")
-
-    @property
-    def n_tailor(self) -> int:
-        return self.s_t.size
+    u_g: Tensor
+    s_g: Tensor
+    v_g: Tensor
+    u_t: Tensor
+    s_t: Tensor
+    v_t: Tensor
 
 
 def svd_blocks(w, n_learngene: int, n_tailor: int) -> dict:
@@ -214,7 +203,7 @@ def masked_gradient_apply(fw: FactorizedWeight, active) -> float:
     clears it. ``active`` is an iterable of active tailor indices.
     """
     active = set(active)
-    inactive = [j for j in range(fw.n_tailor) if j not in active]
+    inactive = [j for j in range(fw.s_t.size) if j not in active]
     if not inactive:
         return 0.0
     residual = 0.0
@@ -525,8 +514,7 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
     x = T.add(x, T.gather_rows(branch.time_table, t_idx[:, None]))
 
     def project(h, fw):
-        return T.factorized_linear(h, fw.u_g, fw.s_g, fw.v_g,
-                                   fw.u_t, fw.s_t, fw.v_t, coeff_rows)
+        return T.factorized_linear(h, *fw, coeff_rows)
 
     injections = []
     f_cond = None

@@ -30,8 +30,8 @@ class MetricsWriter:
         if resume_step > 0 and os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-            kept = lines[:1] + [ln for ln in lines[1:] if ln.endswith("\n")
-                                and int(ln.split(",", 1)[0]) <= resume_step]
+            kept = lines[:1] + [ln for i, ln in enumerate(lines[1:], 2) if ln.endswith("\n")
+                                and _numbers(self.path, i, ln)[0] <= resume_step]
             if len(kept) < len(lines):
                 replace_file(self.path, "".join(kept))
             self._fh = open(self.path, "a", encoding="utf-8")
@@ -42,10 +42,8 @@ class MetricsWriter:
 
     def write(self, step: int, l_diff: float, l_repa: float, l_total: float,
               lr: float, per_condition) -> None:
-        row = [str(step)] + [repr(float(v))
-                             for v in (l_diff, l_repa, l_total, lr)]
-        row += [repr(float(v)) for v in per_condition]
-        self._fh.write(",".join(row) + "\n")
+        values = (l_diff, l_repa, l_total, lr, *per_condition)
+        self._fh.write(",".join([str(step)] + [repr(float(v)) for v in values]) + "\n")
 
     def flush(self) -> None:
         self._fh.flush()
@@ -56,15 +54,22 @@ class MetricsWriter:
         self._fh.close()
 
 
+def _numbers(path, lineno: int, line: str) -> list:
+    """The comma-separated numbers on line ``lineno`` of the file ``path``."""
+    try:
+        return [float(v) for v in line.split(",")]
+    except ValueError as e:
+        raise ContractError(f"{path}, line {lineno}: {e}") from None
+
+
 def read_metrics(run_dir):
     path = os.path.join(run_dir, METRICS_FILE)
     if not os.path.exists(path):
         raise ContractError(f"no metrics found under '{run_dir}'")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    return header, rows
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    header = lines[0][1].split(",")
+    return header, [_numbers(path, i, ln) for i, ln in lines[1:]]
 
 
 def export_metrics(run_dir, extra: dict | None = None) -> dict:
@@ -82,9 +87,8 @@ def export_metrics(run_dir, extra: dict | None = None) -> dict:
         summary["steps_recorded"] = len(rows)
         summary["final"] = {k: last[k] for k in header}
         tail = rows[-min(100, len(rows)):]
-        idx = {name: i for i, name in enumerate(header)}
-        summary["final_100_mean_l_diff"] = float(
-            np.mean([r[idx["l_diff"]] for r in tail]))
+        i = header.index("l_diff")
+        summary["final_100_mean_l_diff"] = float(np.mean([r[i] for r in tail]))
     replace_file(os.path.join(run_dir, SUMMARY_FILE),
                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ def apply_factorized(x, fw, rows):
 
 
 def factorize(w, n_g, n_t):
-    return FactorizedWeight(**svd_blocks(w, n_g, n_t))
+    return FactorizedWeight(**{part: Tensor(a, requires_grad=True)
+                               for part, a in svd_blocks(w, n_g, n_t).items()})
 
 
 def brute_force_compose(fw, g):
@@ -22,7 +25,7 @@ def brute_force_compose(fw, g):
     w = np.zeros((fw.u_g.shape[0], fw.v_g.shape[0]))
     for i in range(fw.s_g.size):
         w += fw.s_g.data[i] * np.outer(fw.u_g.data[:, i], fw.v_g.data[:, i])
-    for j in range(fw.n_tailor):
+    for j in range(fw.s_t.size):
         w += g[j] * fw.s_t.data[j] * np.outer(fw.u_t.data[:, j], fw.v_t.data[:, j])
     return w
 
@@ -43,6 +46,14 @@ def columns(fw):
 def random_fw(rng, out_dim, in_dim, n_g, n_t):
     w = rng.standard_normal((out_dim, in_dim))
     return factorize(w, n_g, n_t), w
+
+
+def test_record_fields_are_factorized_linear_arguments_in_order():
+    # the branch projects with T.factorized_linear(h, *fw, rows), so fields
+    # out of this order would swap two factors without any error
+    x, *factors, c = inspect.signature(T.factorized_linear).parameters
+    assert (x, c) == ("x", "c")
+    assert FactorizedWeight._fields == tuple(factors)
 
 
 def test_svd_diagonal_case():
@@ -81,7 +92,7 @@ def test_svd_truncation():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((6, 6))
     fw = factorize(w, 2, 1)
-    assert fw.s_g.size == 2 and fw.n_tailor == 1
+    assert fw.s_g.size == 2 and fw.s_t.size == 1
     _, s, _ = np.linalg.svd(w)
     expected_err = np.linalg.norm(s[3:]) / np.linalg.norm(w)
     got_err = np.linalg.norm(w - brute_force_compose(fw, np.ones(1))) / np.linalg.norm(w)
@@ -94,7 +105,7 @@ def test_partition_learngenes_take_top_sigma():
     fw = factorize(w, 2, 4)
     s = np.linalg.svd(w, compute_uv=False)
     assert np.allclose(fw.s_g.data, s[:2]) and np.allclose(fw.s_t.data, s[2:])
-    assert fw.s_g.size == 2 and fw.n_tailor == 4
+    assert fw.s_g.size == 2 and fw.s_t.size == 4
 
 
 def test_partition_rejects_bad_split():
@@ -173,7 +184,7 @@ def test_apply_factorized_is_bit_identical_to_unfused_chain():
     fws = [random_fw(rng, 6, 5, 2, 3)[0] for _ in range(2)]
     x = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
     rows = Tensor(np.array([[[0.5, 0.0, 0.2]], [[0.3, 0.0, 0.0]]]), requires_grad=True)
-    leaves = [x, rows] + [t for fw in fws for t in vars(fw).values()]
+    leaves = [x, rows] + [t for fw in fws for t in fw]
     results = []
     for project in (apply_factorized, unfused_apply):
         T.zero_grads(leaves)
@@ -253,7 +264,7 @@ def test_training_moves_parameters_freely():
     fw, _ = random_fw(rng, 4, 4, 2, 2)
     init = brute_force_compose(fw, np.ones(2))
     target = rng.standard_normal((4, 4))
-    params = dict(vars(fw))
+    params = fw._asdict()
     opt = AdamW(params, lr=1e-2)
     for _ in range(100):
         # the identity's image is W~.T, so this pulls W~ towards target.T

@@ -224,7 +224,7 @@ def test_gradient_flow_repa_and_branch():
     for t in head.tensors().values():
         assert t.grad is not None and np.abs(t.grad).max() > 0
     branch_grads = [t.grad for fw in branch.factorized_weights()
-                    for t in vars(fw).values() if t.grad is not None]
+                    for t in fw if t.grad is not None]
     assert branch_grads and max(np.abs(g).max() for g in branch_grads) > 0
     # frozen encoder is a plain array: structurally outside the tape
     assert not any(name.endswith("enc_w") for name in head.tensors())
@@ -276,7 +276,8 @@ def test_factorized_branch_matches_dense_twin():
                 fw = blk[tag]
                 w = sum(u.data * s.data @ v.data.T for u, s, v in (
                     (fw.u_g, fw.s_g, fw.v_g), (fw.u_t, fw.s_t, fw.v_t)))
-                dense[tag] = FactorizedWeight(**svd_blocks(w, min(w.shape), 0))
+                dense[tag] = FactorizedWeight(**{part: Tensor(a) for part, a in
+                                                 svd_blocks(w, min(w.shape), 0).items()})
             twin.blocks.append(dense)
         inj_d, fc_d = branch_forward(twin, cfg, xc, t_idx, Tensor(np.ones((2, 1, 0))))
     assert np.abs(fc_f.data - fc_d.data).max() < 1e-10

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from divcontrol import runio
 from divcontrol.checkpoint import CheckpointState, save_checkpoint
 from divcontrol.errors import ContractError
 from divcontrol.runio import (LOCK_FILE, METRICS_FILE, RESOLVED_CONFIG_FILE,
-                              export_metrics, run_lock, write_resolved_config)
+                              MetricsWriter, export_metrics, read_metrics, run_lock,
+                              write_resolved_config)
 
 
 def test_second_acquisition_fails_and_keeps_the_holders_lock(tmp_path):
@@ -74,6 +76,21 @@ def test_failed_checkpoint_and_summary_writes_keep_the_previous_files(
         export_metrics(tmp_path, extra={"k": "v"})
     # the old files are intact and no temp file is left behind
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_unparsable_metrics_rows_raise_contract_errors_naming_file_and_line(tmp_path):
+    path = tmp_path / METRICS_FILE
+    text = "step,l_diff\n1,0.25\nxx,0.5\n"
+    path.write_text(text)
+    where = re.escape(f"{path}, line 3: ")
+    with pytest.raises(ContractError, match=where + ".*'xx'"):
+        MetricsWriter(tmp_path, [], resume_step=5)
+    assert path.read_text() == text   # the resume changed nothing
+    with pytest.raises(ContractError, match=where + ".*'xx'"):
+        read_metrics(tmp_path)
+    path.write_text("step,l_diff\n1,0.25\n\n2,oops\n")   # blank lines count too
+    with pytest.raises(ContractError, match=re.escape(f"{path}, line 4: ") + ".*'oops'"):
+        read_metrics(tmp_path)
 
 
 class _FailsMidWrite:
