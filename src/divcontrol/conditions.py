@@ -4,6 +4,9 @@ Images are 16x16 grayscale in [-1, 1]: one to three anti-aliased
 primitives (disk, rectangle, line) over a shaded linear-gradient
 background, fully regenerable from (seed, index). The renderer and every
 transform take and return (N, H, W) stacks; a bank calls them per 256 images.
+The edge and blur filters are sums of shifted slices of the padded stack,
+taken in the order the per-image einsum they replaced summed, so each
+condition image keeps that einsum's bytes.
 
 The registry pairs each condition with a fixed instruction string; the
 instructions carry the routing semantics, so related conditions share
@@ -155,20 +158,42 @@ def render_images(seed: int, start: int, stop: int, size: int = IMAGE_SIZE,
 # transforms: each maps an (N, H, W) stack to an (N, H, W) stack
 # ----------------------------------------------------------------------
 
-def _conv2_symmetric(imgs, *kernels):
-    """The stack correlated with each same-sized kernel, from one window view."""
-    k = kernels[0].shape[0] // 2
-    padded = np.pad(imgs, ((0, 0), (k, k), (k, k)), mode="symmetric")
-    win = np.lib.stride_tricks.sliding_window_view(padded, kernels[0].shape, axis=(1, 2))
-    return [np.einsum("nijkl,kl->nij", win, kernel) for kernel in kernels]
+def _pad(imgs, k):
+    return np.pad(imgs, ((0, 0), (k, k), (k, k)), mode="symmetric")
 
 
-_SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=float)
+def _correlate(imgs, kernel):
+    """The stack correlated with a C-ordered, odd-sized ``kernel`` under
+    symmetric padding. It sums in the order numpy 2.4.6's
+    ``einsum("nijkl,kl->nij")`` over a window view was measured to use, so it
+    gives that einsum's bytes: rows top to bottom, each row's even-indexed
+    taps in order plus its odd-indexed taps in order, into a total that
+    starts at 0.0 as einsum's zeroed output did. For an F-ordered kernel,
+    such as the transposed Sobel kernel, einsum summed each row in sequence
+    instead, so ``_edge_sobel`` has its own difference form."""
+    _, h, w = imgs.shape
+    padded = _pad(imgs, kernel.shape[0] // 2)
+    scaled = {t: t * padded for t in set(kernel.flat)}  # one product per tap value
+    total = 0.0
+    for r, row in enumerate(kernel):
+        taps = [scaled[t][:, r:r + h, c:c + w] for c, t in enumerate(row)]
+        total = total + (sum(taps[2::2], taps[0]) + sum(taps[3::2], taps[1]))
+    return total
+
+
 _LAPLACE = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=float)
 
 
 def _edge_sobel(imgs, binary):
-    gx, gy = _conv2_symmetric(imgs, _SOBEL_X, _SOBEL_X.T)
+    """Sobel magnitude from differences of shifted slices, with the bytes of
+    an einsum with the Sobel kernel and its transpose: the taps ±1 and ±2
+    make exact products, and the zero taps einsum added change only the sign
+    of an exact zero, which ``hypot`` drops."""
+    p = _pad(imgs, 1)
+    d = p[:, :, 2:] - p[:, :, :-2]              # right - left
+    gx = (d[:, :-2] + 2 * d[:, 1:-1]) + d[:, 2:]
+    s = (p[:, :, :-2] + 2 * p[:, :, 1:-1]) + p[:, :, 2:]  # left + 2 mid + right
+    gy = s[:, 2:] - s[:, :-2]
     mag = np.clip(np.hypot(gx, gy) / 4.0, 0.0, 1.0)
     if binary:
         return (mag > 0.25).astype(float)
@@ -176,12 +201,12 @@ def _edge_sobel(imgs, binary):
 
 
 def _edge_laplacian(imgs):
-    return np.clip(np.abs(_conv2_symmetric(imgs, _LAPLACE)[0]) / 4.0, 0.0, 1.0)
+    return np.clip(np.abs(_correlate(imgs, _LAPLACE)) / 4.0, 0.0, 1.0)
 
 
 def _blur_box(imgs, width):
     kernel = np.full((width, width), 1.0 / (width * width))
-    return _conv2_symmetric(imgs, kernel)[0]
+    return _correlate(imgs, kernel)
 
 
 def _pixelate(imgs):

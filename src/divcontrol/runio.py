@@ -39,6 +39,7 @@ class MetricsWriter:
             self._fh = open(self.path, "w", encoding="utf-8")
             self._fh.write(",".join(["step", "l_diff", "l_repa", "l_total", "lr"]
                                     + [f"cond_{c}" for c in condition_ids]) + "\n")
+            self.flush()  # a run killed before its first checkpoint keeps its header
 
     def write(self, step: int, l_diff: float, l_repa: float, l_total: float,
               lr: float, per_condition) -> None:
@@ -68,6 +69,8 @@ def read_metrics(run_dir):
         raise ContractError(f"no metrics found under '{run_dir}'")
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines:
+        raise ContractError(f"{path} is empty: it has no header line")
     header = lines[0][1].split(",")
     return header, [_numbers(path, i, ln) for i, ln in lines[1:]]
 
@@ -97,7 +100,11 @@ def export_metrics(run_dir, extra: dict | None = None) -> dict:
 def replace_file(path, data) -> None:
     """Write ``data`` (text as UTF-8, bytes, or an iterable of byte chunks
     written in turn) to ``path`` through the temp file ``<path>.tmp`` and an
-    atomic rename; an error removes the temp file."""
+    atomic rename; an error removes the temp file.
+
+    The temp file is fsynced before the rename, so the rename cannot reach
+    the disk ahead of the data, and the directory after it, so the rename
+    itself survives a power loss."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     if isinstance(data, bytes):
@@ -107,7 +114,14 @@ def replace_file(path, data) -> None:
         # a buffer this size gathers a checkpoint's small chunks into few writes
         with open(tmp, "wb", buffering=1 << 18) as fh:
             fh.writelines(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except BaseException:
         with suppress(FileNotFoundError):
             os.unlink(tmp)

@@ -86,6 +86,30 @@ def test_bank_is_byte_equal_to_the_per_image_oracle(oracle_banks, image_stream, 
         assert got.tobytes() == expected[:size].tobytes(), bank.specs[c].condition_id
 
 
+def _filter_inputs(fill, n, size):
+    rng = np.random.default_rng([n, size])
+    if fill == "clipped":   # about a third of the pixels sit at exactly -1 or 1
+        return np.clip(rng.normal(0.0, 1.0, (n, size, size)), -1.0, 1.0)
+    if fill == "constant":  # Sobel and Laplacian responses are exact zeros
+        values = rng.choice([-1.0, 1.0, 0.37, -1 / 3, *rng.uniform(-1, 1, 4)], n)
+        return np.broadcast_to(values[:, None, None], (n, size, size)).copy()
+    return np.full((n, size, size), {"zero": 0.0, "negative-zero": -0.0}[fill])
+
+
+@pytest.mark.parametrize("fill", ["clipped", "constant", "zero", "negative-zero"])
+@pytest.mark.parametrize("n", [1, _BLOCK + 1])
+@pytest.mark.parametrize("size", [8, 12, 16])
+def test_every_transform_is_byte_equal_to_the_per_image_oracle(fill, n, size):
+    # the oracle's einsum fixes the summation order; stacks of each size
+    # and of one image or more than a block, on inputs rendering never makes
+    images = _filter_inputs(fill, n, size)
+    for spec in default_registry():
+        expected = np.stack([oracle.apply_condition(img, spec) for img in images])
+        got = apply_condition(images, spec)
+        assert got.shape == images.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes(), spec.condition_id
+
+
 def test_apply_condition_rejects_a_single_image():
     with pytest.raises(ContractError, match=r"\(N, H, W\) stack"):
         apply_condition(np.zeros((16, 16)), find_condition("edge"))

@@ -93,6 +93,50 @@ def test_unparsable_metrics_rows_raise_contract_errors_naming_file_and_line(tmp_
         read_metrics(tmp_path)
 
 
+def test_empty_metrics_file_raises_a_contract_error_naming_it(tmp_path):
+    path = tmp_path / METRICS_FILE
+    path.write_text("")
+    with pytest.raises(ContractError, match=re.escape(f"{path} is empty")):
+        read_metrics(tmp_path)
+    with pytest.raises(ContractError, match=re.escape(f"{path} is empty")):
+        export_metrics(tmp_path)
+
+
+def test_new_metrics_file_holds_its_header_before_the_first_flush(tmp_path):
+    writer = MetricsWriter(tmp_path, ["edge", "blur"])
+    try:
+        # a run killed here, before any row, leaves a readable file
+        assert (tmp_path / METRICS_FILE).read_text() == (
+            "step,l_diff,l_repa,l_total,lr,cond_edge,cond_blur\n")
+        assert read_metrics(tmp_path) == (
+            ["step", "l_diff", "l_repa", "l_total", "lr", "cond_edge", "cond_blur"], [])
+    finally:
+        writer.close()
+
+
+def test_replace_file_fsyncs_the_file_before_the_rename_and_the_directory_after(
+        tmp_path, monkeypatch):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def record_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        calls.append(("replace", str(src), str(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(runio.os, "fsync", record_fsync)
+    monkeypatch.setattr(runio.os, "replace", record_replace)
+    path = tmp_path / "summary.json"
+    runio.replace_file(path, "{}\n")
+    assert path.read_text() == "{}\n"
+    assert calls == [("fsync", path.stat().st_ino),   # the temp file, renamed to path
+                     ("replace", f"{path}.tmp", str(path)),
+                     ("fsync", tmp_path.stat().st_ino)]
+
+
 class _FailsMidWrite:
     """A file that takes half the chunks it is given, then reports a full disk."""
 
