@@ -241,17 +241,12 @@ def build_e2e_case(seed: int = 0):
     x_cond = bank.conditioned(np.arange(2), cond_idx)
     t_idx = gen.integers(0, cfg.timesteps, 2)
     eps = gen.standard_normal(x0.shape)
-    # make routing non-uniform so selection is meaningful, then freeze it
+    # make routing non-uniform so selection is meaningful
     bundle.gate.w2.data = 0.3 * gen.standard_normal(bundle.gate.w2.shape)
-    with T.no_grad():
-        _, frozen_active = _routing_rows(bundle, cond_idx, record=False)
-    # pin the active set: selection is treated as a constant per step
-    mask = np.zeros(bundle.gate.n_tailor)
-    mask[list(frozen_active)] = 1.0
 
     def loss():
         rows, _ = _routing_rows(bundle, cond_idx, record=False)
-        return _objective(bundle, x0, x_cond, t_idx, eps, T.mul(rows, mask))[2]
+        return _objective(bundle, x0, x_cond, t_idx, eps, rows)[2]
 
     return loss, bundle.params()
 

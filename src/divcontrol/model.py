@@ -453,9 +453,7 @@ def forward_noise(z0: np.ndarray, t, eps: np.ndarray,
     t = np.asarray(t)
     if (t < 0).any() or (t >= sched.timesteps).any():
         raise ContractError(f"t out of range [0, {sched.timesteps})")
-    ab = sched.alpha_bar[t]
-    if t.ndim:
-        ab = ab.reshape((-1,) + (1,) * (z0.ndim - 1))
+    ab = sched.alpha_bar[t].reshape((-1,) + (1,) * (z0.ndim - 1))
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 

@@ -20,14 +20,14 @@ LOCK_FILE = ".divc-lock"
 class MetricsWriter:
     """Append-only CSV stream; one row per optimizer step.
 
-    ``resume_step`` > 0 continues an existing file from that step: rows past
+    ``resume_step`` > 0 continues a non-empty file from that step: rows past
     it, written by a run that died after its last checkpoint, are dropped
-    first. 0 starts a new file.
+    first. 0, or a missing or empty file, starts a new file.
     """
 
     def __init__(self, run_dir, condition_ids, resume_step: int = 0):
         self.path = os.path.join(run_dir, METRICS_FILE)
-        if resume_step > 0 and os.path.exists(self.path):
+        if resume_step > 0 and os.path.exists(self.path) and os.path.getsize(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
             kept = lines[:1] + [ln for i, ln in enumerate(lines[1:], 2) if ln.endswith("\n")

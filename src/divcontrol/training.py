@@ -143,8 +143,7 @@ def _on_base(cfg: RunConfig, base_ckpt_path):
     the adapter is drawn and every other parameter read from the base."""
     if not cfg.run.needs_base:
         raise ContractError("adaptation requires mode = adapt_frozen")
-    state = load_checkpoint(base_ckpt_path)
-    base_cfg = _config_of(state, base_ckpt_path)
+    state, base_cfg = _load(base_ckpt_path)
     if base_cfg.run.adapts:
         raise ContractError(
             f"adaptation needs a diversion-mode base checkpoint; "
@@ -169,23 +168,19 @@ def build_adapt_bundle(cfg: RunConfig, base_ckpt_path) -> ModelBundle:
 # checkpoint wiring
 # ----------------------------------------------------------------------
 
-def bundle_state(bundle: ModelBundle, opt: AdamW | None, step: int,
-                 cond_ema: np.ndarray, cond_seen: np.ndarray,
+def bundle_state(bundle: ModelBundle, opt: AdamW, step: int, metrics: RunMetrics,
                  extra_meta: dict | None = None) -> CheckpointState:
     cfg = bundle.cfg
-    arrays = {}
-    for name, t in bundle.params().items():
-        arrays["param/" + name] = t.data
-    if opt is not None:
-        for name in opt.params:
-            arrays["opt/m/" + name] = opt.m[name]
-            arrays["opt/v/" + name] = opt.v[name]
-        arrays["opt/t"] = np.array([opt.step_count], dtype=np.int64)
+    arrays = {"param/" + name: t.data for name, t in bundle.params().items()}
+    for name in opt.params:
+        arrays["opt/m/" + name] = opt.m[name]
+        arrays["opt/v/" + name] = opt.v[name]
+    arrays["opt/t"] = np.array([opt.step_count], dtype=np.int64)
     arrays["gate/balance_bias"] = bundle.gate.balance_bias
-    arrays["gate/usage"] = bundle.gate.usage_count.astype(np.int64)
-    arrays["gate/batch"] = bundle.gate.batch_count.astype(np.int64)
-    arrays["metrics/cond_ema"] = cond_ema
-    arrays["metrics/cond_seen"] = cond_seen.astype(np.int64)
+    arrays["gate/usage"] = bundle.gate.usage_count
+    arrays["gate/batch"] = bundle.gate.batch_count
+    arrays["metrics/cond_ema"] = metrics.cond_ema
+    arrays["metrics/cond_seen"] = metrics.cond_seen
     meta = {"config_text": resolved_text(cfg),
             "condition_ids": ",".join(s.condition_id for s in bundle.specs)}
     meta.update(extra_meta or {})
@@ -193,27 +188,29 @@ def bundle_state(bundle: ModelBundle, opt: AdamW | None, step: int,
                            arrays=arrays, meta=meta)
 
 
-def _block(state: CheckpointState, key: str, shape=None) -> np.ndarray:
+def _block(state: CheckpointState, key: str, shape) -> np.ndarray:
     """Copy of block ``key``; CheckpointError if it is missing or not ``shape``."""
     if key not in state.arrays:
         raise CheckpointError(f"checkpoint missing block '{key}'")
     arr = state.arrays[key]
-    if shape is not None and arr.shape != shape:
+    if arr.shape != shape:
         raise CheckpointError(f"block '{key}' shape {arr.shape} != expected {shape}")
     return arr.copy()
 
 
-def _config_of(state: CheckpointState, path) -> RunConfig:
-    """The config a checkpoint was written under. CheckpointError when it
-    stores no config text, or when its header digest is not the text's
-    ``config_digest``: the header lies outside every checksum."""
+def _load(path) -> tuple:
+    """(state, cfg) of checkpoint ``path``, ``cfg`` the config it was written
+    under. CheckpointError when it stores no config text, or when its header
+    digest is not the text's ``config_digest``: the header lies outside
+    every checksum."""
+    state = load_checkpoint(path)
     if "config_text" not in state.meta:
         raise CheckpointError(f"{path}: checkpoint stores no config text")
     cfg = resolve_config(state.meta["config_text"])
     if config_digest(cfg) != state.config_digest:
         raise CheckpointError(f"{path}: header config digest does not match "
                               "the stored config text")
-    return cfg
+    return state, cfg
 
 
 def _stored(state: CheckpointState):
@@ -221,27 +218,21 @@ def _stored(state: CheckpointState):
     return lambda name, shape, draw: _block(state, "param/" + name, shape)
 
 
-def load_bundle_arrays(bundle: ModelBundle, state: CheckpointState,
-                       opt: AdamW | None = None) -> None:
-    """Load the gate state and, given ``opt``, the optimizer moments of a
-    bundle built from ``_stored(state)``."""
+def _restored(path) -> tuple:
+    """(bundle, state): the bundle checkpoint ``path`` was written from, in
+    its mode and with its gate state, and the checkpoint it was read from."""
+    state, cfg = _load(path)
+    bundle = _bundle(cfg, _stored(state))
     n_t = (bundle.gate.n_tailor,)
     bundle.gate.balance_bias = _block(state, "gate/balance_bias", n_t)
     bundle.gate.usage_count = _block(state, "gate/usage", n_t)
     bundle.gate.batch_count = _block(state, "gate/batch", n_t)
-    if opt is not None:
-        for name, p in opt.params.items():
-            opt.m[name] = _block(state, "opt/m/" + name, p.data.shape)
-            opt.v[name] = _block(state, "opt/v/" + name, p.data.shape)
-        opt.step_count = int(_block(state, "opt/t", (1,))[0])
+    return bundle, state
 
 
 def restore_bundle(ckpt_path) -> ModelBundle:
     """Rebuild the bundle a checkpoint was written from, in its mode."""
-    state = load_checkpoint(ckpt_path)
-    bundle = _bundle(_config_of(state, ckpt_path), _stored(state))
-    load_bundle_arrays(bundle, state)
-    return bundle
+    return _restored(ckpt_path)[0]
 
 
 # ----------------------------------------------------------------------
@@ -268,20 +259,18 @@ def _routing_rows(bundle: ModelBundle, cond_idx: np.ndarray,
     toward the balance statistics.
     """
     gate = bundle.gate
-    unique = sorted(set(int(c) for c in cond_idx))
-    g_rows, position = [], {}
-    active_union: set = set()
-    for ui, c in enumerate(unique):
+    unique, position, counts = np.unique(cond_idx, return_inverse=True,
+                                         return_counts=True)
+    g_rows, active_union = [], set()
+    for c, n in zip(unique, counts):
         alpha = route(gate, bundle.embeddings[c])
         g, active = topk_select(alpha, gate)
         if record:
-            record_usage(gate, active, count=int((cond_idx == c).sum()))
+            record_usage(gate, active, count=int(n))
         active_union |= set(active)
         g_rows.append(g)
-        position[c] = ui
     stacked = g_rows[0] if len(g_rows) == 1 else T.concat(g_rows)
-    idx = np.array([position[int(c)] for c in cond_idx])
-    rows = T.gather_rows(stacked, idx[:, None])
+    rows = T.gather_rows(stacked, position[:, None])
     return rows, active_union
 
 
@@ -329,7 +318,7 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
         opt = _new_optimizer(bundle)
     if metrics is None:
         metrics = RunMetrics(cond_ema=np.zeros(len(bundle.specs)),
-                             cond_seen=np.zeros(len(bundle.specs)))
+                             cond_seen=np.zeros(len(bundle.specs), dtype=np.int64))
     os.makedirs(out_dir, exist_ok=True)
     writer = MetricsWriter(out_dir, [s.condition_id for s in bundle.specs],
                            resume_step=start_step)
@@ -348,7 +337,7 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
             if not (np.isfinite(l_total) and np.isfinite(l_repa)):
                 snap = os.path.join(out_dir, f"nan-snapshot-step{s + 1}.divc")
                 save_checkpoint(snap, bundle_state(
-                    bundle, opt, s, metrics.cond_ema, metrics.cond_seen,
+                    bundle, opt, s, metrics,
                     {"abort": f"non-finite loss at step {s + 1}"}))
                 raise NumericError(
                     f"non-finite loss at step {s + 1}; snapshot: {snap}")
@@ -375,14 +364,12 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
                 metrics.seconds_per_100.append(time.monotonic() - t_block)
                 t_block = time.monotonic()
                 writer.flush()
-                save_checkpoint(ckpt_path, bundle_state(
-                    bundle, opt, s + 1, metrics.cond_ema, metrics.cond_seen))
+                save_checkpoint(ckpt_path, bundle_state(bundle, opt, s + 1, metrics))
     finally:
         T.clear_tape()  # a step abandoned by an error leaves its nodes behind
         writer.close()
     if start_step == stop or stop % 100:  # else the loop has just saved step stop
-        save_checkpoint(ckpt_path, bundle_state(bundle, opt, stop,
-                                                metrics.cond_ema, metrics.cond_seen))
+        save_checkpoint(ckpt_path, bundle_state(bundle, opt, stop, metrics))
     export_metrics(out_dir, extra=_summary_extras(bundle, metrics))
     return ckpt_path, metrics
 
@@ -418,13 +405,14 @@ def _image_bank(bundle: ModelBundle) -> DatasetBank:
 
 def _resumed(cfg: RunConfig, resume) -> tuple:
     """(bundle, step, optimizer, RunMetrics) as checkpoint ``resume`` holds them."""
-    state = load_checkpoint(resume)
-    _config_of(state, resume)  # a corrupt header is a CheckpointError
+    bundle, state = _restored(resume)
     if state.config_digest != config_digest(cfg):
         raise ContractError("resume checkpoint was written under a different config")
-    bundle = _bundle(cfg, _stored(state))
     opt = _new_optimizer(bundle)
-    load_bundle_arrays(bundle, state, opt)
+    for name, p in opt.params.items():
+        opt.m[name] = _block(state, "opt/m/" + name, p.data.shape)
+        opt.v[name] = _block(state, "opt/v/" + name, p.data.shape)
+    opt.step_count = int(_block(state, "opt/t", (1,))[0])
     return bundle, state.step, opt, RunMetrics(
         cond_ema=_block(state, "metrics/cond_ema", (len(bundle.specs),)),
         cond_seen=_block(state, "metrics/cond_seen", (len(bundle.specs),)))

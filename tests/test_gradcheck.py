@@ -5,8 +5,8 @@ import numpy as np
 
 from divcontrol import tensor as T
 from divcontrol import training
-from divcontrol.gradcheck import (OP_CASES, build_case, finite_diff_check, micro_config,
-                                  run_e2e_gradcheck, run_op_suite)
+from divcontrol.gradcheck import (OP_CASES, build_case, build_e2e_case, finite_diff_check,
+                                  micro_config, run_e2e_gradcheck, run_op_suite)
 from divcontrol.model import route
 from divcontrol.rng import fresh, stream
 from divcontrol.tensor import Tensor
@@ -163,3 +163,25 @@ def test_e2e_gradcheck_subsampled():
     rep = run_e2e_gradcheck(max_coords_per_param=3)
     assert rep.passed, rep.max_rel_err
     assert rep.n_coords >= 200
+
+
+def test_e2e_gradcheck_perturbations_keep_each_conditions_active_set(monkeypatch):
+    # the check differentiates L with each condition's top-K selection held
+    # fixed: a perturbation that re-ranked near-tied scores would drop a
+    # tailor from g and make L jump. Every evaluation must select, for each
+    # condition, the tailors the unperturbed loss selects
+    selected, topk_select = [], training.topk_select
+
+    def spy(alpha, gate):
+        g, active = topk_select(alpha, gate)
+        selected.append(active)
+        return g, active
+
+    monkeypatch.setattr(training, "topk_select", spy)
+    with T.no_grad():
+        build_e2e_case()[0]()
+    unperturbed, selected[:] = selected[:], []
+    rep = run_e2e_gradcheck(max_coords_per_param=3)
+    assert len(unperturbed) == 2   # conditions 0 and 2
+    # one evaluation for the analytic gradient, four per coordinate
+    assert selected == unperturbed * (1 + 4 * rep.n_coords)

@@ -139,6 +139,36 @@ def test_wrongly_shaped_state_block_fails_before_the_run_starts(trained, tmp_pat
             training.restore_bundle(tmp_path / "ckpt.divc")
 
 
+@pytest.mark.parametrize("mode", ["diversion", "adapt_frozen"])
+def test_checkpoint_blocks_come_in_a_pinned_order_and_dtype(trained, tmp_path, mode):
+    # the layout bundle_state writes, and the state a resume reads back in
+    # the dtypes a fresh run holds it in
+    base = trained[1] if MODES[mode].needs_base else None
+    cfg = trained[0].replace(mode=mode, adapt_steps=3, adapt_images=4,
+                             adapt_n_tailor=2, adapt_top_k=1)
+    bundle = (training.build_adapt_bundle(cfg, base) if base
+              else training._bundle(cfg, fresh))
+    ckpt, metrics = training.train_steps(bundle, training._image_bank(bundle), tmp_path,
+                                         opt=training._new_optimizer(bundle))
+    f64, i64 = np.dtype(np.float64), np.dtype(np.int64)
+    want = [("param/" + name, f64) for name in bundle.params()]
+    want += [(f"opt/{moment}/{name}", f64) for name in bundle.trainable_params()
+             for moment in ("m", "v")]
+    want += [("opt/t", i64), ("gate/balance_bias", f64), ("gate/usage", i64),
+             ("gate/batch", i64), ("metrics/cond_ema", f64), ("metrics/cond_seen", i64)]
+    state = load_checkpoint(ckpt)
+    assert [(name, arr.dtype) for name, arr in state.arrays.items()] == want
+    assert list(state.meta) == ["config_text", "condition_ids"]
+
+    def dtypes(bundle, metrics):
+        gate = bundle.gate
+        return [a.dtype for a in (gate.balance_bias, gate.usage_count, gate.batch_count,
+                                  metrics.cond_ema, metrics.cond_seen)]
+
+    resumed, _, _, resumed_metrics = training._resumed(cfg, ckpt)
+    assert dtypes(resumed, resumed_metrics) == dtypes(bundle, metrics)
+
+
 @pytest.mark.parametrize("key", ["metrics/cond_ema", "metrics/cond_seen"])
 def test_resume_without_metrics_block_raises_checkpoint_error(trained, tmp_path, key):
     cfg, ckpt = trained

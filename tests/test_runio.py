@@ -114,6 +114,18 @@ def test_new_metrics_file_holds_its_header_before_the_first_flush(tmp_path):
         writer.close()
 
 
+def test_resume_onto_an_empty_metrics_file_writes_the_header_first(tmp_path):
+    # a 0-byte file is what a run killed before its header reached the disk
+    # leaves: a resume treats it as missing, so its first row is no header
+    (tmp_path / METRICS_FILE).write_text("")
+    writer = MetricsWriter(tmp_path, ["edge"], resume_step=5)
+    writer.write(6, 0.5, 0.25, 0.75, 1e-3, [0.5])
+    writer.close()
+    assert read_metrics(tmp_path) == (
+        ["step", "l_diff", "l_repa", "l_total", "lr", "cond_edge"],
+        [[6.0, 0.5, 0.25, 0.75, 1e-3, 0.5]])
+
+
 def test_replace_file_fsyncs_the_file_before_the_rename_and_the_directory_after(
         tmp_path, monkeypatch):
     calls = []

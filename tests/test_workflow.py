@@ -47,12 +47,13 @@ def _divcontrol_names(script: str) -> set:
 
 
 def test_inline_python_uses_only_names_the_package_has():
-    # the inline scripts and the parity tool CI runs reach private names,
-    # so a rename in src/ would break CI without failing a test
+    # the inline scripts and the tools CI runs reach private names, so a
+    # rename in src/ would break CI without failing a test
     scripts = [textwrap.dedent(body) for step in _steps()
                for body in re.findall(r"<<'PY'\n(.*?)^\s*PY$", step.get("run", ""),
                                       re.S | re.M)]
-    scripts.append((WORKFLOW.parents[2] / "tools" / "parity.py").read_text())
+    scripts += [(WORKFLOW.parents[2] / "tools" / name).read_text()
+                for name in ("parity.py", "kill_sweep.py")]
     used = set().union(*map(_divcontrol_names, scripts))
     assert {"training._image_bank", "training._new_optimizer",
             "run_e2e_gradcheck", "T._gelu_arg_of", "T._gelu_arg"} <= used
