@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .rng import stream
 
-IMAGE_SIZE = 16
 _PERM_SEED = 1337  # fixed root for per-condition patch permutations
 _BLOCK = 256  # images a bank renders or transforms per call; bounds the temporaries
 TRANSFORM_BLOCK = 4  # side of the pixelate and patch-shuffle blocks
@@ -115,8 +114,8 @@ def _sdf_line(xx, yy, x0, y0, x1, y1, halfwidth):
 _SDFS = (_sdf_disk, _sdf_rect, _sdf_line)  # indexed by primitive kind
 
 
-def render_images(seed: int, start: int, stop: int, size: int = IMAGE_SIZE,
-                  image_stream: str = "image") -> np.ndarray:
+def render_images(seed: int, start: int, stop: int, size: int,
+                  image_stream: str) -> np.ndarray:
     """Images ``start`` .. ``stop - 1`` of a stream: an (N, H, W) stack in [-1, 1].
 
     Image ``i`` makes its draws from ``stream(seed, image_stream, i)`` in a
@@ -277,7 +276,6 @@ _TRANSFORMS = {
 
 def apply_condition(images: np.ndarray, spec: ConditionSpec) -> np.ndarray:
     """Condition images for ``spec`` of an (N, H, W) stack; same shape, range [-1, 1]."""
-    images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3:
         raise ContractError(f"apply_condition expects an (N, H, W) stack, got {images.shape}")
     return _TRANSFORMS[spec.transform_kind](images, spec)
@@ -300,7 +298,7 @@ class DatasetBank:
     per call. Condition images are computed where used and never kept."""
 
     def __init__(self, seed: int, size: int, specs: list,
-                 image_size: int = IMAGE_SIZE, image_stream: str = "image"):
+                 image_size: int, image_stream: str = "image"):
         if size < 1 or not specs:
             raise ContractError("bank needs at least one image and one condition")
         self.size = size
@@ -350,8 +348,6 @@ SSIM_RANGE = 2.0  # images live in [-1, 1]
 
 def metric_ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean SSIM over all 8x8 windows, uniform weighting, population moments."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ContractError("metric_ssim expects equal shapes")
     w = SSIM_WINDOW
@@ -370,13 +366,11 @@ def metric_ssim(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def metric_encoder_sim(head, a: np.ndarray, b: np.ndarray) -> float:
-    """Mean per-patch cosine similarity of frozen-encoder embeddings."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """Mean per-patch cosine similarity of two images' frozen-encoder embeddings."""
     if a.shape != b.shape:
         raise ContractError("metric_encoder_sim expects equal shapes")
-    ea = head.encode(a)
-    eb = head.encode(b)
+    ea = head.encode(a[None])[0]
+    eb = head.encode(b[None])[0]
     num = (ea * eb).sum(axis=1)
     den = np.linalg.norm(ea, axis=1) * np.linalg.norm(eb, axis=1)
     sims = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)

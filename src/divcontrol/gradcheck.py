@@ -70,12 +70,12 @@ def finite_diff_check(f, params, h: float = 1e-5, tol: float = 1e-5,
     if h <= 0:
         raise ContractError("h must be positive")
     T.clear_tape()
-    T.zero_grads(params)
+    T.zero_grads(params.values())
     loss = f()
     T.backward(loss)
     analytic = {k: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                 for k, p in params.items()}
-    T.zero_grads(params)
+    T.zero_grads(params.values())
 
     report = GradCheckReport(max_rel_err=0.0, tol=tol)
     with T.no_grad():

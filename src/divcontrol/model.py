@@ -44,7 +44,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .errors import ContractError, InvalidInputError, NumericError
-from .rng import fresh, stream
+from .rng import stream
 from .tensor import Tensor
 
 
@@ -53,15 +53,11 @@ from .tensor import Tensor
 # ----------------------------------------------------------------------
 
 def patchify(x: np.ndarray, patch: int) -> np.ndarray:
-    """(B, H, W) or (H, W) -> (B, N, patch*patch) row-major patch grid."""
-    single = x.ndim == 2
-    if single:
-        x = x[None]
+    """(B, H, W) -> (B, N, patch*patch) row-major patch grid."""
     b, h, w = x.shape
     nh, nw = h // patch, w // patch
     t = x.reshape(b, nh, patch, nw, patch).transpose(0, 1, 3, 2, 4)
-    t = t.reshape(b, nh * nw, patch * patch)
-    return t[0] if single else t
+    return t.reshape(b, nh * nw, patch * patch)
 
 
 def unpatchify(tokens: np.ndarray, image_size: int, patch: int) -> np.ndarray:
@@ -135,7 +131,7 @@ _WEIGHT_NAMES = {"q": "wq", "k": "wk", "v": "wv", "o": "wo", "in": "w_in", "out"
 class DenoiserNet(_Network):
     """Dense-weight denoiser backbone."""
 
-    def __init__(self, cfg: RunConfig, source=fresh):
+    def __init__(self, cfg: RunConfig, source):
         d, p = cfg.token_dim, cfg.patch_dim
         self._params_from(source, cfg.seed, "den.")
         self.patch_w = self._kaiming("patch_w", d, p)
@@ -235,10 +231,10 @@ class ControlBranch(_Network):
     fresh tailors from ``_adapter_tailors``.
     """
 
-    def __init__(self, cfg: RunConfig, source=fresh):
+    def __init__(self, cfg: RunConfig, source):
         d, p = cfg.token_dim, cfg.patch_dim
         run, n_g = cfg.run, cfg.n_learngene
-        self.n_tailor = n_t = run.n_tailor
+        n_t = run.n_tailor
         self._params_from(source, cfg.seed, "br.")
 
         def make_fw(l, tag, out_dim, in_dim):
@@ -278,7 +274,7 @@ class RepaHead(_Network):
     pretrained vision model. It never receives gradients.
     """
 
-    def __init__(self, cfg: RunConfig, source=fresh):
+    def __init__(self, cfg: RunConfig, source):
         d, p = cfg.token_dim, cfg.patch_dim
         hid, out = cfg.repa_hidden, cfg.repa_dim
         self._params_from(source, cfg.seed, "repa.")
@@ -296,11 +292,9 @@ class RepaHead(_Network):
         self.patch_size = cfg.patch_size
 
     def encode(self, x_cond: np.ndarray) -> np.ndarray:
-        """Patchify, project with the frozen matrix, L2-normalize per patch.
-
-        All-zero patches stay zero vectors.
-        """
-        tokens = patchify(np.asarray(x_cond, dtype=np.float64), self.patch_size)
+        """Patchify a (B, H, W) stack, project with the frozen matrix and
+        L2-normalize per patch. All-zero patches stay zero vectors."""
+        tokens = patchify(x_cond, self.patch_size)
         e = tokens @ self.enc_w.T
         norms = np.linalg.norm(e, axis=-1, keepdims=True)
         return np.where(norms > 0, e / np.maximum(norms, 1e-300), 0.0)
@@ -350,7 +344,7 @@ class GateState(_Network):
     ``usage_count`` accumulates the totals.
     """
 
-    def __init__(self, cfg: RunConfig, source=fresh):
+    def __init__(self, cfg: RunConfig, source):
         d, self.bias_update_rate = cfg.embed_dim, cfg.gate_bias_rate
         self.n_tailor, self.k = cfg.run.n_tailor, cfg.run.top_k
         self._params_from(source, cfg.seed, "gate.")
@@ -373,7 +367,7 @@ def route(gate: GateState, e: np.ndarray) -> Tensor:
     return T.softmax(T.add(T.linear(h, gate.w2), gate.b2))
 
 
-def topk_select(alpha, gate: GateState) -> tuple:
+def topk_select(alpha: Tensor, gate: GateState) -> tuple:
     """Pick the K tailors with the largest biased score, keep unbiased values.
 
     Returns ``(g, active)``: ``g`` is a tensor of ``alpha``'s shape holding
@@ -381,19 +375,18 @@ def topk_select(alpha, gate: GateState) -> tuple:
     ``active`` the selected indices in selection order. Ties break toward
     the lower index.
     """
-    alpha_t = alpha if isinstance(alpha, Tensor) else Tensor(alpha)
     n_t = gate.n_tailor
-    if alpha_t.size != n_t:
-        raise ContractError(f"alpha length {alpha_t.size} != n_tailor {n_t}")
-    scores = alpha_t.data.ravel() + gate.balance_bias
+    if alpha.size != n_t:
+        raise ContractError(f"alpha length {alpha.size} != n_tailor {n_t}")
+    scores = alpha.data.ravel() + gate.balance_bias
     order = np.argsort(-scores, kind="stable")  # stable: ties -> lower index
     active = tuple(int(i) for i in order[:gate.k])
     mask = np.zeros(n_t)
     mask[list(active)] = 1.0
-    return T.mul(alpha_t, mask), active
+    return T.mul(alpha, mask), active
 
 
-def record_usage(gate: GateState, active, count: int = 1) -> None:
+def record_usage(gate: GateState, active, count: int) -> None:
     """Count ``count`` routing events for each tailor in ``active``."""
     for j in active:
         gate.batch_count[j] += count
@@ -433,14 +426,12 @@ def similarity_matrix(gate: GateState, embeddings) -> np.ndarray:
 @dataclass
 class NoiseSchedule:
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bar: np.ndarray
 
     @staticmethod
     def linear(cfg: RunConfig) -> "NoiseSchedule":
         betas = np.linspace(cfg.beta_start, cfg.beta_end, cfg.timesteps)
-        alphas = 1.0 - betas
-        return NoiseSchedule(betas, alphas, np.cumprod(alphas))
+        return NoiseSchedule(betas, np.cumprod(1.0 - betas))
 
     @property
     def timesteps(self) -> int:
@@ -462,7 +453,7 @@ def posterior_step(z_t: np.ndarray, eps_hat: np.ndarray, t: int,
     """One ancestral DDPM update; ``xi`` must be None at t == 0."""
     beta = sched.betas[t]
     mean = (z_t - beta / np.sqrt(1.0 - sched.alpha_bar[t]) * eps_hat) \
-        / np.sqrt(sched.alphas[t])
+        / np.sqrt(1.0 - beta)
     if t == 0:
         return mean
     var = (1.0 - sched.alpha_bar[t - 1]) / (1.0 - sched.alpha_bar[t]) * beta
@@ -525,14 +516,15 @@ def branch_forward(branch: ControlBranch, cfg: RunConfig,
 
 
 def denoiser_forward(den: DenoiserNet, cfg: RunConfig,
-                     z_tokens, t_idx, injections=None, drop_gen=None) -> Tensor:
-    """Predict noise tokens (B, N, patch_dim) from noisy-image tokens;
-    dropout as in ``branch_forward``."""
+                     z_tokens, t_idx, injections, drop_gen=None) -> Tensor:
+    """Predict noise tokens (B, N, patch_dim) from noisy-image tokens, adding
+    ``injections[l]`` (a list, possibly empty) before layer ``l``; dropout as
+    in ``branch_forward``."""
     x = T.add(T.linear(Tensor(z_tokens), den.patch_w), den.patch_b)
     x = T.add(x, den.pos)
     x = T.add(x, T.gather_rows(den.time_table, t_idx[:, None]))
     for li, blk in enumerate(den.blocks):
-        if injections is not None and li < len(injections):
+        if li < len(injections):
             x = T.add(x, injections[li])
         x = _block(x, blk, T.linear, cfg, drop_gen)
     y = T.layer_norm(x, den.lnf_g, den.lnf_b)
@@ -576,7 +568,7 @@ def repa_loss(f_cond: Tensor, e_img: np.ndarray, head: RepaHead) -> Tensor:
 def sample_batch(den: DenoiserNet, branch: ControlBranch,
                  cfg: RunConfig, sched: NoiseSchedule,
                  x_cond: np.ndarray, coeff_rows: Tensor,
-                 sample_indices=None) -> np.ndarray:
+                 sample_indices) -> np.ndarray:
     """Ancestral DDPM sampling for a batch; deterministic per (cfg.seed, index).
 
     ``coeff_rows`` are the tailor coefficients ``branch_forward`` takes.
@@ -585,8 +577,6 @@ def sample_batch(den: DenoiserNet, branch: ControlBranch,
     """
     b = x_cond.shape[0]
     hw = (cfg.image_size, cfg.image_size)
-    if sample_indices is None:
-        sample_indices = range(b)
     gens = [stream(cfg.seed, "sample", i) for i in sample_indices]
     z = np.stack([g.standard_normal(hw) for g in gens])
     xc_tokens = patchify(x_cond, cfg.patch_size)

@@ -25,7 +25,7 @@ class MetricsWriter:
     first. 0, or a missing or empty file, starts a new file.
     """
 
-    def __init__(self, run_dir, condition_ids, resume_step: int = 0):
+    def __init__(self, run_dir, condition_ids, resume_step: int):
         self.path = os.path.join(run_dir, METRICS_FILE)
         if resume_step > 0 and os.path.exists(self.path) and os.path.getsize(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -75,7 +75,7 @@ def read_metrics(run_dir):
     return header, [_numbers(path, i, ln) for i, ln in lines[1:]]
 
 
-def export_metrics(run_dir, extra: dict | None = None) -> dict:
+def export_metrics(run_dir, extra: dict) -> dict:
     """Write summary.json from metrics.csv and ``extra`` alone, replacing any
     previous summary.
 
@@ -84,7 +84,7 @@ def export_metrics(run_dir, extra: dict | None = None) -> dict:
     ``final_100_mean_l_diff``; a header-only CSV adds none of them.
     """
     header, rows = read_metrics(run_dir)
-    summary = dict(extra or {})
+    summary = dict(extra)
     if rows:
         last = dict(zip(header, rows[-1]))
         summary["steps_recorded"] = len(rows)
@@ -98,17 +98,15 @@ def export_metrics(run_dir, extra: dict | None = None) -> dict:
 
 
 def replace_file(path, data) -> None:
-    """Write ``data`` (text as UTF-8, bytes, or an iterable of byte chunks
-    written in turn) to ``path`` through the temp file ``<path>.tmp`` and an
-    atomic rename; an error removes the temp file.
+    """Write ``data`` (text as UTF-8, or an iterable of byte chunks written in
+    turn) to ``path`` through the temp file ``<path>.tmp`` and an atomic
+    rename; an error removes the temp file.
 
     The temp file is fsynced before the rename, so the rename cannot reach
     the disk ahead of the data, and the directory after it, so the rename
     itself survives a power loss."""
     if isinstance(data, str):
-        data = data.encode("utf-8")
-    if isinstance(data, bytes):
-        data = (data,)
+        data = (data.encode("utf-8"),)
     tmp = f"{path}.tmp"
     try:
         # a buffer this size gathers a checkpoint's small chunks into few writes

@@ -528,7 +528,6 @@ def backward(loss: Tensor) -> None:
 
 
 def zero_grads(params) -> None:
-    """Clear .grad on an iterable (or dict) of tensors."""
-    values = params.values() if hasattr(params, "values") else params
-    for p in values:
+    """Clear .grad on an iterable of tensors."""
+    for p in params:
         p.grad = None

@@ -7,7 +7,7 @@ require the stacked path to give the same bytes, image by image.
 
 import numpy as np
 
-from divcontrol.conditions import _PERM_SEED, IMAGE_SIZE
+from divcontrol.conditions import _PERM_SEED
 from divcontrol.errors import ConfigError
 from divcontrol.rng import stream
 
@@ -27,7 +27,7 @@ def _sdf_line(xx, yy, x0, y0, x1, y1, halfwidth):
     return np.hypot(xx - (x0 + t * dx), yy - (y0 + t * dy)) - halfwidth
 
 
-def render_components(seed, index, size=IMAGE_SIZE, image_stream="image"):
+def render_components(seed, index, size=16, image_stream="image"):
     """Return (image, background) for sample ``index``; both in [-1, 1]."""
     gen = stream(seed, image_stream, index)
     ii, jj = np.meshgrid(np.arange(size, dtype=float),

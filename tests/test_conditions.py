@@ -53,8 +53,8 @@ def test_unknown_condition_and_kind_rejected():
 
 
 def test_generate_deterministic_and_in_range():
-    a = render_images(SEED, 0, 8)
-    b = render_images(SEED, 0, 8)
+    a = render_images(SEED, 0, 8, 16, "image")
+    b = render_images(SEED, 0, 8, 16, "image")
     assert a.tobytes() == b.tobytes()
     assert a.min() >= -1.0 and a.max() <= 1.0
 
@@ -77,7 +77,7 @@ def oracle_banks():
 @pytest.mark.parametrize("image_stream", ["image", "adapt-image", "eval"])
 def test_bank_is_byte_equal_to_the_per_image_oracle(oracle_banks, image_stream, size):
     images, conditions = oracle_banks[image_stream]
-    bank = DatasetBank(SEED, size, default_registry(), image_stream=image_stream)
+    bank = DatasetBank(SEED, size, default_registry(), 16, image_stream=image_stream)
     assert bank.images.dtype == images.dtype
     assert bank.images.tobytes() == images[:size].tobytes()
     for c, expected in enumerate(conditions):
@@ -117,7 +117,7 @@ def test_apply_condition_rejects_a_single_image():
 
 def test_generate_rejects_bad_n():
     with pytest.raises(ContractError):
-        DatasetBank(SEED, 0, basic_conditions())
+        DatasetBank(SEED, 0, basic_conditions(), 16)
 
 
 def test_foreground_coverage_in_band():
@@ -187,11 +187,12 @@ def test_shuffle_is_a_fixed_permutation():
 
 
 def test_sample_record_regenerable():
-    bank = DatasetBank(SEED, 16, basic_conditions())
+    bank = DatasetBank(SEED, 16, basic_conditions(), 16)
     batch = _build_batch(bank, 4, SEED, 3)
     for i, c, x, x_cond in zip(batch.image_idx, batch.cond_idx, batch.x,
                                batch.x_cond):
-        assert np.array_equal(x, render_images(SEED, int(i), int(i) + 1)[0])
+        image = render_images(SEED, int(i), int(i) + 1, 16, "image")[0]
+        assert np.array_equal(x, image)
         assert np.array_equal(x_cond, apply_condition(x[None], bank.specs[c])[0])
 
 
@@ -199,7 +200,7 @@ def test_build_batch_is_byte_equal_to_the_per_image_oracle(oracle_banks):
     # each condition transforms only its own items of the batch; the result
     # must not depend on which items share the call
     images, conditions = oracle_banks["image"]
-    bank = DatasetBank(SEED, _BLOCK + 1, default_registry())
+    bank = DatasetBank(SEED, _BLOCK + 1, default_registry(), 16)
     for b in range(20):
         batch = _build_batch(bank, 32, SEED, b)
         assert batch.x_cond.shape == (32, 16, 16)
@@ -210,7 +211,7 @@ def test_build_batch_is_byte_equal_to_the_per_image_oracle(oracle_banks):
 
 
 def test_bank_keeps_no_condition_state():
-    bank = DatasetBank(SEED, 32, default_registry())
+    bank = DatasetBank(SEED, 32, default_registry(), 16)
     attrs = dict(vars(bank))
     images = bank.images.tobytes()
     first, second = bank.condition_images(3), bank.condition_images(3)
@@ -224,7 +225,7 @@ def test_bank_keeps_no_condition_state():
 
 
 def test_build_batch_uniform_conditions():
-    bank = DatasetBank(SEED, 64, basic_conditions())
+    bank = DatasetBank(SEED, 64, basic_conditions(), 16)
     counts = np.zeros(8)
     n_samples = 0
     for b in range(625):  # 10k samples
@@ -237,7 +238,7 @@ def test_build_batch_uniform_conditions():
 
 
 def test_build_batch_seed_reproducible():
-    bank = DatasetBank(SEED, 32, basic_conditions())
+    bank = DatasetBank(SEED, 32, basic_conditions(), 16)
     for b in range(5):
         x, y = _build_batch(bank, 4, SEED, b), _build_batch(bank, 4, SEED, b)
         assert np.array_equal(x.x, y.x)
@@ -249,9 +250,9 @@ def test_build_batch_seed_reproducible():
 def test_build_batch_suffix_regenerable():
     # batch b depends only on (seed, b): a fresh bank regenerates any batch
     # without replaying the ones before it
-    bank = DatasetBank(SEED, 32, basic_conditions())
+    bank = DatasetBank(SEED, 32, basic_conditions(), 16)
     full = [_build_batch(bank, 4, SEED, b) for b in range(8)]
-    fresh = DatasetBank(SEED, 32, basic_conditions())
+    fresh = DatasetBank(SEED, 32, basic_conditions(), 16)
     for b in (7, 5, 6):
         a, c = full[b], _build_batch(fresh, 4, SEED, b)
         assert np.array_equal(a.x, c.x)
@@ -294,9 +295,10 @@ def test_ssim_matches_reference_implementation():
 def test_encoder_sim_identity_and_range():
     from divcontrol.config import resolve_config
     from divcontrol.model import RepaHead
+    from divcontrol.rng import fresh
 
-    head = RepaHead(resolve_config(overrides={"encoder_seed": 7}))
-    img = render_images(SEED, 0, 1)[0]
+    head = RepaHead(resolve_config(overrides={"encoder_seed": 7}), fresh)
+    img = render_images(SEED, 0, 1, 16, "image")[0]
     assert metric_encoder_sim(head, img, img) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -311,12 +313,13 @@ def test_encoder_sim_rank_correlates_with_ssim():
 
     from divcontrol.config import resolve_config
     from divcontrol.model import RepaHead
+    from divcontrol.rng import fresh
 
-    head = RepaHead(resolve_config(overrides={"encoder_seed": 7}))
+    head = RepaHead(resolve_config(overrides={"encoder_seed": 7}), fresh)
     rng = np.random.default_rng(8)
     ssims, encs = [], []
     for i in range(100):
-        base = render_images(SEED, i, i + 1)[0]
+        base = render_images(SEED, i, i + 1, 16, "image")[0]
         noisy = np.clip(base + rng.uniform(0.05, 1.0) * rng.standard_normal(base.shape),
                         -1, 1)
         ssims.append(metric_ssim(base, noisy))

@@ -16,13 +16,15 @@ from divcontrol.model import (
     topk_select,
     update_biases,
 )
+from divcontrol.rng import fresh
+from divcontrol.tensor import Tensor
 
 SEED = 11
 
 
 def make_gate(n_t=8, k=3, embed_dim=16, seed=SEED, rate=1e-3):
     return GateState(RunConfig(embed_dim=embed_dim, n_tailor=n_t, top_k=k, seed=seed,
-                               gate_bias_rate=rate))
+                               gate_bias_rate=rate), fresh)
 
 
 def embed(text):
@@ -81,7 +83,7 @@ def test_route_sums_to_one_and_is_deterministic():
 def test_topk_basic_selection():
     gate = make_gate(n_t=4, k=2)
     alpha = np.array([0.4, 0.3, 0.2, 0.1])
-    g, active = topk_select(alpha, gate)
+    g, active = topk_select(Tensor(alpha), gate)
     assert set(active) == {0, 1}
     assert np.allclose(g.data, [0.4, 0.3, 0.0, 0.0])
 
@@ -89,7 +91,7 @@ def test_topk_basic_selection():
 def test_topk_bias_shifts_selection_not_values():
     gate = make_gate(n_t=4, k=2)
     gate.balance_bias = np.array([0.0, 0.0, 1.0, 0.0])
-    g, active = topk_select(np.array([0.4, 0.3, 0.2, 0.1]), gate)
+    g, active = topk_select(Tensor(np.array([0.4, 0.3, 0.2, 0.1])), gate)
     assert set(active) == {0, 2}
     assert np.allclose(g.data, [0.4, 0.0, 0.2, 0.0])
 
@@ -97,7 +99,7 @@ def test_topk_bias_shifts_selection_not_values():
 def test_topk_k_equals_n_keeps_everything():
     gate = make_gate(n_t=4, k=4)
     alpha = np.array([0.4, 0.3, 0.2, 0.1])
-    g, active = topk_select(alpha, gate)
+    g, active = topk_select(Tensor(alpha), gate)
     assert np.allclose(g.data, alpha)
     assert len(active) == 4
 
@@ -111,7 +113,7 @@ def test_gate_rejects_k_outside_zero_to_n_tailor():
 
 def test_topk_tie_breaks_to_lower_index():
     gate = make_gate(n_t=4, k=2)
-    _, active = topk_select(np.array([0.25, 0.25, 0.25, 0.25]), gate)
+    _, active = topk_select(Tensor(np.array([0.25, 0.25, 0.25, 0.25])), gate)
     assert active == (0, 1)
 
 
@@ -121,9 +123,9 @@ def test_selection_invariant_to_constant_bias_shift():
         gate = make_gate(n_t=6, k=3)
         gate.balance_bias = rng.standard_normal(6)
         alpha = rng.dirichlet(np.ones(6))
-        base_g, base_active = topk_select(alpha, gate)
+        base_g, base_active = topk_select(Tensor(alpha), gate)
         gate.balance_bias = gate.balance_bias + rng.uniform(-5, 5)
-        shifted_g, shifted_active = topk_select(alpha, gate)
+        shifted_g, shifted_active = topk_select(Tensor(alpha), gate)
         assert base_active == shifted_active
         assert np.array_equal(base_g.data, shifted_g.data)
 
@@ -134,7 +136,7 @@ def test_coefficients_drawn_only_from_alpha():
         gate = make_gate(n_t=5, k=2)
         gate.balance_bias = rng.standard_normal(5)
         alpha = rng.dirichlet(np.ones(5))
-        g, _ = topk_select(alpha, gate)
+        g, _ = topk_select(Tensor(alpha), gate)
         for j, val in enumerate(g.data):
             assert val == 0.0 or val == alpha[j]
 
@@ -143,8 +145,9 @@ def test_usage_count_invariant():
     gate = make_gate(n_t=6, k=2)
     batches = 7
     for _ in range(batches):
-        _, active = topk_select(np.random.default_rng(4).dirichlet(np.ones(6)), gate)
-        record_usage(gate, active)
+        alpha = Tensor(np.random.default_rng(4).dirichlet(np.ones(6)))
+        _, active = topk_select(alpha, gate)
+        record_usage(gate, active, count=1)
         update_biases(gate)
     assert gate.usage_count.sum() == batches * 2
 
@@ -180,7 +183,7 @@ def test_balancing_reduces_load_skew_over_stream():
             for _ in range(2000):
                 e = e_hot if gen.uniform() < 0.9 else e_cold
                 _, active = topk_select(route(gate, e), gate)
-                record_usage(gate, active)
+                record_usage(gate, active, count=1)
                 update_biases(gate)
         load = gate.usage_count.astype(float)
         return load.max() / load.mean()
@@ -226,7 +229,7 @@ def test_similarity_matrix_properties():
 def test_similarity_matrix_refuses_a_gate_without_tailors():
     # the 'neither' ablation arm's gate routes to empty rows, whose cosine
     # matrix would be all zeros, diagonal included
-    gate = GateState(training.ablation_arms(micro_config(0))["neither"])
+    gate = GateState(training.ablation_arms(micro_config(0))["neither"], fresh)
     es = [embed("sobel edge map"), embed("soft box blur")]
     with pytest.raises(ContractError, match="gate with tailors"):
         similarity_matrix(gate, es)
@@ -235,7 +238,7 @@ def test_similarity_matrix_refuses_a_gate_without_tailors():
 def test_balancing_neutral_when_rate_zero_and_bias_zero():
     gate = make_gate(n_t=5, k=2, rate=0.0)
     alpha = np.array([0.1, 0.3, 0.05, 0.35, 0.2])
-    _, active = topk_select(alpha, gate)
+    _, active = topk_select(Tensor(alpha), gate)
     assert set(active) == {1, 3}  # plain top-K on alpha
     gate.batch_count = np.array([5, 0, 0, 0, 0], dtype=np.int64)
     update_biases(gate)

@@ -128,7 +128,7 @@ def test_frozen_tensors_get_no_gradient_and_trainable_ones_are_unchanged():
     trainable = set(bundle.trainable_params())
 
     def grads():
-        T.zero_grads(params)
+        T.zero_grads(params.values())
         T.backward(_training_step(bundle, np.array([0, 0]), stream(0, "drop")))
         return {k: p.grad for k, p in params.items()}
 

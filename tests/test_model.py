@@ -22,6 +22,7 @@ from divcontrol.model import (
     svd_blocks,
     unpatchify,
 )
+from divcontrol.rng import fresh
 from divcontrol.tensor import Tensor, backward
 
 SEED = 31
@@ -86,16 +87,16 @@ def test_posterior_recovers_z0_at_final_step():
 def build_parts(cfg, n_g=4, n_t=4, seed=SEED):
     cfg = cfg.replace(seed=seed, encoder_seed=7, n_learngene=n_g, n_tailor=n_t,
                       top_k=min(cfg.top_k, n_t))
-    return DenoiserNet(cfg), ControlBranch(cfg), RepaHead(cfg)
+    return DenoiserNet(cfg, fresh), ControlBranch(cfg, fresh), RepaHead(cfg, fresh)
 
 
 def test_zero_init_condition_contributes_nothing():
-    cfg = small_cfg()
-    den, branch, _ = build_parts(cfg)
+    cfg, n_t = small_cfg(), 4
+    den, branch, _ = build_parts(cfg, n_t=n_t)
     rng = np.random.default_rng(4)
     z = rng.standard_normal((2, 8, 8))
     t_idx = np.array([1, 3])
-    rows = Tensor(rng.uniform(0, 1, (2, 1, branch.n_tailor)))
+    rows = Tensor(rng.uniform(0, 1, (2, 1, n_t)))
     with T.no_grad():
         xc1 = patchify(rng.uniform(-1, 1, (2, 8, 8)), 4)
         xc2 = patchify(rng.uniform(-1, 1, (2, 8, 8)), 4)
@@ -117,8 +118,8 @@ def test_patch_permutation_equivariance_with_zero_pos():
     t_idx = np.array([2])
     perm = rng.permutation(cfg.n_patches)
     with T.no_grad():
-        y = denoiser_forward(den, cfg, tokens, t_idx).data
-        y_perm = denoiser_forward(den, cfg, tokens[:, perm], t_idx).data
+        y = denoiser_forward(den, cfg, tokens, t_idx, []).data
+        y_perm = denoiser_forward(den, cfg, tokens[:, perm], t_idx, []).data
     assert np.allclose(y_perm, y[:, perm], atol=1e-10)
 
 
@@ -164,7 +165,7 @@ def test_diffusion_loss_values():
 
 def test_repa_loss_canonical_values():
     cfg = small_cfg()
-    head = RepaHead(cfg.replace(seed=SEED, encoder_seed=7))
+    head = RepaHead(cfg.replace(seed=SEED, encoder_seed=7), fresh)
     n, d = 2, cfg.repa_dim
     e = np.zeros((1, n, d))
     e[0, 0, 0] = 1.0
@@ -206,8 +207,8 @@ def test_repa_loss_zero_encoder_rows_contribute_zero():
 
 
 def test_gradient_flow_repa_and_branch():
-    cfg = small_cfg()
-    den, branch, head = build_parts(cfg)
+    cfg, n_t = small_cfg(), 4
+    den, branch, head = build_parts(cfg, n_t=n_t)
     rng = np.random.default_rng(11)
     x0 = rng.uniform(-1, 1, (2, 8, 8))
     xc = apply_condition(x0, find_condition("edge"))
@@ -215,7 +216,7 @@ def test_gradient_flow_repa_and_branch():
     eps = rng.standard_normal(x0.shape)
     t_idx = np.array([2, 5])
     zt = forward_noise(x0, t_idx, eps, sched)
-    rows = Tensor(rng.uniform(0.1, 1.0, (2, 1, branch.n_tailor)), requires_grad=True)
+    rows = Tensor(rng.uniform(0.1, 1.0, (2, 1, n_t)), requires_grad=True)
     inj, f_cond = branch_forward(branch, cfg, patchify(xc, 4), t_idx, rows)
     eps_hat = denoiser_forward(den, cfg, patchify(zt, 4), t_idx, inj)
     l_diff = diffusion_loss(patchify(eps, 4), eps_hat)
@@ -231,18 +232,18 @@ def test_gradient_flow_repa_and_branch():
 
 
 def test_repa_encode_contracts():
-    head = RepaHead(CFG.replace(seed=SEED, encoder_seed=7))
-    img = render_images(SEED, 0, 1)[0]
-    e1 = head.encode(img)
-    e2 = head.encode(img)
+    head = RepaHead(CFG.replace(seed=SEED, encoder_seed=7), fresh)
+    img = render_images(SEED, 0, 1, 16, "image")[0]
+    e1 = head.encode(img[None])[0]
+    e2 = head.encode(img[None])[0]
     assert np.array_equal(e1, e2)
     assert e1.shape == (CFG.n_patches, CFG.repa_dim)
-    zero = head.encode(np.zeros((16, 16)))
+    zero = head.encode(np.zeros((1, 16, 16)))
     assert np.array_equal(zero, np.zeros_like(zero))
     # locality: editing one patch changes only that embedding row
     img2 = img.copy()
     img2[0:4, 0:4] += 0.1
-    e3 = head.encode(np.clip(img2, -1, 1))
+    e3 = head.encode(np.clip(img2, -1, 1)[None])[0]
     changed = np.abs(e3 - e1).max(axis=1) > 0
     assert changed[0] and not changed[1:].any()
 
@@ -250,12 +251,12 @@ def test_repa_encode_contracts():
 def test_factorized_branch_matches_dense_twin():
     # all components active at unit coefficient == dense layer built from
     # the reconstructed matrices
-    cfg = small_cfg()
-    _, branch, _ = build_parts(cfg, n_g=8, n_t=8)
+    cfg, n_t = small_cfg(), 8
+    _, branch, _ = build_parts(cfg, n_g=8, n_t=n_t)
     rng = np.random.default_rng(12)
     xc = patchify(rng.uniform(-1, 1, (2, 8, 8)), 4)
     t_idx = np.array([1, 2])
-    ones = Tensor(np.ones((2, 1, branch.n_tailor)))
+    ones = Tensor(np.ones((2, 1, n_t)))
     with T.no_grad():
         inj_f, fc_f = branch_forward(branch, cfg, xc, t_idx, ones)
 
@@ -267,7 +268,6 @@ def test_factorized_branch_matches_dense_twin():
     twin = DenseTwin()
     twin.patch_w, twin.patch_b = branch.patch_w, branch.patch_b
     twin.time_table = branch.time_table
-    twin.n_tailor = 0
     twin.blocks = []
     with T.no_grad():
         for blk in branch.blocks:
@@ -298,10 +298,31 @@ def test_sampling_deterministic_and_clamped():
     xc = rng.uniform(-1, 1, (8, 8))
     rows = Tensor(np.array([[[0.5, 0.5, 0, 0.0]]]))
     sched = NoiseSchedule.linear(cfg)
-    img1 = sample_batch(den, branch, cfg.replace(seed=99), sched, xc[None], rows)[0]
-    img2 = sample_batch(den, branch, cfg.replace(seed=99), sched, xc[None], rows)[0]
+    img1 = sample_batch(den, branch, cfg.replace(seed=99), sched, xc[None], rows, [0])[0]
+    img2 = sample_batch(den, branch, cfg.replace(seed=99), sched, xc[None], rows, [0])[0]
     assert np.array_equal(img1, img2)
     assert img1.min() >= -1.0 and img1.max() <= 1.0
+
+
+@pytest.mark.parametrize("cfg", [small_cfg(), CFG], ids=["micro", "default"])
+def test_sampled_image_depends_only_on_its_index_and_coefficient_row(cfg):
+    # deterministic per (seed, index): image i of a batch is bit-identical to
+    # that index sampled alone under the same coefficient row, with the
+    # branch's injections made non-zero so that the condition reaches it
+    n_t = 4
+    den, branch, _ = build_parts(cfg, n_t=n_t)
+    rng = np.random.default_rng(14)
+    for blk in branch.blocks:
+        blk["inj_w"].data = 0.1 * rng.standard_normal(blk["inj_w"].shape)
+    x_cond = rng.uniform(-1, 1, (3, cfg.image_size, cfg.image_size))
+    rows = Tensor(rng.uniform(0, 1, (3, 1, n_t)))
+    sched = NoiseSchedule.linear(cfg)
+    indices = [4, "eval-0", 1]
+    batch = sample_batch(den, branch, cfg, sched, x_cond, rows, indices)
+    for i, index in enumerate(indices):
+        alone = sample_batch(den, branch, cfg, sched, x_cond[i:i + 1],
+                             Tensor(rows.data[i:i + 1]), [index])
+        assert batch[i].tobytes() == alone[0].tobytes(), index
 
 
 def test_untrained_sample_statistics_near_noise():
@@ -310,7 +331,7 @@ def test_untrained_sample_statistics_near_noise():
     sched = NoiseSchedule.linear(cfg)
     imgs = np.stack([
         sample_batch(den, branch, cfg.replace(seed=100 + i), sched,
-                     np.zeros((1, 8, 8)), Tensor(np.zeros((1, 1, 0))))[0]
+                     np.zeros((1, 8, 8)), Tensor(np.zeros((1, 1, 0))), [0])[0]
         for i in range(8)])
     # untrained: outputs spread widely instead of collapsing to a constant
     assert imgs.std() > 0.3

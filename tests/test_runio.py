@@ -63,7 +63,7 @@ def test_failed_checkpoint_and_summary_writes_keep_the_previous_files(
     state = CheckpointState(step=1, config_digest=bytes(32), meta={"k": "v"})
     save_checkpoint(tmp_path / "checkpoint.divc", state)
     (tmp_path / METRICS_FILE).write_text("step,l_diff\n1,0.5\n")
-    export_metrics(tmp_path)
+    export_metrics(tmp_path, extra={})
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
     def fail(src, dst):
@@ -99,11 +99,11 @@ def test_empty_metrics_file_raises_a_contract_error_naming_it(tmp_path):
     with pytest.raises(ContractError, match=re.escape(f"{path} is empty")):
         read_metrics(tmp_path)
     with pytest.raises(ContractError, match=re.escape(f"{path} is empty")):
-        export_metrics(tmp_path)
+        export_metrics(tmp_path, extra={})
 
 
 def test_new_metrics_file_holds_its_header_before_the_first_flush(tmp_path):
-    writer = MetricsWriter(tmp_path, ["edge", "blur"])
+    writer = MetricsWriter(tmp_path, ["edge", "blur"], resume_step=0)
     try:
         # a run killed here, before any row, leaves a readable file
         assert (tmp_path / METRICS_FILE).read_text() == (

@@ -23,6 +23,7 @@ from divcontrol.config import (
     resolve_config,
     resolved_text,
 )
+from divcontrol.errors import ConfigError
 from divcontrol.gradcheck import micro_config
 from divcontrol.rng import fresh
 from divcontrol.runio import read_metrics
@@ -323,6 +324,46 @@ def test_neither_arm_runs_empty_tailor_blocks():
         assert training.masked_gradient_apply(fw, active) == 0.0
     for t in (bundle.gate.w1, bundle.gate.b1):
         assert t.grad is not None and np.array_equal(t.grad, np.zeros_like(t.grad))
+
+
+def _param_shapes(cfg):
+    return {name: t.shape for name, t in
+            training.build_diversion_bundle(cfg).params().items()}
+
+
+def test_base_shape_keys_are_the_keys_that_reshape_a_diversion_bundle():
+    # adaptation compares the _BASE_SHAPE_KEYS with its base's, so a key
+    # missing from that hand-kept list would let a base of another shape
+    # through. From a micro config in which every key but the mode (the
+    # only diversion mode) can move, two layers each so that
+    # controlnet_layers can fall, each key takes its first valid new value
+    cfg = micro_config(0).replace(layers=2, controlnet_layers=2)
+    shapes = _param_shapes(cfg)
+    reshaping, unmoved = set(), []
+    for key in CONFIG_KEYS.keys() - {"mode"}:
+        value = getattr(cfg, key)
+        if isinstance(value, str):     # adapt_condition
+            candidates = ["checker"]
+        elif isinstance(value, tuple):
+            candidates = [value + (value[-1] + 1,)]
+        elif isinstance(value, float):
+            candidates = [value / 2, 0.25]
+        else:
+            candidates = [value + 1, 2 * value, value - 1]
+        for moved in candidates:
+            if moved == value:
+                continue
+            try:
+                moved_cfg = cfg.replace(**{key: moved})
+            except ConfigError:
+                continue
+            if _param_shapes(moved_cfg) != shapes:
+                reshaping.add(key)
+            break
+        else:
+            unmoved.append(key)
+    assert unmoved == []
+    assert reshaping == set(training._BASE_SHAPE_KEYS)
 
 
 @pytest.mark.parametrize("n", [3, 11])

@@ -3,7 +3,7 @@
     python tools/parity.py OTHER_TREE
 
 Each tree runs in its own subprocess, importing ``divcontrol`` from its own
-``src/`` with ``OPENBLAS_NUM_THREADS=1``, and makes the same five runs:
+``src/`` with ``OPENBLAS_NUM_THREADS=1``, and makes the same six runs:
 
 - ``micro_diversion_105``: the micro config in diversion mode, 105 steps
   (so past the step-100 checkpoint);
@@ -11,6 +11,8 @@ Each tree runs in its own subprocess, importing ``divcontrol`` from its own
   on that base and on a random one;
 - ``micro_resumed_100_to_120``: a 120-step diversion run stopped at step
   100, then resumed by ``train`` into a new directory;
+- ``micro_neither_30``: the ``neither`` ablation arm (no tailors, no
+  alignment loss), 30 steps;
 - ``default_30``: the default config, 30 steps.
 
 It compares the SHA-256 of each run's ``checkpoint.divc``, ``metrics.csv``
@@ -44,7 +46,7 @@ def _digest(path) -> str:
 
 
 def _runs(out) -> dict:
-    """Make the five runs under ``out``; return their digests and the
+    """Make the six runs under ``out``; return their digests and the
     evaluation (float values as hex, so equal means bit-identical)."""
     from divcontrol import training
     from divcontrol.config import resolve_config
@@ -54,7 +56,7 @@ def _runs(out) -> dict:
                                   adapt_images=4, adapt_n_tailor=2, adapt_top_k=1)
     dirs = {name: os.path.join(out, name) for name in (
         "micro_diversion_105", "micro_adapt_frozen_30", "micro_scratch_30",
-        "micro_resumed_100_to_120", "default_30")}
+        "micro_resumed_100_to_120", "micro_neither_30", "default_30")}
     base = training.train(cfg, dirs["micro_diversion_105"])
     training.train(cfg.replace(mode="adapt_frozen"), dirs["micro_adapt_frozen_30"],
                    base_ckpt=base)
@@ -64,6 +66,8 @@ def _runs(out) -> dict:
     at_100, _ = training.train_steps(bundle, training._image_bank(bundle),
                                      os.path.join(out, "stopped_at_100"), stop_step=100)
     training.train(long, dirs["micro_resumed_100_to_120"], resume=at_100)
+    training.train(training.ablation_arms(cfg.replace(steps=30))["neither"],
+                   dirs["micro_neither_30"])
     training.train(resolve_config(overrides=dict(steps=30)), dirs["default_30"])
     evaluation = training.evaluate_bundle(training.restore_bundle(base))
     return {"package": os.path.dirname(training.__file__),
