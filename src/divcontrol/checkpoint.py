@@ -3,8 +3,7 @@
 Layout (all integers little-endian):
 
     magic  b"DIVC"
-    u32    format version (currently 1)
-    32B    SHA-256 digest of the resolved config text
+    u32    format version (currently 2)
     u64    training step
     u32    number of blocks
     block* each:
@@ -33,7 +32,7 @@ from .errors import CheckpointError
 from .runio import replace_file
 
 MAGIC = b"DIVC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPE_F64 = 0
 _DTYPE_I64 = 1
@@ -43,7 +42,6 @@ _DTYPE_BYTES = 2
 @dataclass
 class CheckpointState:
     step: int
-    config_digest: bytes
     arrays: dict = field(default_factory=dict)  # name -> np.ndarray (f64/i64)
     meta: dict = field(default_factory=dict)    # name -> str
 
@@ -59,12 +57,8 @@ def _block(name: str, payload, dtype: int, shape=()) -> tuple:
 
 
 def save_checkpoint(path, state: CheckpointState) -> None:
-    digest = state.config_digest
-    if len(digest) != 32:
-        raise CheckpointError("config digest must be 32 bytes")
     n_blocks = len(state.arrays) + len(state.meta)
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION), digest,
-              struct.pack("<QI", state.step, n_blocks)]
+    chunks = [MAGIC, struct.pack("<IQI", FORMAT_VERSION, state.step, n_blocks)]
     for name, arr in state.arrays.items():
         arr = np.asarray(arr)
         if arr.dtype == np.float64:
@@ -119,14 +113,12 @@ def load_checkpoint(path) -> CheckpointState:
     if read(4, "magic") != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     version = unpack(_U32, "version")
-    if version > FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version} is newer than this build "
-            f"({FORMAT_VERSION})")
-    digest = bytes(read(32, "config digest"))
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: format version {version}; this build "
+                              f"reads version {FORMAT_VERSION} only")
     step = unpack(_U64, "step")
     n_blocks = unpack(_U32, "block count")
-    state = CheckpointState(step=step, config_digest=digest)
+    state = CheckpointState(step=step)
     for _ in range(n_blocks):
         name_len = unpack(_U16, "block name length")
         name = text(read(name_len, "block name"), "block name")

@@ -24,10 +24,10 @@ class AdamW:
     """
 
     params: dict
-    lr: float = 1e-3
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
+    lr: float
+    betas: tuple
+    eps: float
+    weight_decay: float
     step_count: int = field(default=0)
 
     def __post_init__(self):

@@ -178,14 +178,10 @@ def bundle_state(bundle: ModelBundle, opt: AdamW, step: int, metrics: RunMetrics
     arrays["opt/t"] = np.array([opt.step_count], dtype=np.int64)
     arrays["gate/balance_bias"] = bundle.gate.balance_bias
     arrays["gate/usage"] = bundle.gate.usage_count
-    arrays["gate/batch"] = bundle.gate.batch_count
     arrays["metrics/cond_ema"] = metrics.cond_ema
     arrays["metrics/cond_seen"] = metrics.cond_seen
-    meta = {"config_text": resolved_text(cfg),
-            "condition_ids": ",".join(s.condition_id for s in bundle.specs)}
-    meta.update(extra_meta or {})
-    return CheckpointState(step=step, config_digest=config_digest(cfg),
-                           arrays=arrays, meta=meta)
+    meta = {"config_text": resolved_text(cfg), **(extra_meta or {})}
+    return CheckpointState(step=step, arrays=arrays, meta=meta)
 
 
 def _block(state: CheckpointState, key: str, shape) -> np.ndarray:
@@ -200,17 +196,11 @@ def _block(state: CheckpointState, key: str, shape) -> np.ndarray:
 
 def _load(path) -> tuple:
     """(state, cfg) of checkpoint ``path``, ``cfg`` the config it was written
-    under. CheckpointError when it stores no config text, or when its header
-    digest is not the text's ``config_digest``: the header lies outside
-    every checksum."""
+    under; CheckpointError when it stores no config text."""
     state = load_checkpoint(path)
     if "config_text" not in state.meta:
         raise CheckpointError(f"{path}: checkpoint stores no config text")
-    cfg = resolve_config(state.meta["config_text"])
-    if config_digest(cfg) != state.config_digest:
-        raise CheckpointError(f"{path}: header config digest does not match "
-                              "the stored config text")
-    return state, cfg
+    return state, resolve_config(state.meta["config_text"])
 
 
 def _stored(state: CheckpointState):
@@ -220,13 +210,14 @@ def _stored(state: CheckpointState):
 
 def _restored(path) -> tuple:
     """(bundle, state): the bundle checkpoint ``path`` was written from, in
-    its mode and with its gate state, and the checkpoint it was read from."""
+    its mode and with its gate state, and the checkpoint it was read from.
+    ``batch_count`` starts at zero, so a resume from a NaN snapshot does
+    not count the failed step's routing twice."""
     state, cfg = _load(path)
     bundle = _bundle(cfg, _stored(state))
     n_t = (bundle.gate.n_tailor,)
     bundle.gate.balance_bias = _block(state, "gate/balance_bias", n_t)
     bundle.gate.usage_count = _block(state, "gate/usage", n_t)
-    bundle.gate.batch_count = _block(state, "gate/batch", n_t)
     return bundle, state
 
 
@@ -406,7 +397,7 @@ def _image_bank(bundle: ModelBundle) -> DatasetBank:
 def _resumed(cfg: RunConfig, resume) -> tuple:
     """(bundle, step, optimizer, RunMetrics) as checkpoint ``resume`` holds them."""
     bundle, state = _restored(resume)
-    if state.config_digest != config_digest(cfg):
+    if config_digest(bundle.cfg) != config_digest(cfg):
         raise ContractError("resume checkpoint was written under a different config")
     opt = _new_optimizer(bundle)
     for name, p in opt.params.items():

@@ -4,7 +4,12 @@ import zlib
 import numpy as np
 import pytest
 
-from divcontrol.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
+from divcontrol.checkpoint import (
+    FORMAT_VERSION,
+    CheckpointState,
+    load_checkpoint,
+    save_checkpoint,
+)
 from divcontrol.errors import CheckpointError
 
 ARRAYS = {"weights": np.arange(6, dtype=np.float64).reshape(2, 3) / 7,
@@ -15,8 +20,7 @@ META = {"config_text": "seed = 0\n"}
 @pytest.fixture(scope="module")
 def blob(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "small.divc"
-    save_checkpoint(path, CheckpointState(step=12, config_digest=bytes(range(32)),
-                                          arrays=ARRAYS, meta=META))
+    save_checkpoint(path, CheckpointState(step=12, arrays=ARRAYS, meta=META))
     return path.read_bytes()
 
 
@@ -39,7 +43,7 @@ def checked_spans(data):
 
 def test_round_trip(tmp_path, blob):
     state = load_bytes(tmp_path, blob)
-    assert state.step == 12 and state.config_digest == bytes(range(32))
+    assert state.step == 12
     assert state.meta == META
     for name, arr in ARRAYS.items():
         assert np.array_equal(state.arrays[name], arr)
@@ -53,8 +57,9 @@ def test_truncation_at_every_byte_raises(tmp_path, blob):
 
 
 def test_single_byte_flips_raise_only_checkpoint_errors(tmp_path, blob):
-    # header fields outside every checksum (version, digest, step) may flip
-    # silently; everything else must either load or raise CheckpointError
+    # the step, block names and dtype tags lie outside every checksum and
+    # may flip silently; everything else must either load or raise
+    # CheckpointError
     spans = checked_spans(blob)
     for pos in range(len(blob)):
         for mask in (0x01, 0x80, 0xFF):
@@ -65,6 +70,15 @@ def test_single_byte_flips_raise_only_checkpoint_errors(tmp_path, blob):
             except CheckpointError:
                 continue
             assert not any(pos in span for span in spans), (pos, mask)
+
+
+@pytest.mark.parametrize("version", [1, 3])
+def test_other_format_versions_raise(tmp_path, blob, version):
+    # the version follows the magic; a reader of one version reads no other
+    assert int.from_bytes(blob[4:8], "little") == FORMAT_VERSION == 2
+    data = blob[:4] + version.to_bytes(4, "little") + blob[8:]
+    with pytest.raises(CheckpointError, match=f"version {version}.* version 2"):
+        load_bytes(tmp_path, data)
 
 
 def test_unknown_dtype_tag_raises(tmp_path, blob):
@@ -106,8 +120,8 @@ def test_repeated_block_name_raises(tmp_path, blob):
     end = blob.index(payload)
     other = (2 * ARRAYS["weights"]).astype("<f8").tobytes()
     copy = blob[start:end] + other + zlib.crc32(other).to_bytes(4, "little")
-    count = int.from_bytes(blob[48:52], "little")   # after magic, version, digest, step
-    data = blob[:48] + (count + 1).to_bytes(4, "little") + blob[52:] + copy
+    count = int.from_bytes(blob[16:20], "little")   # after magic, version, step
+    data = blob[:16] + (count + 1).to_bytes(4, "little") + blob[20:] + copy
     with pytest.raises(CheckpointError, match="more than once"):
         load_bytes(tmp_path, data)
 
@@ -121,11 +135,10 @@ def test_odd_layouts_and_zero_size_blocks_write_pinned_bytes(tmp_path):
               "f_order": np.asfortranarray(base), "reversed": base[::-1, :, ::-2],
               "ints": np.array([3, -1, 2**62])}
     path = tmp_path / "odd.divc"
-    save_checkpoint(path, CheckpointState(step=7, config_digest=bytes(range(32)),
-                                          arrays=arrays,
+    save_checkpoint(path, CheckpointState(step=7, arrays=arrays,
                                           meta={"a": "", "config_text": "seed = 0\n"}))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "5075ed47538f646ab956d1d7f9f4d8128657bd4a86ade76c2b714835979c4ea3")
+        "72d167c4cf9ec54114cf7ed534986e62564f72b695a14611450f4accb343f904")
     state = load_checkpoint(path)
     for name, arr in arrays.items():
         assert state.arrays[name].shape == arr.shape

@@ -265,7 +265,7 @@ def test_training_moves_parameters_freely():
     init = brute_force_compose(fw, np.ones(2))
     target = rng.standard_normal((4, 4))
     params = fw._asdict()
-    opt = AdamW(params, lr=1e-2)
+    opt = AdamW(params, lr=1e-2, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
     for _ in range(100):
         # the identity's image is W~.T, so this pulls W~ towards target.T
         w_t = apply_factorized(Tensor(np.eye(4)), fw, Tensor(np.ones(2)))

@@ -9,7 +9,7 @@ from divcontrol.tensor import Tensor
 
 def test_adamw_zero_grad_zero_decay_is_identity():
     p = Tensor(np.array([1.5, -2.0]), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+    opt = AdamW({"p": p}, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
     before = p.data.copy()
     for _ in range(5):
         opt.step()
@@ -40,7 +40,7 @@ def test_adamw_two_steps_match_hand_computation():
 def test_adamw_decay_alone_shrinks_multiplicatively():
     lr, wd = 0.05, 3e-2
     p = Tensor(np.array([2.0]), requires_grad=True)
-    opt = AdamW({"p": p}, lr=lr, weight_decay=wd)
+    opt = AdamW({"p": p}, lr=lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=wd)
     for k in range(1, 4):
         opt.step()
         assert p.data[0] == pytest.approx(2.0 * (1 - lr * wd) ** k, rel=1e-14)
@@ -49,7 +49,7 @@ def test_adamw_decay_alone_shrinks_multiplicatively():
 def test_adamw_lr_zero_is_identity():
     rng = np.random.default_rng(0)
     p = Tensor(rng.standard_normal(4), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.0, weight_decay=0.1)
+    opt = AdamW({"p": p}, lr=0.0, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.1)
     before = p.data.copy()
     p.grad = rng.standard_normal(4)
     opt.step()
@@ -58,7 +58,7 @@ def test_adamw_lr_zero_is_identity():
 
 def test_adamw_shape_mismatch_rejected():
     p = Tensor(np.zeros(3), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.1)
+    opt = AdamW({"p": p}, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
     p.grad = np.zeros(4)
     with pytest.raises(ContractError):
         opt.step()
@@ -66,7 +66,7 @@ def test_adamw_shape_mismatch_rejected():
 
 def test_adamw_counter_increments():
     p = Tensor(np.zeros(2), requires_grad=True)
-    opt = AdamW({"p": p})
+    opt = AdamW({"p": p}, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
     for expected in (1, 2, 3):
         opt.step()
         assert opt.step_count == expected
@@ -76,7 +76,7 @@ def test_adamw_momentum_moves_param_after_gradient_stops():
     # zero gradient and zero decay leave a parameter still only while its
     # first moment is zero
     p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+    opt = AdamW({"p": p}, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
     p.grad = np.array([1.0, 0.0])
     opt.step()
     opt.zero_grad()

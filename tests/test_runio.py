@@ -60,7 +60,7 @@ def test_failed_config_write_keeps_the_previous_file(tmp_path, monkeypatch):
 
 def test_failed_checkpoint_and_summary_writes_keep_the_previous_files(
         tmp_path, monkeypatch):
-    state = CheckpointState(step=1, config_digest=bytes(32), meta={"k": "v"})
+    state = CheckpointState(step=1, meta={"k": "v"})
     save_checkpoint(tmp_path / "checkpoint.divc", state)
     (tmp_path / METRICS_FILE).write_text("step,l_diff\n1,0.5\n")
     export_metrics(tmp_path, extra={})
@@ -170,7 +170,7 @@ class _FailsMidWrite:
 
 def test_checkpoint_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch):
     arrays = {f"w{i}": np.full((4, 5), float(i)) for i in range(6)}
-    state = CheckpointState(step=1, config_digest=bytes(32), arrays=arrays)
+    state = CheckpointState(step=1, arrays=arrays)
     save_checkpoint(tmp_path / "checkpoint.divc", state)
     before = (tmp_path / "checkpoint.divc").read_bytes()
     monkeypatch.setattr(runio, "open", _FailsMidWrite, raising=False)

@@ -82,7 +82,8 @@ def column(run_dir, name):
 
 def assert_one_config(run_dir, ckpt_path):
     # the checkpoint, resolved-config.txt and summary.json record one config
-    digest = load_checkpoint(ckpt_path).config_digest
+    stored = load_checkpoint(ckpt_path).meta["config_text"]
+    digest = config_digest(resolve_config(stored))
     text = (run_dir / "resolved-config.txt").read_text()
     assert config_digest(resolve_config(text)) == digest
     summary = json.loads((run_dir / "summary.json").read_text())

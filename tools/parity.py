@@ -20,6 +20,13 @@ and ``summary.json`` (without the timing key ``seconds_per_100_steps``), and
 every value ``evaluate_bundle`` returns for the diversion checkpoint as
 ``restore_bundle`` reads it back. It prints a Markdown table and exits 1 on
 any difference.
+
+One more row per run compares the checkpoint block by block, as each
+tree's own ``load_checkpoint`` reads it, so that two checkpoint formats can
+be compared: a digest over the name, dtype, shape and bytes of the blocks
+both trees hold, then the names of the blocks only one tree holds
+(``meta/`` before a text block's name). That row does not change the exit
+status.
 """
 
 from __future__ import annotations
@@ -43,6 +50,32 @@ def _digest(path) -> str:
         summary.pop("seconds_per_100_steps", None)
         data = json.dumps(summary, indent=2, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
+
+
+def _blocks(path) -> dict:
+    """Block name -> SHA-256 of its name, dtype, shape and bytes, as this
+    tree's ``load_checkpoint`` reads the checkpoint at ``path``."""
+    from divcontrol.checkpoint import load_checkpoint
+
+    state = load_checkpoint(path)
+    blocks = {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in state.arrays.items()}
+    blocks.update({"meta/" + name: ("text", (), text.encode())
+                   for name, text in state.meta.items()})
+    return {name: hashlib.sha256(repr((name, dtype, shape)).encode() + data).hexdigest()
+            for name, (dtype, shape, data) in blocks.items()}
+
+
+def _block_row(ours: dict, theirs: dict) -> tuple:
+    """(this tree's cell, the other's, equal) of one run's checkpoint blocks:
+    a digest over the blocks both hold, then the blocks only one holds."""
+    shared = sorted(ours.keys() & theirs.keys())
+    cells = []
+    for mine, yours in ((ours, theirs), (theirs, ours)):
+        digest = hashlib.sha256("".join(mine[n] for n in shared).encode()).hexdigest()
+        only = ", ".join(f"`{n}`" for n in mine if n not in yours)
+        cells.append((digest, f"`{digest[:16]}`" + (f"; only here: {only}" if only else "")))
+    (a, cell_a), (b, cell_b) = cells
+    return cell_a, cell_b, a == b
 
 
 def _runs(out) -> dict:
@@ -73,6 +106,8 @@ def _runs(out) -> dict:
     return {"package": os.path.dirname(training.__file__),
             "sha256": {run: {f: _digest(os.path.join(d, f)) for f in FILES}
                        for run, d in dirs.items()},
+            "blocks": {run: _blocks(os.path.join(d, "checkpoint.divc"))
+                       for run, d in dirs.items()},
             "evaluate_bundle": {k: float(v).hex() if isinstance(v, float) else v
                                 for k, v in evaluation.items()}}
 
@@ -101,19 +136,23 @@ def main(other) -> int:
         if os.path.realpath(result["package"]) != os.path.realpath(expected):
             print(f"{side} tree imported divcontrol from {result['package']}")
             return 1
-    rows = [(run, f, this["sha256"][run][f], other["sha256"].get(run, {}).get(f, "-"))
-            for run in this["sha256"] for f in FILES]
-    rows += [("evaluate_bundle", k, str(v), str(other["evaluate_bundle"].get(k, "-")))
+    rows = []
+    for run, digests in this["sha256"].items():
+        theirs = other["sha256"].get(run, {})
+        rows += [(run, f, f"`{digests[f][:16]}`", f"`{theirs.get(f, '-')[:16]}`",
+                  digests[f] == theirs.get(f)) for f in FILES]
+        rows.append((run, "checkpoint blocks",
+                     *_block_row(this["blocks"][run], other["blocks"].get(run, {}))))
+    rows += [("evaluate_bundle", k, f"`{v}`", f"`{other['evaluate_bundle'].get(k, '-')}`",
+              v == other["evaluate_bundle"].get(k))
              for k, v in this["evaluate_bundle"].items()]
     differ = ((this["sha256"], this["evaluate_bundle"])
               != (other["sha256"], other["evaluate_bundle"]))
     print(f"Parity of {trees['this']} against {trees['other']}:\n")
     print("| run | output | this tree | other tree | equal |")
     print("|---|---|---|---|---|")
-    for run, name, a, b in rows:
-        width = 16 if name in FILES else None  # a digest's first 16 hex digits
-        print(f"| {run} | {name} | `{a[:width]}` | `{b[:width]}` | "
-              f"{'yes' if a == b else 'NO'} |")
+    for run, name, a, b, equal in rows:   # a digest shows its first 16 hex digits
+        print(f"| {run} | {name} | {a} | {b} | {'yes' if equal else 'NO'} |")
     print(f"\n{'Some outputs differ.' if differ else 'Every output is identical.'}")
     return int(differ)
 
