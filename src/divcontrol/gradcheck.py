@@ -242,7 +242,7 @@ def build_e2e_case(seed: int = 0):
     bundle.gate.w2.data = 0.3 * gen.standard_normal(bundle.gate.w2.shape)
 
     def loss():
-        rows, _ = _routing_rows(bundle, cond_idx, record=False)
+        rows, _ = _routing_rows(bundle, cond_idx)
         return _objective(bundle, x0, x_cond, t_idx, eps, rows)[2]
 
     return loss, bundle.params()

@@ -27,9 +27,9 @@ The gate picks each condition's tailors from its instruction. The frozen
 encoder ``embed_instruction`` hashes the tokens into a seeded Gaussian
 table, drawn once per process, and L2-normalizes their mean row; ``route``
 maps that through a tanh layer to a (1, n_tailor) row of softmax scores.
-``topk_select`` ranks score + balance bias but emits the unbiased scores,
-and ``update_biases`` moves the biases after each batch by a sign rule
-toward uniform tailor load, with no auxiliary loss.
+``topk_select`` ranks score + balance bias but emits the unbiased scores.
+Routing writes no gate state: ``update_biases`` moves the biases after each
+batch by a sign rule on its tailor load, with no auxiliary loss.
 """
 
 from __future__ import annotations
@@ -191,16 +191,16 @@ def svd_blocks(w, n_learngene: int, n_tailor: int) -> dict:
     return blocks
 
 
-def masked_gradient_apply(fw: FactorizedWeight, active) -> float:
-    """Zero any residual gradient on tailor columns outside ``active``.
+def masked_gradient_apply(fw: FactorizedWeight, load: np.ndarray) -> float:
+    """Zero any residual gradient on the tailor columns where the batch's
+    ``load``, its count of items routed to each tailor, is zero.
 
     Differentiating the gated composition already yields exact zeros there;
     this pass measures the largest residual (returned for diagnostics) and
-    clears it. ``active`` is an iterable of active tailor indices.
+    clears it.
     """
-    active = set(active)
-    inactive = [j for j in range(fw.s_t.size) if j not in active]
-    if not inactive:
+    inactive = load == 0
+    if not inactive.any():
         return 0.0
     residual = 0.0
     for t in (fw.u_t, fw.s_t, fw.v_t):
@@ -340,8 +340,8 @@ class GateState(_Network):
 
     The hidden layer ``w1`` is Kaiming-uniform from the stream
     ("init", "gate") and the rest start at zero, so routing starts uniform.
-    ``batch_count`` holds tailor activations since the last bias update;
-    ``usage_count`` accumulates the totals.
+    ``update_biases`` alone writes ``balance_bias`` and ``usage_count``, the
+    count of the items routed to each tailor over the run; routing reads them.
     """
 
     def __init__(self, cfg: RunConfig, source):
@@ -355,7 +355,6 @@ class GateState(_Network):
         self.b2 = self._full("b2", 0.0, self.n_tailor)
         self.balance_bias = np.zeros(self.n_tailor)
         self.usage_count = np.zeros(self.n_tailor, dtype=np.int64)
-        self.batch_count = np.zeros(self.n_tailor, dtype=np.int64)
 
 
 def route(gate: GateState, e: np.ndarray) -> Tensor:
@@ -386,24 +385,21 @@ def topk_select(alpha: Tensor, gate: GateState) -> tuple:
     return T.mul(alpha, mask), active
 
 
-def record_usage(gate: GateState, active, count: int) -> None:
-    """Count ``count`` routing events for each tailor in ``active``."""
-    for j in active:
-        gate.batch_count[j] += count
+def record_usage(load: np.ndarray, active, count: int) -> None:
+    """Add ``count`` routed items to ``load`` for each tailor in ``active``."""
+    load[list(active)] += count
 
 
-def update_biases(gate: GateState) -> None:
-    """Sign-rule balance update from the batch's load, then fold counts.
+def update_biases(gate: GateState, load: np.ndarray) -> None:
+    """Sign-rule bias update from ``load``, then add it to ``usage_count``.
 
     b_i <- b_i - rate * sign(load_i - mean_load); sign(0) = 0, so a
     perfectly balanced batch leaves the biases untouched.
     """
-    load = gate.batch_count.astype(np.float64)
     # the sign of load_i - mean, with no division: no tailors have no mean
     delta = np.sign(load * load.size - load.sum())
     gate.balance_bias = gate.balance_bias - gate.bias_update_rate * delta
-    gate.usage_count = gate.usage_count + gate.batch_count
-    gate.batch_count = np.zeros_like(gate.batch_count)
+    gate.usage_count = gate.usage_count + load
 
 
 def similarity_matrix(gate: GateState, embeddings) -> np.ndarray:

@@ -28,8 +28,7 @@ class MetricsWriter:
     def __init__(self, run_dir, condition_ids, resume_step: int):
         self.path = os.path.join(run_dir, METRICS_FILE)
         if resume_step > 0 and os.path.exists(self.path) and os.path.getsize(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            lines = _lines(self.path)
             kept = lines[:1] + [ln for i, ln in enumerate(lines[1:], 2) if ln.endswith("\n")
                                 and _numbers(self.path, i, ln)[0] <= resume_step]
             if len(kept) < len(lines):
@@ -55,6 +54,15 @@ class MetricsWriter:
         self._fh.close()
 
 
+def _lines(path) -> list:
+    """The lines of the text file ``path``; ContractError if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as e:
+        raise ContractError(f"{path} is not UTF-8 text: {e}") from None
+
+
 def _numbers(path, lineno: int, line: str) -> list:
     """The comma-separated numbers on line ``lineno`` of the file ``path``."""
     try:
@@ -67,8 +75,7 @@ def read_metrics(run_dir):
     path = os.path.join(run_dir, METRICS_FILE)
     if not os.path.exists(path):
         raise ContractError(f"no metrics found under '{run_dir}'")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    lines = [(i, ln.strip()) for i, ln in enumerate(_lines(path), 1) if ln.strip()]
     if not lines:
         raise ContractError(f"{path} is empty: it has no header line")
     header = lines[0][1].split(",")

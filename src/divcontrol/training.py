@@ -210,9 +210,7 @@ def _stored(state: CheckpointState):
 
 def _restored(path) -> tuple:
     """(bundle, state): the bundle checkpoint ``path`` was written from, in
-    its mode and with its gate state, and the checkpoint it was read from.
-    ``batch_count`` starts at zero, so a resume from a NaN snapshot does
-    not count the failed step's routing twice."""
+    its mode and with its gate state, and the checkpoint it was read from."""
     state, cfg = _load(path)
     bundle = _bundle(cfg, _stored(state))
     n_t = (bundle.gate.n_tailor,)
@@ -240,29 +238,27 @@ class RunMetrics:
 _EMA = 0.98
 
 
-def _routing_rows(bundle: ModelBundle, cond_idx: np.ndarray,
-                  record: bool = True):
-    """Per-item tailor coefficients for a batch.
+def _routing_rows(bundle: ModelBundle, cond_idx: np.ndarray):
+    """Per-item tailor coefficients for a batch; writes no gate state.
 
-    Returns (rows, active_union) where rows is a (B, 1, n_tailor) tensor of
-    unbiased coefficients, differentiable into the gate; (B, 1, 0) when the
-    branch has no tailors. ``record`` counts one routing event per item
-    toward the balance statistics.
+    Returns (rows, load) where rows is a (B, 1, n_tailor) tensor of
+    unbiased coefficients, differentiable into the gate, or (B, 1, 0) when
+    the branch has no tailors, and ``load`` the int64 (n_tailor,) count of
+    the items routed to each tailor; ``np.flatnonzero(load)`` lists the
+    batch's active tailors.
     """
     gate = bundle.gate
     unique, position, counts = np.unique(cond_idx, return_inverse=True,
                                          return_counts=True)
-    g_rows, active_union = [], set()
+    g_rows, load = [], np.zeros(gate.n_tailor, dtype=np.int64)
     for c, n in zip(unique, counts):
         alpha = route(gate, bundle.embeddings[c])
         g, active = topk_select(alpha, gate)
-        if record:
-            record_usage(gate, active, count=int(n))
-        active_union |= set(active)
+        record_usage(load, active, count=int(n))
         g_rows.append(g)
     stacked = g_rows[0] if len(g_rows) == 1 else T.concat(g_rows)
     rows = T.gather_rows(stacked, position[:, None])
-    return rows, active_union
+    return rows, load
 
 
 def _objective(bundle: ModelBundle, x, x_cond, t_idx, eps, rows,
@@ -321,7 +317,7 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
             gen = stream(cfg.seed, "step", s)
             t_idx = gen.integers(0, cfg.timesteps, cfg.batch_size)
             eps = gen.standard_normal(batch.x.shape)
-            rows, active_union = _routing_rows(bundle, batch.cond_idx)
+            rows, load = _routing_rows(bundle, batch.cond_idx)
             l_diff_t, l_repa_t, total_t, eps_tok, eps_hat = _objective(
                 bundle, batch.x, batch.x_cond, t_idx, eps, rows, gen)
             l_diff, l_repa, l_total = l_diff_t.item(), l_repa_t.item(), total_t.item()
@@ -345,11 +341,11 @@ def train_steps(bundle: ModelBundle, bank: DatasetBank, out_dir,
 
             T.backward(total_t)
             for fw in bundle.branch.factorized_weights():
-                masked_gradient_apply(fw, active_union)
+                masked_gradient_apply(fw, load)
             lr = cfg.lr_at(s)
             opt.step(lr=lr)
             opt.zero_grad()
-            update_biases(bundle.gate)
+            update_biases(bundle.gate, load)
             writer.write(s + 1, l_diff, l_repa, l_total, lr, metrics.cond_ema)
             if (s + 1) % 100 == 0:
                 metrics.seconds_per_100.append(time.monotonic() - t_block)
@@ -450,7 +446,7 @@ def evaluate_bundle(bundle: ModelBundle, n_samples: int | None = None,
     t_idx = gen.integers(0, cfg.timesteps, n)
     eps = gen.standard_normal(x.shape)
     with T.no_grad():
-        rows, _ = _routing_rows(bundle, cond_idx, record=False)
+        rows, _ = _routing_rows(bundle, cond_idx)
         l_diff, l_repa, _, _, _ = _objective(bundle, x, x_cond, t_idx, eps, rows)
     out = {"eval_l_diff": l_diff.item(), "eval_aligned_cosine": -l_repa.item(),
            "n_samples": n}

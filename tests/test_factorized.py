@@ -209,7 +209,7 @@ def test_inactive_tailor_gets_exact_zero_grads():
     assert fw.s_t.grad[1] == 0.0
     assert alpha.grad[1] == 0.0  # selection blocks gate gradient too
     assert np.abs(fw.u_t.grad[:, 0]).max() > 0
-    residual = masked_gradient_apply(fw, (0, 2))
+    residual = masked_gradient_apply(fw, np.array([1, 0, 1]))
     assert residual == 0.0
 
 
@@ -226,7 +226,20 @@ def test_inactive_tailor_gets_exact_zero_grads_per_row():
         assert np.array_equal(grad, np.zeros_like(grad))
     assert np.abs(fw.u_t.grad[:, 2]).max() > 0   # active in one row only
     assert np.abs(rows.grad).max() > 0
-    assert masked_gradient_apply(fw, (0, 2)) == 0.0
+    assert masked_gradient_apply(fw, np.array([1, 0, 1])) == 0.0
+
+
+def test_mask_pass_clears_only_the_columns_the_load_leaves_at_zero():
+    rng = np.random.default_rng(16)
+    fw, _ = random_fw(rng, 5, 5, 2, 3)
+    for t in (fw.u_t, fw.s_t, fw.v_t):
+        t.grad = rng.standard_normal(t.data.shape)
+    kept = [t.grad[..., [0, 2]].copy() for t in (fw.u_t, fw.s_t, fw.v_t)]
+    largest = max(np.abs(t.grad[..., 1]).max() for t in (fw.u_t, fw.s_t, fw.v_t))
+    assert masked_gradient_apply(fw, np.array([3, 0, 1])) == largest
+    for t, want in zip((fw.u_t, fw.s_t, fw.v_t), kept):
+        assert not t.grad[..., 1].any()
+        assert np.array_equal(t.grad[..., [0, 2]], want)
 
 
 def test_active_coefficient_scales_sigma_gradient():

@@ -147,28 +147,28 @@ def test_usage_count_invariant():
     for _ in range(batches):
         alpha = Tensor(np.random.default_rng(4).dirichlet(np.ones(6)))
         _, active = topk_select(alpha, gate)
-        record_usage(gate, active, count=1)
-        update_biases(gate)
+        load = np.zeros(6, dtype=np.int64)
+        record_usage(load, active, count=1)
+        update_biases(gate, load)
     assert gate.usage_count.sum() == batches * 2
 
 
 def test_update_biases_balanced_batch_is_noop():
     gate = make_gate(n_t=4, k=2)
-    gate.batch_count = np.array([3, 3, 3, 3], dtype=np.int64)
     before = gate.balance_bias.copy()
-    update_biases(gate)
+    update_biases(gate, np.array([3, 3, 3, 3], dtype=np.int64))
     assert np.array_equal(gate.balance_bias, before)
 
 
 def test_update_biases_pushes_against_skew():
     gate = make_gate(n_t=3, k=1, rate=1e-3)
-    gate.batch_count = np.array([10, 0, 0], dtype=np.int64)
-    update_biases(gate)
+    load = np.array([10, 0, 0], dtype=np.int64)
+    update_biases(gate, load)
     assert gate.balance_bias[0] == pytest.approx(-1e-3)
     assert gate.balance_bias[1] == pytest.approx(+1e-3)
     assert gate.balance_bias[2] == pytest.approx(+1e-3)
-    assert gate.batch_count.sum() == 0  # reset into running total
-    assert gate.usage_count.sum() == 10
+    update_biases(gate, load)  # the load joins the running total each time
+    assert np.array_equal(gate.usage_count, 2 * load)
 
 
 def test_balancing_reduces_load_skew_over_stream():
@@ -183,8 +183,9 @@ def test_balancing_reduces_load_skew_over_stream():
             for _ in range(2000):
                 e = e_hot if gen.uniform() < 0.9 else e_cold
                 _, active = topk_select(route(gate, e), gate)
-                record_usage(gate, active, count=1)
-                update_biases(gate)
+                load = np.zeros(8, dtype=np.int64)
+                record_usage(load, active, count=1)
+                update_biases(gate, load)
         load = gate.usage_count.astype(float)
         return load.max() / load.mean()
 
@@ -240,8 +241,7 @@ def test_balancing_neutral_when_rate_zero_and_bias_zero():
     alpha = np.array([0.1, 0.3, 0.05, 0.35, 0.2])
     _, active = topk_select(Tensor(alpha), gate)
     assert set(active) == {1, 3}  # plain top-K on alpha
-    gate.batch_count = np.array([5, 0, 0, 0, 0], dtype=np.int64)
-    update_biases(gate)
+    update_biases(gate, np.array([5, 0, 0, 0, 0], dtype=np.int64))
     assert np.array_equal(gate.balance_bias, np.zeros(5))
 
 
@@ -268,26 +268,33 @@ def test_embed_table_is_drawn_once_and_read_only(monkeypatch):
 
 def test_routing_rows_match_the_per_condition_path():
     # _routing_rows stacks one gate pass per distinct condition: each item's
-    # row, the usage counts and the active union are those of routing its
-    # condition alone, and each condition records 7 tape nodes
+    # row is that of routing its condition alone, the load counts each item
+    # once on each tailor its condition selects, each condition records 7
+    # tape nodes (then one gather, after one concat when there are several),
+    # and routing writes no gate state
     bundle = training.build_diversion_bundle(micro_config(0))
     gate = bundle.gate
     gate.w2.data = np.random.default_rng(7).standard_normal(gate.w2.shape)
-    cond_idx = np.array([3, 0, 3, 5, 0])
-    alone = {c: topk_select(route(gate, bundle.embeddings[c]), gate) for c in (0, 3, 5)}
-    usage = gate.usage_count.copy()
-    T.clear_tape()
-    rows, active_union = training._routing_rows(bundle, cond_idx)
-    assert T.tape_size() == 7 * 3 + 2
-    for row, c in zip(rows.data, cond_idx, strict=True):
-        assert np.array_equal(row, alone[c][0].data), c
-    update_biases(gate)
-    for c, (_, active) in alone.items():
-        usage[list(active)] += np.count_nonzero(cond_idx == c)
-    assert np.array_equal(gate.usage_count, usage)
-    assert active_union == set().union(*(active for _, active in alone.values()))
-    for batch, nodes in (([2, 2], 8), ([1, 4], 16)):
+    gate.balance_bias = 0.1 * np.random.default_rng(8).standard_normal(gate.n_tailor)
+    n_cond = len(bundle.embeddings)
+    assert n_cond == 8
+    alone = [topk_select(route(gate, e), gate) for e in bundle.embeddings]
+    state = [gate.balance_bias.copy(), gate.usage_count.copy()]
+    gen = np.random.default_rng(12)
+    pinned = [([3, 0, 3, 5, 0], 7 * 3 + 2), ([2, 2], 8), ([1, 4], 16)]
+    drawn = [(gen.integers(0, n_cond, gen.integers(1, 17)), None) for _ in range(50)]
+    for cond_idx, nodes in pinned + drawn:
+        cond_idx = np.asarray(cond_idx)
+        distinct = np.unique(cond_idx).size
         T.clear_tape()
-        training._routing_rows(bundle, np.array(batch), record=False)
-        assert T.tape_size() == nodes, batch
+        rows, load = training._routing_rows(bundle, cond_idx)
+        assert T.tape_size() == (nodes or 7 * distinct + 1 + (distinct > 1)), cond_idx
+        for row, c in zip(rows.data, cond_idx, strict=True):
+            assert np.array_equal(row, alone[c][0].data), (cond_idx, c)
+        want = np.zeros(gate.n_tailor, dtype=np.int64)
+        for c in cond_idx:
+            want[list(alone[c][1])] += 1
+        assert load.dtype == np.int64 and np.array_equal(load, want), cond_idx
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(state, (gate.balance_bias, gate.usage_count)))
     T.clear_tape()

@@ -100,7 +100,7 @@ def _training_step(bundle, cond_idx, drop_gen=None):
     returns l_total."""
     gen = np.random.default_rng(0)
     shape = (len(cond_idx),) + (bundle.cfg.image_size,) * 2
-    rows, _ = training._routing_rows(bundle, cond_idx, record=False)
+    rows, _ = training._routing_rows(bundle, cond_idx)
     t_idx = gen.integers(0, bundle.cfg.timesteps, len(cond_idx))
     return training._objective(bundle, gen.random(shape), gen.random(shape), t_idx,
                                gen.standard_normal(shape), rows, drop_gen)[2]

@@ -155,7 +155,7 @@ def test_checkpoint_blocks_come_in_a_pinned_order_and_dtype(trained, tmp_path, m
 
     def dtypes(bundle, metrics):
         gate = bundle.gate
-        return [a.dtype for a in (gate.balance_bias, gate.usage_count, gate.batch_count,
+        return [a.dtype for a in (gate.balance_bias, gate.usage_count,
                                   metrics.cond_ema, metrics.cond_seen)]
 
     resumed, _, _, resumed_metrics = training._resumed(cfg, ckpt)

@@ -93,6 +93,19 @@ def test_unparsable_metrics_rows_raise_contract_errors_naming_file_and_line(tmp_
         read_metrics(tmp_path)
 
 
+def test_metrics_file_that_is_not_utf8_raises_a_contract_error_naming_it(tmp_path):
+    # the writer only writes ASCII, so a byte that is not UTF-8 is damage
+    path = tmp_path / METRICS_FILE
+    data = b"step,l_diff\n1,0.25\n\x80"
+    path.write_bytes(data)
+    where = re.escape(f"{path} is not UTF-8 text")
+    with pytest.raises(ContractError, match=where):
+        MetricsWriter(tmp_path, [], resume_step=1)
+    assert path.read_bytes() == data   # the resume changed nothing
+    with pytest.raises(ContractError, match=where):
+        read_metrics(tmp_path)
+
+
 def test_empty_metrics_file_raises_a_contract_error_naming_it(tmp_path):
     path = tmp_path / METRICS_FILE
     path.write_text("")

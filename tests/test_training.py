@@ -147,7 +147,6 @@ def assert_same_bundle(bundle, ref):
     assert list(bundle.trainable_params()) == list(ref.trainable_params())
     assert np.array_equal(bundle.gate.balance_bias, ref.gate.balance_bias)
     assert np.array_equal(bundle.gate.usage_count, ref.gate.usage_count)
-    assert np.array_equal(bundle.gate.batch_count, ref.gate.batch_count)
 
 
 def no_svd(*args, **kwargs):
@@ -222,14 +221,34 @@ def test_zero_shot_route_pinned(runs):
     _, ckpt, _ = runs
     bundle = training.restore_bundle(ckpt["diversion"])
     gate = bundle.gate
-    before = [gate.balance_bias.copy(), gate.usage_count.copy(), gate.batch_count.copy()]
+    before = [gate.balance_bias.copy(), gate.usage_count.copy()]
     g, active = training.zero_shot_route(bundle, "sobel edge outline")
     assert active == REF["route_active_set"]
     for value, ref in zip(g.data[0], REF["route_g"], strict=True):
         assert_pinned(float(value), ref)
     # routing a novel instruction updates nothing
-    after = [gate.balance_bias, gate.usage_count, gate.batch_count]
+    after = [gate.balance_bias, gate.usage_count]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_evaluation_between_train_steps_calls_leaves_the_run_files_unchanged(tmp_path):
+    # evaluate_bundle and zero_shot_route route the live bundle mid-run; the
+    # run's metrics.csv and checkpoint.divc stay byte-equal to a straight run's
+    cfg = micro_config(0).replace(steps=6)
+
+    def run(out, evaluate):
+        bundle = training.build_diversion_bundle(cfg)
+        bank, opt = training._image_bank(bundle), training._new_optimizer(bundle)
+        if evaluate:
+            _, metrics = training.train_steps(bundle, bank, out, stop_step=3, opt=opt)
+            training.evaluate_bundle(bundle, n_samples=4)
+            training.zero_shot_route(bundle, "a novel swirl pattern")
+            training.train_steps(bundle, bank, out, start_step=3, opt=opt, metrics=metrics)
+        else:
+            training.train_steps(bundle, bank, out, opt=opt)
+        return [(out / f).read_bytes() for f in ("metrics.csv", "checkpoint.divc")]
+
+    assert run(tmp_path / "evaluated", True) == run(tmp_path / "straight", False)
 
 
 def test_ablation_arms_draw_identical_batches():
@@ -279,9 +298,9 @@ def test_inactive_tailor_columns_drift_only_by_adamw_state(tmp_path, monkeypatch
     actives, routing_rows = [], training._routing_rows
 
     def spy(*args, **kw):
-        rows, active = routing_rows(*args, **kw)
-        actives.append(active)
-        return rows, active
+        rows, load = routing_rows(*args, **kw)
+        actives.append(np.flatnonzero(load).tolist())
+        return rows, load
 
     monkeypatch.setattr(training, "_routing_rows", spy)
     _, metrics = training.train_steps(bundle, bank, tmp_path, stop_step=1, opt=opt)
@@ -289,7 +308,7 @@ def test_inactive_tailor_columns_drift_only_by_adamw_state(tmp_path, monkeypatch
     before = {n: (opt.params[n].data.copy(), opt.m[n].copy(), opt.v[n].copy())
               for n in names}
     training.train_steps(bundle, bank, tmp_path, start_step=1, opt=opt, metrics=metrics)
-    assert actives == [{0, 1}, {2, 3}]
+    assert actives == [[0, 1], [2, 3]]
     lr, wd, eps = cfg.lr_at(1), cfg.weight_decay, cfg.adam_eps
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     for n in names:
@@ -316,13 +335,13 @@ def test_neither_arm_runs_empty_tailor_blocks():
     batch = training._build_batch(training._image_bank(bundle), cfg.batch_size,
                                   cfg.seed, 0)
     gen = np.random.default_rng(0)
-    rows, active = training._routing_rows(bundle, batch.cond_idx)
-    assert rows.shape == (cfg.batch_size, 1, 0) and active == set()
+    rows, load = training._routing_rows(bundle, batch.cond_idx)
+    assert rows.shape == (cfg.batch_size, 1, 0) and load.shape == (0,)
     T.backward(training._objective(
         bundle, batch.x, batch.x_cond, gen.integers(0, cfg.timesteps, cfg.batch_size),
         gen.standard_normal(batch.x.shape), rows)[2])
     for fw in bundle.branch.factorized_weights():
-        assert training.masked_gradient_apply(fw, active) == 0.0
+        assert training.masked_gradient_apply(fw, load) == 0.0
     for t in (bundle.gate.w1, bundle.gate.b1):
         assert t.grad is not None and np.array_equal(t.grad, np.zeros_like(t.grad))
 
